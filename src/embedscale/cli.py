@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -220,22 +221,10 @@ def cmd_plan(args) -> int:
     for budget in args.budget:
         spec = BudgetSpec(total_flops=budget, query_tokens=args.tokens,
                           corpus_size=args.corpus, regime=args.regime)
-        alloc = optimal_allocation(fit, spec, args.grid_points)
-        allocations.append({
-            "budget": budget,
-            "regime": args.regime,
-            "corpus_size": args.corpus,
-            "query_tokens": args.tokens,
-            "gamma": alloc.gamma,
-            "n_hat": alloc.n_hat,
-            "d_hat": alloc.d_hat,
-            "n_hat_rounded": alloc.n_hat_rounded,
-            "d_hat_rounded": alloc.d_hat_rounded,
-            "predicted_entropy": alloc.predicted_entropy,
-            "enc_flops": alloc.enc_flops,
-            "score_flops": alloc.score_flops,
-            "budget_overshoot": alloc.budget_overshoot,
-        })
+        alloc = optimal_allocation(fit, spec)
+        allocations.append({"budget": budget, "regime": args.regime,
+                            "corpus_size": args.corpus,
+                            "query_tokens": args.tokens, **asdict(alloc)})
         if args.curve:
             curves.append((budget, budget_curve(fit, spec, args.curve)))
     report = {
@@ -245,7 +234,7 @@ def cmd_plan(args) -> int:
             "plan", [args.fit_report],
             {"budget": args.budget, "tokens": args.tokens,
              "corpus": args.corpus, "regime": args.regime,
-             "grid_points": args.grid_points, "curve": args.curve or []},
+             "curve": args.curve or []},
             args.seed,
         ),
     }
@@ -329,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus size in documents")
     p.add_argument("--regime", choices=("exhaustive", "ann"),
                    default="exhaustive")
-    p.add_argument("--grid-points", type=int, default=4096)
     p.add_argument("--curve", type=int, nargs="+", default=None,
                    help="also write entropy-vs-dim curves at these dims")
     p.add_argument("--seed", type=int, default=0)

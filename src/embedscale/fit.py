@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import fsum, sqrt
+from math import fsum, inf, isfinite, sqrt
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DataError, ObservationTable
+from .core import DataError, NumericError, ObservationTable
 
 DELTA_EPS = 1e-9         # offset inside log(delta + eps); keeps delta=0 reachable
 COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
@@ -457,19 +457,32 @@ def fit_joint_law(table: ObservationTable,
     )
 
 
+def _law_value(delta: float, *terms: tuple[float, float, float]) -> float:
+    """delta + sum of c / x**e over (c, x, e); NumericError unless finite."""
+    try:
+        value = sum(c / x ** e for c, x, e in terms) + delta
+    except (OverflowError, ZeroDivisionError):
+        value = inf
+    if not isfinite(value):
+        raise NumericError(f"fitted law is not finite at {terms}: {value}")
+    return value
+
+
 def predict_dim(fit: DimLawFit, d) -> float:
     """Evaluate a_coeff / D^alpha + delta.
 
     D is a positive real; observed dimensions are integers but the law is
-    defined on the whole positive axis.
+    defined on the whole positive axis. Raises NumericError on overflow.
     """
     if not d > 0:
         raise DataError(f"dimension must be positive, got {d}")
-    return fit.a_coeff / float(d) ** fit.alpha + fit.delta
+    return _law_value(fit.delta, (fit.a_coeff, float(d), fit.alpha))
 
 
 def predict_joint(fit: JointLawFit, d, n_params) -> float:
     """Evaluate a_coeff/D^alpha + b_coeff/(N/1e6)^beta + delta.
+
+    Raises NumericError on overflow.
 
     Args:
         d: embedding dimension, positive real.
@@ -479,9 +492,8 @@ def predict_joint(fit: JointLawFit, d, n_params) -> float:
         raise DataError(f"dimension must be positive, got {d}")
     if not n_params > 0:
         raise DataError(f"n_params must be positive, got {n_params}")
-    return (fit.a_coeff / float(d) ** fit.alpha
-            + fit.b_coeff / (float(n_params) / MILLION) ** fit.beta
-            + fit.delta)
+    return _law_value(fit.delta, (fit.a_coeff, float(d), fit.alpha),
+                      (fit.b_coeff, float(n_params) / MILLION, fit.beta))
 
 
 def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:

@@ -7,24 +7,23 @@ base in the ANN regime is fixed to the natural log here and noted in every
 output, since cost constants are only meaningful up to such factors.
 Projection-layer FLOPs are deliberately not counted.
 
-A fraction gamma of the budget goes to encoding, the rest to scoring;
-sweeping gamma and evaluating the joint scaling law at the implied (N, D)
-yields the optimal allocation.
+A fraction gamma of the budget goes to encoding, the rest to scoring.
+Predicted entropy under the joint scaling law is convex in gamma, so the
+optimal allocation is the root of its slope, found by bisection over the
+feasible interval where D >= 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log, sqrt
+from math import isfinite, log, log1p, nextafter
 from typing import Optional, Sequence
 
 from .core import DataError
-from .fit import JointLawFit, predict_joint
+from .fit import MILLION, JointLawFit, predict_joint
 
 REGIMES = ("exhaustive", "ann")
-DEFAULT_GRID_POINTS = 4096
-_INVPHI = (sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-12
+_MAX_BISECTIONS = 1100
 
 
 @dataclass(frozen=True)
@@ -132,67 +131,65 @@ def round_params(n: float) -> float:
     return max(1e6, round(n / 1e6) * 1e6)
 
 
-def _golden_section(f, lo: float, hi: float):
-    """Minimize unimodal f on [lo, hi]; returns the best point evaluated."""
-    best_x, best_v = lo, f(lo)
-    for x in (hi,):
-        v = f(x)
-        if v < best_v:
-            best_x, best_v = x, v
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > _GOLDEN_TOL:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    for x, v in ((c, fc), (d, fd)):
-        if v < best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
-
-
-def optimal_allocation(fit: JointLawFit, b: BudgetSpec,
-                       grid_points: int = DEFAULT_GRID_POINTS) -> AllocationResult:
+def optimal_allocation(fit: JointLawFit, b: BudgetSpec) -> AllocationResult:
     """Minimize predicted entropy over the gamma split of one budget.
 
-    Evaluates the joint law on the uniform interior grid gamma_j = j/(G+1),
-    j = 1..G, then refines with golden-section search inside the bracket
-    [gamma_{j*-1}, gamma_{j*+1}] around the best grid point (ties on the
-    grid go to the lowest gamma). The returned allocation reports the raw
-    optimizer plus rounded forms and the rounding's budget overshoot.
+    The objective a*(c_D(1-gamma))^-alpha + b*(c_N gamma)^-beta + delta has
+    a strictly increasing slope, so its minimizer is the slope's one root.
+    Bisection on the sign of the slope, compared in log space, runs over
+    the feasible interval (0, 1 - flops_score(M, 1)/B], where D >= 1,
+    until the bracket ends are adjacent doubles; a root past the interval
+    gives its D = 1 end. The law is evaluated at the final bracket ends and
+    the lower value wins. The returned allocation reports the raw optimizer
+    plus rounded forms and the rounding's budget overshoot.
 
     Raises:
-        DataError: missing/non-joint fit or grid_points < 3.
+        DataError: non-joint fit, or a budget below the cost of the
+            smallest allocation the rounding reports (N = 1e6, D = 8).
+        NumericError: the law is not finite at the optimizer.
     """
     if not isinstance(fit, JointLawFit):
         raise DataError("optimal_allocation requires a joint-law fit")
-    if grid_points < 3:
-        raise DataError(f"grid_points must be >= 3, got {grid_points}")
+    # round_params and round_dim never report less than N = 1e6 and D = 8.
+    smallest = (flops_encode(1e6, b.query_tokens)
+                + flops_score(b.corpus_size, 8, b.regime))
+    if b.total_flops < smallest:
+        raise DataError(f"budget {b.total_flops!r} FLOPs is below {smallest!r}, "
+                        "the cost of the smallest allocation (N=1e6, D=8)")
+
+    per_dim = flops_score(b.corpus_size, 1.0, b.regime)
+    log_c_d = log(b.total_flops / per_dim)
+    log_c_n = log(b.total_flops / (2.0 * b.query_tokens * MILLION))
+    # Logs of a*alpha*c_D^-alpha and b*beta*c_N^-beta, the slope terms'
+    # factors, summed term by term so that no product overflows.
+    k_d = log(fit.a_coeff) + log(fit.alpha) - fit.alpha * log_c_d
+    k_n = log(fit.b_coeff) + log(fit.beta) - fit.beta * log_c_n
+
+    def slope_nonnegative(gamma: float) -> bool:
+        return (k_d - (fit.alpha + 1.0) * log1p(-gamma)
+                - k_n + (fit.beta + 1.0) * log(gamma)) >= 0.0
+
+    # When per_dim/B is below half an ulp of 1, the D = 1 end rounds to 1.0;
+    # the largest double below 1 still gives D >= 1.
+    lo, hi = 0.0, min(1.0 - per_dim / b.total_flops, nextafter(1.0, 0.0))
+    if slope_nonnegative(hi):
+        # Each step halves the bracket and doubles in (0, 1) lie at least
+        # 2^-1074 apart, so the stopping rule ends the loop within about
+        # 1075 steps even for a root among the subnormals near 0.
+        for _ in range(_MAX_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if slope_nonnegative(mid):
+                hi = mid
+            else:
+                lo = mid
 
     def objective(gamma: float) -> float:
         n, d = allocation_from_gamma(gamma, b)
         return predict_joint(fit, d, n)
 
-    step = 1.0 / (grid_points + 1)
-    best_j = 1
-    best_value = objective(step)
-    for j in range(2, grid_points + 1):
-        value = objective(j * step)
-        if value < best_value:
-            best_j, best_value = j, value
-
-    lo = max(best_j - 1, 1) * step
-    hi = min(best_j + 1, grid_points) * step
-    gamma_hat, value = _golden_section(objective, lo, hi)
-    if best_value < value:
-        gamma_hat, value = best_j * step, best_value
-
+    value, gamma_hat = min((objective(g), g) for g in (lo, hi) if g > 0.0)
     n_hat, d_hat = allocation_from_gamma(gamma_hat, b)
     n_rounded = round_params(n_hat)
     d_rounded = round_dim(d_hat)

@@ -237,6 +237,35 @@ class TestPlan:
         assert not (tmp_path / "plan").exists()
 
 
+    def test_infeasible_budget_is_data_error(self, data_dir, tmp_path,
+                                              capsys):
+        # N = 1e6 and D = 8 alone cost 2e6*32 + 8*2*1000 FLOPs, far above 10.
+        code, _, err = run([
+            "plan", str(data_dir / "fit_report_bert_trecdl.json"),
+            "--budget", "10", "--tokens", "32", "--corpus", "1000",
+            "--output-dir", str(tmp_path / "plan")], capsys)
+        assert code == 2
+        assert "smallest allocation" in err
+        assert not (tmp_path / "plan").exists()
+
+    def test_overflowing_law_is_numeric_error(self, data_dir, tmp_path,
+                                             capsys):
+        report = json.loads(
+            (data_dir / "fit_report_bert_trecdl.json").read_text())
+        report["parameters"].update(a_coeff=1e308, alpha=300.0)
+        path = tmp_path / "fit_report.json"
+        path.write_text(json.dumps(report))
+        proc = subprocess.run(
+            [sys.executable, "-m", "embedscale", "plan", str(path),
+             "--budget", "1e9", "--tokens", "32", "--corpus", "10000000",
+             "--output-dir", str(tmp_path / "plan")],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "numeric failure" in proc.stderr
+        assert not (tmp_path / "plan").exists()
+
+
 class TestSweepDims:
     def test_standard_ladder(self, capsys):
         code, out, _ = run(["sweep-dims", "--hidden", "512", "--multipliers",

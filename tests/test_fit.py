@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from embedscale import (DIM_LAW, JOINT_LAW, DataError, DimLawFit, FitOptions,
-                        JointLawFit, Observation, ObservationTable, filter_by,
+                        JointLawFit, NumericError, Observation,
+                        ObservationTable, filter_by,
                         fit_dim_law, fit_from_report, fit_joint_law,
                         fit_to_report, least_squares, predict_dim,
                         predict_joint, r_squared)
@@ -173,6 +174,22 @@ class TestPrediction:
                            delta=0.0, r2=1.0, residual_norm=0.0, n_points=21)
         with pytest.raises(DataError):
             predict_joint(jfit, 128, 0)
+
+    def test_non_finite_value_is_numeric_error(self):
+        # 1e4**300 overflows, 1e-4**300 underflows to 0, and 1e308 + 1e308
+        # is inf; none may escape as OverflowError or ZeroDivisionError.
+        fit = DimLawFit(a_coeff=1e308, alpha=300.0, delta=0.0, r2=1.0,
+                        residual_norm=0.0, n_points=7)
+        jfit = JointLawFit(a_coeff=1e308, b_coeff=1e308, alpha=300.0,
+                           beta=1.0, delta=0.0, r2=1.0, residual_norm=0.0,
+                           n_points=21)
+        for d in (1e4, 1e-4):
+            with pytest.raises(NumericError):
+                predict_dim(fit, d)
+            with pytest.raises(NumericError):
+                predict_joint(jfit, d, 1e8)
+        with pytest.raises(NumericError):
+            predict_joint(jfit, 1.0, 1e6)
 
     def test_fractional_dimension_accepted(self):
         fit = DimLawFit(a_coeff=8.0, alpha=1.0, delta=0.0, r2=1.0,

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedscale import (AllocationResult, BudgetSpec, DataError, JointLawFit,
-                        allocation_from_gamma, budget_curve, flops_encode,
-                        flops_score, optimal_allocation, predict_joint,
-                        round_dim, round_params)
+from embedscale import (AllocationResult, BudgetSpec, DataError, DimLawFit,
+                        JointLawFit, allocation_from_gamma, budget_curve,
+                        flops_encode, flops_score, optimal_allocation,
+                        predict_joint, round_dim, round_params)
 
 FIT = JointLawFit(a_coeff=85.54365872631361, b_coeff=2.5888474911923605,
                   alpha=1.316978841505815, beta=0.9617863677214957,
@@ -116,17 +117,64 @@ class TestOptimalAllocation:
 
     def test_negligible_dim_term_pushes_gamma_to_edge(self):
         # With no dimension penalty the whole budget should go to the
-        # encoder, so the optimizer lands on the top of the gamma grid.
+        # encoder, so the optimizer lands on the D = 1 end of the feasible
+        # interval.
         flat = JointLawFit(a_coeff=1e-30, b_coeff=1.0, alpha=1.0, beta=1.0,
                            delta=0.1, r2=1.0, residual_norm=0.0, n_points=21)
         b = BudgetSpec(total_flops=1e10, query_tokens=32, corpus_size=1000)
-        grid_points = 512
-        result = optimal_allocation(flat, b, grid_points=grid_points)
-        assert result.gamma >= (grid_points - 1) / (grid_points + 1)
+        result = optimal_allocation(flat, b)
+        assert result.gamma == 1.0 - flops_score(1000, 1) / b.total_flops
+        assert result.d_hat == pytest.approx(1.0, rel=1e-9)
         assert flat.a_coeff / result.d_hat ** flat.alpha < 1e-9
         expected = (flat.b_coeff / (result.n_hat / 1e6) ** flat.beta
                     + flat.delta)
         assert result.predicted_entropy == pytest.approx(expected, abs=1e-9)
+
+    def test_edge_below_one_when_d1_share_is_below_an_ulp(self):
+        # Under ANN with M = 2 one dimension costs 2 ln 2 FLOPs, so at
+        # B = 1e17 the D = 1 end 1 - 2 ln 2 / B rounds to 1.0; the search
+        # must stop at the largest double below 1 instead.
+        flat = JointLawFit(a_coeff=1e-30, b_coeff=1.0, alpha=1.0, beta=1.0,
+                           delta=0.1, r2=1.0, residual_norm=0.0, n_points=21)
+        b = BudgetSpec(total_flops=1e17, query_tokens=32, corpus_size=2,
+                       regime="ann")
+        result = optimal_allocation(flat, b)
+        assert result.gamma == math.nextafter(1.0, 0.0)
+        assert result.d_hat >= 1.0
+
+    @pytest.mark.parametrize("budget", [1e11, 1e13])
+    def test_no_worse_than_dense_scan_of_whole_interval(self, budget):
+        # The joint law fitted to obs_bert_msmarco.csv. Under ANN with
+        # M = 1e9 its optimum lies within 1.2e-4 of gamma = 1 (4.1e-5 at
+        # B = 1e13), closer than a 4096-point grid reaches; the scan crowds
+        # points toward both ends of (0, 1).
+        fit = JointLawFit(a_coeff=114.88744218701746,
+                          b_coeff=0.8007805510970095,
+                          alpha=1.8873265665111827, beta=1.2473141383056303,
+                          delta=0.0137771781108527, r2=0.99,
+                          residual_norm=0.0, n_points=58)
+        b = BudgetSpec(total_flops=budget, query_tokens=32,
+                       corpus_size=10 ** 9, regime="ann")
+        result = optimal_allocation(fit, b)
+        edge = np.geomspace(1e-12, 1e-2, 4096)
+        gammas = np.unique(np.concatenate(
+            [np.linspace(1e-12, 1.0 - 1e-12, 1 << 16), edge, 1.0 - edge]))
+        n = gammas * budget / (2.0 * b.query_tokens)
+        d = (1.0 - gammas) * budget / (2.0 * math.log(b.corpus_size))
+        scan = (fit.a_coeff / d ** fit.alpha
+                + fit.b_coeff / (n / 1e6) ** fit.beta + fit.delta)
+        assert result.predicted_entropy <= float(np.min(scan)) * (1 + 1e-13)
+
+    def test_budget_below_smallest_allocation_rejected(self):
+        # N = 1e6 and D = 8 cost 2e6*32 + 8*2*1000 = 64,016,000 FLOPs.
+        for budget in (10.0, 64_015_999.0):
+            b = BudgetSpec(total_flops=budget, query_tokens=32,
+                           corpus_size=1000)
+            with pytest.raises(DataError, match="smallest allocation"):
+                optimal_allocation(FIT, b)
+        b = BudgetSpec(total_flops=64_016_000.0, query_tokens=32,
+                       corpus_size=1000)
+        assert optimal_allocation(FIT, b).d_hat > 0
 
     def test_overshoot_bounded_by_rounding_granularity(self):
         for exponent in (9.0, 9.5, 10.0, 11.0):
@@ -173,8 +221,10 @@ class TestOptimalAllocation:
         b = BudgetSpec(total_flops=1e9, query_tokens=32, corpus_size=100)
         with pytest.raises(DataError, match="joint"):
             optimal_allocation("not a fit", b)
-        with pytest.raises(DataError, match="grid_points"):
-            optimal_allocation(FIT, b, grid_points=2)
+        dim_only = DimLawFit(a_coeff=1.0, alpha=1.0, delta=0.1, r2=1.0,
+                             residual_norm=0.0, n_points=9)
+        with pytest.raises(DataError, match="joint"):
+            optimal_allocation(dim_only, b)
 
 
 class TestBudgetCurve:
