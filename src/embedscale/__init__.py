@@ -8,10 +8,10 @@ from .core import (DataError, NumericError, Observation, ObservationTable,
                    serialize_observations)
 from .metrics import (BatchQueryScores, EvalConfig, QueryScoreRecord,
                       TeacherMargin, combined_loss, contrastive_entropy_dataset,
-                      contrastive_entropy_query, contrastive_entropy_single,
-                      contrastive_loss, contrastive_loss_grad, margin_mse,
-                      margin_mse_grad, parse_score_records, recall_at_k,
-                      rr_at_k, sample_negatives)
+                      contrastive_entropy_query, contrastive_entropy_records,
+                      contrastive_entropy_single, contrastive_loss_grad,
+                      margin_mse, margin_mse_grad, parse_score_records,
+                      recall_at_k, rr_at_k, sample_negatives)
 from .embed import (EmbeddingMatrix, Projection, l2_normalize, load_matrix,
                     mean_pool, project, save_matrix, score_pairs)
 from .fit import (DIM_LAW, JOINT_LAW, ConvergenceReport, DimLawFit, FitOptions,
@@ -29,7 +29,8 @@ __all__ = [
     "serialize_observations",
     "BatchQueryScores", "EvalConfig", "QueryScoreRecord", "TeacherMargin",
     "combined_loss", "contrastive_entropy_dataset", "contrastive_entropy_query",
-    "contrastive_entropy_single", "contrastive_loss", "contrastive_loss_grad",
+    "contrastive_entropy_records", "contrastive_entropy_single",
+    "contrastive_loss_grad",
     "margin_mse", "margin_mse_grad", "parse_score_records", "recall_at_k",
     "rr_at_k", "sample_negatives",
     "EmbeddingMatrix", "Projection", "l2_normalize", "load_matrix",

@@ -20,6 +20,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from fractions import Fraction
+from math import fsum
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .core import (DataError, NumericError, SweepConfig, expand_sweep,
                    filter_by, parse_observations)
 from .fit import (FitOptions, JointLawFit, fit_dim_law, fit_from_report,
                   fit_joint_law, fit_to_report, predict_dim, predict_joint)
-from .metrics import (EvalConfig, contrastive_entropy_dataset,
-                      contrastive_entropy_query, parse_score_records)
+from .metrics import (EvalConfig, contrastive_entropy_records,
+                      parse_score_records)
 from .plan import BudgetSpec, budget_curve, optimal_allocation
 
 CURVE_SAMPLES = 100
@@ -96,7 +97,10 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_json(path: str, obj: dict):
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # allow_nan=False: a NaN or infinity fails the run (ValueError, exit 2)
+    # instead of landing in a report that strict JSON readers reject.
+    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -110,12 +114,11 @@ def cmd_eval_ce(args) -> int:
     if not records:
         raise DataError(f"{args.scores}: no query records")
     cfg = EvalConfig(temperature=args.tau, rng_seed=args.seed)
-    per_query = [
-        {"query_id": rec.query_id,
-         "entropy": contrastive_entropy_query(rec, cfg)}
-        for rec in records
-    ]
-    dataset_entropy = contrastive_entropy_dataset(records, cfg)
+    entropies = contrastive_entropy_records(records, cfg.temperature)
+    per_query = [{"query_id": rec.query_id, "entropy": value}
+                 for rec, value in zip(records, entropies)]
+    # The formula of contrastive_entropy_dataset, without scoring again.
+    dataset_entropy = fsum(entropies) / len(entropies)
     report = {
         "dataset_entropy": dataset_entropy,
         "n_queries": len(records),

@@ -1,13 +1,14 @@
 """Contrastive-entropy evaluation, training losses, and ranking metrics.
 
 The entropy kernel is the negative log softmax probability of the relevant
-score among itself and a set of negative scores. Evaluation and training
-share the kernel but differ in where their negatives come from, so both
-entry points exist.
+score among itself and a set of negative scores. One batched kernel,
+contrastive_entropy_records, serves evaluation and training alike: it lays
+the score rows of many records out in one float64 array, a fixed number of
+scores at a time, and takes their max-shifted exponentials with numpy.
 
 Determinism notes, relied on by the reproducibility contract:
-  - Sums over scores and over queries use math.fsum (exactly rounded),
-    accumulated in input order.
+  - Sums over scores and over queries use math.fsum (exactly rounded), so
+    a value does not depend on how records are grouped into kernel chunks.
   - Negative sampling runs a partial Fisher-Yates shuffle driven by a
     PCG64 generator (numpy.random.Generator); the seed is the only state.
 """
@@ -16,14 +17,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import exp, fsum, isfinite, log
+from itertools import chain, islice
+from math import exp, fsum, isfinite
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DataError
+from .core import DataError, NumericError
 
 DEFAULT_N_NEGATIVES = 256
+# Scores per kernel pass. Bounds the kernel's working set, which would
+# otherwise grow with the whole score file.
+KERNEL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -41,11 +46,10 @@ class QueryScoreRecord:
             raise DataError(f"query {self.query_id!r}: positives must be nonempty")
         for name, values in (("positives", self.positives),
                              ("negatives", self.negatives)):
-            for v in values:
-                if not isfinite(v):
-                    raise DataError(
-                        f"query {self.query_id!r}: non-finite score in {name}"
-                    )
+            if not all(map(isfinite, values)):
+                raise DataError(
+                    f"query {self.query_id!r}: non-finite score in {name}"
+                )
 
 
 @dataclass(frozen=True)
@@ -120,17 +124,79 @@ def _check_scores(positive: float, negatives: Sequence[float],
         raise DataError(f"temperature must be positive, got {tau}")
 
 
-def _softmax_nll(positive: float, negatives: Sequence[float],
-                 tau: Optional[float]) -> float:
-    """-log softmax probability of the positive, max-subtracted, fsum-accumulated."""
-    if tau is not None:
-        positive = positive / tau
-        negatives = [v / tau for v in negatives]
-    m = max(positive, max(negatives))
-    z = fsum([exp(positive - m)] + [exp(v - m) for v in negatives])
-    # (m - positive) first: exact whenever the positive is the max score,
-    # so tiny entropies are not absorbed into ulp(m).
-    return (m - positive) + log(z)
+def contrastive_entropy_records(records: Sequence[QueryScoreRecord],
+                                tau: Optional[float] = None) -> list[float]:
+    """Per-query entropy of each record, in record order.
+
+    A query's entropy is the mean, over its positives, of the entropy of
+    that positive against all of the query's negatives. Scores are divided
+    by tau (when given) once. Each score row is shifted by its maximum
+    before exponentiation, so large scores cannot overflow. Row sums and
+    the means over positives use math.fsum. Records are scored in chunks of
+    at most KERNEL_CHUNK scores (a larger record is a chunk of its own), and
+    a value does not depend on the chunking.
+
+    Raises:
+        DataError: a record without negatives, or tau <= 0.
+        NumericError: a scaled score or an entropy is not finite.
+    """
+    if tau is not None and not tau > 0:
+        raise DataError(f"temperature must be positive, got {tau}")
+    out: list[float] = []
+    chunk: list[QueryScoreRecord] = []
+    size = 0
+    for rec in records:
+        if not rec.negatives:
+            raise DataError(f"query {rec.query_id!r}: negatives must be nonempty")
+        cost = len(rec.positives) * (len(rec.negatives) + 1)
+        if chunk and size + cost > KERNEL_CHUNK:
+            out += _entropy_chunk(chunk, tau)
+            chunk, size = [], 0
+        chunk.append(rec)
+        size += cost
+    if chunk:
+        out += _entropy_chunk(chunk, tau)
+    return out
+
+
+def _entropy_chunk(records: list[QueryScoreRecord],
+                   tau: Optional[float]) -> list[float]:
+    n_pos = np.array([len(r.positives) for r in records], dtype=np.int64)
+    n_neg = np.array([len(r.negatives) for r in records], dtype=np.int64)
+    rows = int(n_pos.sum())
+    # scores[:rows] holds every positive, scores[rows:] every negative.
+    scores = np.fromiter(
+        chain(chain.from_iterable(r.positives for r in records),
+              chain.from_iterable(r.negatives for r in records)),
+        np.float64, count=rows + int(n_neg.sum()))
+    with np.errstate(over="ignore", under="ignore"):
+        if tau is not None:
+            scores /= tau
+        if not np.isfinite(scores).all():
+            raise NumericError(f"scores scaled by temperature {tau} are not finite")
+        # Row r is [positive r, negatives of its record]; gather every row
+        # into one flat array of `width`-long rows starting at `starts`.
+        record_of_row = np.repeat(np.arange(len(records)), n_pos)
+        width = n_neg[record_of_row] + 1
+        starts = np.cumsum(width) - width
+        neg_start = np.cumsum(n_neg) - n_neg + rows
+        index = np.repeat(neg_start[record_of_row] - 1 - starts, width)
+        index += np.arange(index.size)
+        index[starts] = np.arange(rows)
+        flat = scores[index]
+        peak = np.maximum.reduceat(flat, starts)
+        flat -= np.repeat(peak, width)
+        np.exp(flat, out=flat)
+        terms = iter(flat.tolist())
+        z = np.array([fsum(islice(terms, w)) for w in width.tolist()])
+        # (peak - positive) first: exact whenever the positive is the max
+        # score, so tiny entropies are not absorbed into ulp(peak).
+        row_entropy = (peak - scores[:rows]) + np.log(z)
+        if not np.isfinite(row_entropy).all():
+            raise NumericError("contrastive entropy is not finite: the scaled "
+                               "scores span more than a double can hold")
+    entropies = iter(row_entropy.tolist())
+    return [fsum(islice(entropies, p)) / p for p in n_pos.tolist()]
 
 
 def contrastive_entropy_single(positive: float, negatives: Sequence[float],
@@ -139,7 +205,7 @@ def contrastive_entropy_single(positive: float, negatives: Sequence[float],
 
     Scores are divided by tau (when given) before exponentiation. The
     log-sum-exp is stabilized by subtracting the maximum scaled score, so
-    arbitrarily large inputs cannot overflow.
+    the exponentials cannot overflow.
 
     Args:
         positive: similarity score of the relevant document.
@@ -153,30 +219,28 @@ def contrastive_entropy_single(positive: float, negatives: Sequence[float],
 
     Raises:
         DataError: empty negatives, non-finite score, or tau <= 0.
+        NumericError: the scaled scores or the entropy are not finite.
     """
     _check_scores(positive, negatives, tau)
-    return _softmax_nll(positive, negatives, tau)
+    record = QueryScoreRecord("single", (positive,), tuple(negatives))
+    return contrastive_entropy_records([record], tau)[0]
 
 
 def contrastive_entropy_query(rec: QueryScoreRecord, cfg: EvalConfig) -> float:
     """Mean entropy over a query's positives, each scored against the same negatives."""
-    values = [
-        contrastive_entropy_single(p, rec.negatives, cfg.temperature)
-        for p in rec.positives
-    ]
-    return fsum(values) / len(values)
+    return contrastive_entropy_records([rec], cfg.temperature)[0]
 
 
 def contrastive_entropy_dataset(records: Sequence[QueryScoreRecord],
                                 cfg: EvalConfig) -> float:
-    """Unweighted mean of per-query entropies, accumulated in record order.
+    """Unweighted mean of per-query entropies, accumulated with math.fsum.
 
     Raises:
         DataError: empty record list.
     """
     if not records:
         raise DataError("no query records")
-    return fsum(contrastive_entropy_query(r, cfg) for r in records) / len(records)
+    return fsum(contrastive_entropy_records(records, cfg.temperature)) / len(records)
 
 
 def sample_negatives(corpus_ids: Sequence[str], positive_ids: set,
@@ -207,21 +271,10 @@ def sample_negatives(corpus_ids: Sequence[str], positive_ids: set,
     return pool[:k]
 
 
-def contrastive_loss(positive: float, negatives: Sequence[float],
-                     tau: Optional[float] = None) -> float:
-    """Training-time contrastive loss; same kernel as contrastive_entropy_single.
-
-    Kept as its own entry point because training negatives (in-batch) and
-    evaluation negatives (sampled from the corpus) are different sets.
-    """
-    _check_scores(positive, negatives, tau)
-    return _softmax_nll(positive, negatives, tau)
-
-
 def contrastive_loss_grad(positive: float, negatives: Sequence[float],
                           tau: Optional[float] = None
                           ) -> tuple[float, list[float]]:
-    """Analytic gradient of contrastive_loss w.r.t. the raw scores.
+    """Analytic gradient of contrastive_entropy_single w.r.t. the raw scores.
 
     With p = softmax of the scaled scores and t the effective temperature
     (1 when tau is absent): dL/ds+ = (p+ - 1)/t and dL/ds-_i = p_i/t.
@@ -282,9 +335,9 @@ def combined_loss(batch: Sequence[BatchQueryScores], recipe: str,
         if tau is None:
             raise DataError("ettin recipe requires a temperature")
         per_query = [
-            contrastive_loss(q.positive,
-                             list(q.hard_negatives) + list(q.in_batch_negatives),
-                             tau)
+            contrastive_entropy_single(
+                q.positive, list(q.hard_negatives) + list(q.in_batch_negatives),
+                tau)
             for q in batch
         ]
         return fsum(per_query) / len(per_query)
@@ -298,7 +351,8 @@ def combined_loss(batch: Sequence[BatchQueryScores], recipe: str,
         if not pair_losses:
             raise DataError("bert recipe requires at least one (query, hard negative) pair")
         mm = fsum(pair_losses) / len(pair_losses)
-        ct = [contrastive_loss(q.positive, q.in_batch_negatives, tau) for q in batch]
+        ct = [contrastive_entropy_single(q.positive, q.in_batch_negatives, tau)
+              for q in batch]
         return mm + fsum(ct) / len(ct)
     raise DataError(f"unknown recipe {recipe!r}")
 
@@ -331,6 +385,9 @@ def recall_at_k(ranked_ids: Sequence[str], relevant_ids: set, k: int) -> float:
     return hit / len(relevant_ids)
 
 
+_NUMBER = {int, float}
+
+
 def parse_score_records(text: str) -> list[QueryScoreRecord]:
     """Parse QueryScoreRecord JSONL: one object per line, blank lines skipped.
 
@@ -348,7 +405,9 @@ def parse_score_records(text: str) -> list[QueryScoreRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integer literals past
+            # the interpreter's digit limit; RecursionError, deep nesting.
             raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise DataError(f"line {lineno}: expected a JSON object")
@@ -358,17 +417,19 @@ def parse_score_records(text: str) -> list[QueryScoreRecord]:
         qid = obj["query_id"]
         if not isinstance(qid, str):
             raise DataError(f"line {lineno}: query_id must be a string")
+        scores = {}
         for key in ("positives", "negatives"):
-            if not isinstance(obj[key], list) or any(
-                    isinstance(v, bool) or not isinstance(v, (int, float))
-                    for v in obj[key]):
+            values = obj[key]
+            # type() is exact: bool, an int subclass, is not a number here.
+            if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER:
                 raise DataError(f"line {lineno}: {key} must be a list of numbers")
+            try:
+                scores[key] = tuple(map(float, values))
+            except OverflowError:
+                raise DataError(f"line {lineno}: {key} holds an integer "
+                                "too large for a double") from None
         try:
-            records.append(QueryScoreRecord(
-                query_id=qid,
-                positives=tuple(float(v) for v in obj["positives"]),
-                negatives=tuple(float(v) for v in obj["negatives"]),
-            ))
+            records.append(QueryScoreRecord(query_id=qid, **scores))
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
     return records

@@ -14,9 +14,9 @@ import scipy.optimize
 
 from embedscale import (BudgetSpec, Observation, ObservationTable,
                         budget_curve, contrastive_entropy_single,
-                        contrastive_loss, contrastive_loss_grad, filter_by,
-                        fit_dim_law, fit_joint_law, margin_mse,
-                        margin_mse_grad, optimal_allocation)
+                        contrastive_loss_grad, filter_by, fit_dim_law,
+                        fit_joint_law, margin_mse, margin_mse_grad,
+                        optimal_allocation)
 from embedscale.metrics import TeacherMargin
 
 
@@ -225,16 +225,17 @@ def test_criterion_08_gradient_suite():
         tau = (None, 0.7, 1.3)[case % 3]
         positive, negatives = float(scores[0]), scores[1:].tolist()
         g_pos, g_negs = contrastive_loss_grad(positive, negatives, tau=tau)
-        fd = (contrastive_loss(positive + h, negatives, tau=tau)
-              - contrastive_loss(positive - h, negatives, tau=tau)) / (2 * h)
+        fd = (contrastive_entropy_single(positive + h, negatives, tau=tau)
+              - contrastive_entropy_single(positive - h, negatives, tau=tau)
+              ) / (2 * h)
         worst = max(worst, rel_err(g_pos, fd))
         for i in range(k):
             up = list(negatives)
             down = list(negatives)
             up[i] += h
             down[i] -= h
-            fd = (contrastive_loss(positive, up, tau=tau)
-                  - contrastive_loss(positive, down, tau=tau)) / (2 * h)
+            fd = (contrastive_entropy_single(positive, up, tau=tau)
+                  - contrastive_entropy_single(positive, down, tau=tau)) / (2 * h)
             worst = max(worst, rel_err(g_negs[i], fd))
 
     for _ in range(100):

@@ -9,7 +9,7 @@ import pytest
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
                         fit_from_report, parse_score_records, predict_dim,
                         predict_joint)
-from embedscale.cli import main
+from embedscale.cli import _write_json, main
 
 
 def run(args, capsys):
@@ -81,6 +81,39 @@ class TestEvalCe:
         code, _, err = run(["eval-ce", str(tmp_path / "nope.jsonl")], capsys)
         assert code == 2
         assert "nope.jsonl" in err
+
+    @pytest.mark.parametrize("tau, scores", [
+        ("1e-310", ([0.5], [0.1])),
+        ("0.5", ([1e308], [-1e308])),
+    ])
+    def test_non_finite_entropy_is_numeric_error(self, tmp_path, capsys, tau,
+                                                 scores):
+        path = tmp_path / "scores.jsonl"
+        write_jsonl(path, [{"query_id": "q", "positives": scores[0],
+                            "negatives": scores[1]}])
+        code, out, err = run(["eval-ce", str(path), "--tau", tau,
+                              "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 3
+        assert out == ""
+        assert "numeric failure" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", [
+        '{"query_id": "q", "positives": [1' + "0" * 400 + '], "negatives": [0]}',
+        "[" * 100_000,
+    ])
+    def test_unparsable_line_is_data_error(self, tmp_path, line):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"query_id": "a", "positives": [1], "negatives": [0]}\n'
+                        + line + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "embedscale", "eval-ce", str(path),
+             "--output-dir", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "line 2" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestFit:
@@ -301,6 +334,12 @@ class TestDeterminism:
         for name in ("fit_report.json", "fit_curve.dat"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+    def test_non_finite_value_never_written(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            _write_json(str(path), {"entropy": float("nan")})
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_temp_droppings(self, data_dir, tmp_path, capsys):
         run(["eval-ce", str(data_dir / "scores_small.jsonl"),

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedscale import (BatchQueryScores, DataError, EvalConfig,
-                        QueryScoreRecord, TeacherMargin, combined_loss,
-                        contrastive_entropy_dataset, contrastive_entropy_query,
-                        contrastive_entropy_single, contrastive_loss,
-                        contrastive_loss_grad, margin_mse, margin_mse_grad,
-                        parse_score_records, recall_at_k, rr_at_k,
-                        sample_negatives)
+                        NumericError, QueryScoreRecord, TeacherMargin,
+                        combined_loss, contrastive_entropy_dataset,
+                        contrastive_entropy_query, contrastive_entropy_records,
+                        contrastive_entropy_single, contrastive_loss_grad,
+                        margin_mse, margin_mse_grad, parse_score_records,
+                        recall_at_k, rr_at_k, sample_negatives)
+from embedscale.metrics import KERNEL_CHUNK
 
 # ---------------------------------------------------------------------------
 # oracle: the same entropy evaluated in 50-digit decimal arithmetic
@@ -29,6 +30,21 @@ def oracle_entropy(positive, negatives, tau=None):
             negs = [v / t for v in negs]
         z = pos.exp() + sum(v.exp() for v in negs)
         return float(-(pos.exp() / z).ln())
+
+
+def reference_entropy(positive, negatives, tau=None):
+    """The scalar kernel the batched one replaced: one math.exp per score."""
+    if tau is not None:
+        positive = positive / tau
+        negatives = [v / tau for v in negatives]
+    m = max(positive, max(negatives))
+    z = math.fsum([math.exp(positive - m)] + [math.exp(v - m) for v in negatives])
+    return (m - positive) + math.log(z)
+
+
+def reference_query_entropy(rec, tau=None):
+    values = [reference_entropy(p, rec.negatives, tau) for p in rec.positives]
+    return math.fsum(values) / len(values)
 
 
 finite_scores = st.floats(min_value=-30, max_value=30)
@@ -53,6 +69,15 @@ class TestEntropySingle:
         value = contrastive_entropy_single(1.0, [0.0, 0.5], tau=0.02)
         assert value == pytest.approx(oracle_entropy(1.0, [0.0, 0.5], 0.02),
                                       abs=5e-14)
+
+    def test_tiny_terms_are_not_absorbed(self):
+        # z is 2 plus a thousand terms of ~1e-16, each below half an ulp of
+        # the 1 or 2 a running (or pairwise) sum adds it to, which drops it.
+        # An exactly rounded z keeps the entropy within about an ulp.
+        negatives = [0.0] + [-36.8] * 1000
+        value = contrastive_entropy_single(0.0, negatives)
+        expected = oracle_entropy(0.0, negatives)
+        assert abs(value - expected) <= 2 * math.ulp(expected)
 
     def test_huge_scores_do_not_overflow(self):
         value = contrastive_entropy_single(5000.0, [4999.0, 4998.0])
@@ -172,6 +197,61 @@ class TestEntropyAggregation:
             contrastive_entropy_dataset([], EvalConfig())
 
 
+score_rows = st.lists(
+    st.tuples(st.lists(finite_scores, min_size=1, max_size=4),
+              st.lists(finite_scores, min_size=1, max_size=40)),
+    min_size=1, max_size=8)
+
+
+class TestEntropyRecords:
+    @given(rows=score_rows,
+           tau=st.none() | st.floats(min_value=0.01, max_value=10))
+    def test_matches_scalar_reference(self, rows, tau):
+        records = [QueryScoreRecord(f"q{i}", tuple(p), tuple(n))
+                   for i, (p, n) in enumerate(rows)]
+        values = contrastive_entropy_records(records, tau)
+        assert len(values) == len(records)
+        for rec, value in zip(records, values):
+            assert value == pytest.approx(reference_query_entropy(rec, tau),
+                                          rel=1e-12, abs=5e-14)
+
+    def test_chunk_boundaries_do_not_change_values(self):
+        rng = np.random.default_rng(3)
+        shapes = [(2, 5000)] * 10 + [(1, KERNEL_CHUNK + 10)] + [(3, 700)] * 60
+        records = [QueryScoreRecord(f"q{i}",
+                                    tuple(rng.normal(0.5, 0.1, p).tolist()),
+                                    tuple(rng.normal(0.3, 0.1, n).tolist()))
+                   for i, (p, n) in enumerate(shapes)]
+        assert sum(p * (n + 1) for p, n in shapes) > 3 * KERNEL_CHUNK
+        one_call = contrastive_entropy_records(records, 0.05)
+        one_by_one = [contrastive_entropy_records([r], 0.05)[0]
+                      for r in records]
+        assert one_call == one_by_one
+
+    def test_empty_input_gives_empty_output(self):
+        assert contrastive_entropy_records([]) == []
+
+    def test_record_without_negatives_rejected(self):
+        rec = QueryScoreRecord("q", (1.0,), ())
+        with pytest.raises(DataError, match="nonempty"):
+            contrastive_entropy_records([rec])
+
+    def test_bad_tau_rejected(self):
+        rec = QueryScoreRecord("q", (1.0,), (0.0,))
+        with pytest.raises(DataError, match="temperature"):
+            contrastive_entropy_records([rec], 0.0)
+
+    @pytest.mark.parametrize("scores, tau", [
+        (((0.5,), (0.1,)), 1e-310),       # scaled scores overflow
+        (((1e308,), (-1e308,)), 0.5),
+        (((-1e308,), (1e308,)), None),    # entropy 2e308 overflows
+    ])
+    def test_non_finite_result_is_numeric_error(self, scores, tau):
+        rec = QueryScoreRecord("q", *scores)
+        with pytest.raises(NumericError, match="not finite"):
+            contrastive_entropy_records([rec], tau)
+
+
 class TestSampleNegatives:
     def test_forced_set(self):
         out = sample_negatives(["a", "b", "c"], {"a"}, 2, seed=0)
@@ -211,10 +291,6 @@ class TestSampleNegatives:
 
 
 class TestLosses:
-    def test_contrastive_loss_shares_kernel(self):
-        assert contrastive_loss(1.0, [0.0, 0.5], tau=0.02) == \
-            contrastive_entropy_single(1.0, [0.0, 0.5], tau=0.02)
-
     def test_margin_mse_zero_residual(self):
         teacher = TeacherMargin(5.0, 3.0)
         assert margin_mse(3.0, 1.0, teacher) == 0.0
@@ -251,16 +327,17 @@ class TestLosses:
             pos = float(rng.normal())
             tau = float(rng.uniform(0.5, 2.0)) if rng.random() < 0.5 else None
             g_pos, g_negs = contrastive_loss_grad(pos, negs, tau)
-            fd_pos = (contrastive_loss(pos + h, negs, tau)
-                      - contrastive_loss(pos - h, negs, tau)) / (2 * h)
+            fd_pos = (contrastive_entropy_single(pos + h, negs, tau)
+                      - contrastive_entropy_single(pos - h, negs, tau)
+                      ) / (2 * h)
             assert abs(g_pos - fd_pos) / max(abs(fd_pos), 1e-8) < 1e-4
             i = int(rng.integers(0, n))
             up = list(negs)
             down = list(negs)
             up[i] += h
             down[i] -= h
-            fd_neg = (contrastive_loss(pos, up, tau)
-                      - contrastive_loss(pos, down, tau)) / (2 * h)
+            fd_neg = (contrastive_entropy_single(pos, up, tau)
+                      - contrastive_entropy_single(pos, down, tau)) / (2 * h)
             assert abs(g_negs[i] - fd_neg) / max(abs(fd_neg), 1e-8) < 1e-4
 
     def test_margin_mse_grad_matches_central_differences(self):
@@ -282,7 +359,7 @@ class TestCombinedLoss:
     def test_ettin_single_query_reduces_to_contrastive(self):
         q = BatchQueryScores(positive=1.0, hard_negatives=(0.0, 0.5))
         assert combined_loss([q], "ettin", tau=0.02) == \
-            contrastive_loss(1.0, [0.0, 0.5], tau=0.02)
+            contrastive_entropy_single(1.0, [0.0, 0.5], tau=0.02)
 
     def test_ettin_requires_tau(self):
         q = BatchQueryScores(positive=1.0, hard_negatives=(0.0,))
@@ -297,7 +374,8 @@ class TestCombinedLoss:
                               teacher=(TeacherMargin(3.0, 2.0),),
                               in_batch_negatives=(0.1,))
         total = combined_loss([q1, q2], "bert")
-        ct = (contrastive_loss(2.0, [0.5]) + contrastive_loss(1.5, [0.1])) / 2
+        ct = (contrastive_entropy_single(2.0, [0.5])
+              + contrastive_entropy_single(1.5, [0.1])) / 2
         assert total == pytest.approx(ct, rel=1e-14)
 
     def test_bert_two_query_brute_force(self):
@@ -421,6 +499,22 @@ class TestScoreRecordParsing:
         with pytest.raises(DataError, match="line 1"):
             parse_score_records(
                 '{"query_id": "a", "positives": [], "negatives": [0.1]}\n')
+
+    def test_bool_scores_rejected(self):
+        with pytest.raises(DataError, match="line 1: negatives must be a list"):
+            parse_score_records(
+                '{"query_id": "a", "positives": [1], "negatives": [true]}\n')
+
+    def test_integer_too_large_for_double(self):
+        huge = "1" + "0" * 400
+        with pytest.raises(DataError, match="line 2: positives .* too large"):
+            parse_score_records(
+                '{"query_id": "a", "positives": [1], "negatives": [0]}\n'
+                f'{{"query_id": "b", "positives": [{huge}], "negatives": [0]}}\n')
+
+    def test_deep_nesting_is_invalid_json(self):
+        with pytest.raises(DataError, match="line 1: invalid JSON"):
+            parse_score_records("[" * 100_000 + "\n")
 
     def test_config_validation(self):
         with pytest.raises(DataError):
