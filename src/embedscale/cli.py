@@ -109,11 +109,11 @@ def _fmt(value: float) -> str:
 
 
 def cmd_eval_ce(args) -> int:
+    cfg = EvalConfig(temperature=args.tau, rng_seed=args.seed)
     text = _read_text(args.scores)
     records = parse_score_records(text)
     if not records:
         raise DataError(f"{args.scores}: no query records")
-    cfg = EvalConfig(temperature=args.tau, rng_seed=args.seed)
     entropies = contrastive_entropy_records(records, cfg.temperature)
     per_query = [{"query_id": rec.query_id, "entropy": value}
                  for rec, value in zip(records, entropies)]

@@ -143,9 +143,18 @@ def score_pairs(queries: EmbeddingMatrix, docs: EmbeddingMatrix,
     q = queries.data
     d = docs.data
     if normalize:
-        q = np.vstack([l2_normalize(row) for row in q]) if queries.rows else q
-        d = np.vstack([l2_normalize(row) for row in d]) if docs.rows else d
+        q, d = _unit_rows(q), _unit_rows(d)
     return q @ d.T
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Every row of m scaled to unit norm, as l2_normalize does one row."""
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    small = ~(norms > ZERO_NORM_EPS)
+    if small.any():
+        raise NumericError(
+            f"cannot normalize near-zero vector (norm {float(norms[small][0])})")
+    return m / norms
 
 
 def load_matrix(path: str) -> EmbeddingMatrix:

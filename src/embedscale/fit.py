@@ -1,16 +1,21 @@
 """Scaling-law models and the nonlinear least-squares engine behind them.
 
-Two model families are fitted to observation tables:
+Both laws are one model over K inputs,
 
-  dimension-only   L(D)    = A / D^alpha + delta
-  joint            L(D, N) = A / D^alpha + B / (N/1e6)^beta + delta
+  L(x) = sum_k c_k / x_k^e_k + delta
+
+with K = 1 for the dimension-only law, L(D) = A / D^alpha + delta, and
+K = 2 for the joint law, L(D, N) = A / D^alpha + B / (N/1e6)^beta + delta.
 
 Residuals are taken in raw (linear) entropy space, unweighted. Positivity
 of every parameter is enforced by optimizing logarithms; the floor term
 uses log(delta + 1e-9) so delta = 0 stays reachable. The engine is a damped
-Gauss-Newton (Levenberg-Marquardt) iteration with analytic Jacobians and a
-deterministic multistart grid, so repeated fits of the same table are
-bit-identical.
+Gauss-Newton (Levenberg-Marquardt) iteration with an analytic Jacobian,
+run from every start of a deterministic multistart grid at once: residuals,
+Jacobians and normal equations are stacked over the starts, each damping
+round is one batched solve, and each start keeps its own damping, stop
+test and iteration count, so it descends exactly as it would alone.
+Repeated fits of the same table are bit-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import fsum, inf, isfinite, sqrt
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +34,12 @@ COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
 MILLION = 1e6
+
+# Why a start stopped, indexed by the codes the engine keeps per start.
+STOP_REASONS = ("non-finite start", "non-finite jacobian",
+                "gradient below tolerance", "cost decrease below tolerance",
+                "max_iters reached")
+_NONFINITE_START, _NONFINITE_JACOBIAN, _GRADIENT, _COST, _MAX_ITERS = range(5)
 
 
 @dataclass(frozen=True)
@@ -59,207 +70,193 @@ class ConvergenceReport:
 
 
 @dataclass(frozen=True)
-class ModelFamily:
-    """A residual-function family expressed over log-space parameters.
+class PowerLaw:
+    """L(x) = sum_k c_k * x_k^(-e_k) + delta over K inputs.
 
-    prepare turns the caller's x sequence into arrays; decode maps a
-    log-space vector to natural parameters; predict and jacobian evaluate
-    the model and its derivative w.r.t. the log-space vector.
+    The first input is the embedding dimension (>= 1); any others are
+    positive. The engine works on log-space vectors
+    t = (log c_1..c_K, log e_1..e_K, log(delta + DELTA_EPS)), and
+    param_names names the natural parameters in that order.
     """
 
     name: str
     param_names: tuple[str, ...]
-    prepare: Callable
-    decode: Callable
-    predict: Callable
-    jacobian: Callable
-    default_starts: Callable
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.param_names) // 2
+
+    def prepare(self, x: Sequence) -> np.ndarray:
+        """The caller's inputs (scalars for K = 1, K-tuples otherwise) as a (K, n) array."""
+        cols = np.asarray(x, dtype=float).reshape(len(x), -1).T
+        if cols.shape[0] != self.n_terms:
+            raise DataError(f"{self.name} law takes {self.n_terms} input(s) per target")
+        if not (np.all(cols[0] >= 1) and np.all(cols[1:] > 0)):
+            raise DataError(f"{self.name} law inputs need dimension >= 1 "
+                            "and every other input > 0")
+        return cols
+
+    def decode(self, t: Sequence[float]) -> tuple[float, ...]:
+        """Natural parameters, in param_names order, of one log-space vector."""
+        natural = np.exp(np.asarray(t, dtype=float))
+        natural[-1] -= DELTA_EPS
+        return tuple(map(float, natural))
+
+    def predict(self, params: Sequence[float], x) -> np.ndarray:
+        """The law at prepared inputs x; a 1-d x is the single input of K = 1."""
+        k = self.n_terms
+        value = sum(params[i] * xk ** (-params[k + i])
+                    for i, xk in enumerate(np.atleast_2d(x)))
+        return value + params[-1]
+
+    def default_starts(self, x, y) -> np.ndarray:
+        """The 3^(2K+1) grid of log-space starts, one row per start.
+
+        Each c_k is scaled so that c_k / x_k has the data's magnitude at the
+        geometric mean of x_k; exponents take 0.5, 1 and 2; delta takes 0,
+        half and 0.99 of the smallest target.
+        """
+        y = np.asarray(y, dtype=float)
+        ymin = float(np.min(y))
+        axes = []
+        for xk in np.atleast_2d(x):
+            base = max(float(np.mean(y)) * float(np.exp(np.mean(np.log(xk)))), 1e-12)
+            axes.append(np.log([0.1 * base, base, 10.0 * base]))
+        axes += [np.log([0.5, 1.0, 2.0])] * self.n_terms
+        axes.append(np.log(np.array([0.0, ymin / 2.0, 0.99 * ymin]) + DELTA_EPS))
+        return np.array(list(itertools.product(*axes)))
+
+    def _terms(self, t: np.ndarray, x: np.ndarray):
+        """exp(t) and the terms c_k * x_k^(-e_k), shape (S, K, n), of each start."""
+        k = self.n_terms
+        natural = np.exp(t)
+        return natural, natural[:, :k, None] * x ** (-natural[:, k:2 * k, None])
+
+    def residuals(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Model minus targets for each start in t (S, p): shape (S, n)."""
+        natural, terms = self._terms(t, x)
+        return terms.sum(axis=1) + (natural[:, -1:] - DELTA_EPS) - y
+
+    def jacobian(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """d residual / d t for each start in t (S, p): shape (S, n, p)."""
+        k = self.n_terms
+        natural, terms = self._terms(t, x)
+        jac = np.empty((t.shape[0], x.shape[1], t.shape[1]))
+        jac[:, :, :k] = terms.transpose(0, 2, 1)
+        jac[:, :, k:2 * k] = (-terms * np.log(x) * natural[:, k:2 * k, None]
+                              ).transpose(0, 2, 1)
+        jac[:, :, -1] = natural[:, -1:]
+        return jac
 
 
-def _dim_prepare(x: Sequence) -> np.ndarray:
-    d = np.asarray(x, dtype=float)
-    if d.ndim != 1 or not np.all(d >= 1):
-        raise DataError("dimension inputs must be scalars >= 1")
-    return d
+DIM_LAW = PowerLaw("dim", ("a_coeff", "alpha", "delta"))
+JOINT_LAW = PowerLaw("joint", ("a_coeff", "b_coeff", "alpha", "beta", "delta"))
 
 
-def _dim_decode(t: np.ndarray) -> tuple[float, float, float]:
-    a, alpha, delta = np.exp(t[0]), np.exp(t[1]), np.exp(t[2]) - DELTA_EPS
-    return float(a), float(alpha), float(delta)
+def _costs(r: np.ndarray) -> np.ndarray:
+    """Sum of squared residuals per start; inf where a residual or the sum is not finite."""
+    cost = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    cost[~(np.isfinite(r).all(axis=1) & np.isfinite(cost))] = np.inf
+    return cost
 
 
-def _dim_predict(params, d: np.ndarray) -> np.ndarray:
-    a, alpha, delta = params
-    return a * d ** (-alpha) + delta
-
-
-def _dim_jacobian(t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    a, alpha = np.exp(t[0]), np.exp(t[1])
-    term = a * d ** (-alpha)
-    return np.column_stack([
-        term,
-        -term * np.log(d) * alpha,
-        np.full(d.size, np.exp(t[2])),
-    ])
-
-
-def _floor_start_values(y: np.ndarray) -> list[float]:
-    ymin = float(np.min(y))
-    return [0.0, ymin / 2.0, 0.99 * ymin]
-
-
-def _scale_start_values(y: np.ndarray, geo: float) -> list[float]:
-    base = max(float(np.mean(y)) * geo, 1e-12)
-    return [0.1 * base, base, 10.0 * base]
-
-
-def _dim_starts(d: np.ndarray, y: np.ndarray) -> list[list[float]]:
-    # 3x3x3 heuristic grid; A is scaled so A/D^1 has the data's magnitude.
-    geo = float(np.exp(np.mean(np.log(d))))
-    a_values = _scale_start_values(y, geo)
-    alpha_values = [0.5, 1.0, 2.0]
-    delta_values = _floor_start_values(y)
-    return [
-        [np.log(a), np.log(al), np.log(dl + DELTA_EPS)]
-        for a, al, dl in itertools.product(a_values, alpha_values, delta_values)
-    ]
-
-
-DIM_LAW = ModelFamily(
-    name="dim",
-    param_names=("a_coeff", "alpha", "delta"),
-    prepare=_dim_prepare,
-    decode=_dim_decode,
-    predict=_dim_predict,
-    jacobian=_dim_jacobian,
-    default_starts=_dim_starts,
-)
-
-
-def _joint_prepare(x: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.asarray(x, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise DataError("joint inputs must be (dimension, params-in-millions) pairs")
-    d, nm = pairs[:, 0], pairs[:, 1]
-    if not (np.all(d >= 1) and np.all(nm > 0)):
-        raise DataError("joint inputs must have dimension >= 1 and size > 0")
-    return d, nm
-
-
-def _joint_decode(t: np.ndarray) -> tuple[float, float, float, float, float]:
-    return (float(np.exp(t[0])), float(np.exp(t[1])), float(np.exp(t[2])),
-            float(np.exp(t[3])), float(np.exp(t[4]) - DELTA_EPS))
-
-
-def _joint_predict(params, x) -> np.ndarray:
-    a, b, alpha, beta, delta = params
-    d, nm = x
-    return a * d ** (-alpha) + b * nm ** (-beta) + delta
-
-
-def _joint_jacobian(t: np.ndarray, x) -> np.ndarray:
-    d, nm = x
-    a, b, alpha, beta = np.exp(t[0]), np.exp(t[1]), np.exp(t[2]), np.exp(t[3])
-    dim_term = a * d ** (-alpha)
-    size_term = b * nm ** (-beta)
-    return np.column_stack([
-        dim_term,
-        size_term,
-        -dim_term * np.log(d) * alpha,
-        -size_term * np.log(nm) * beta,
-        np.full(d.size, np.exp(t[4])),
-    ])
-
-
-def _joint_starts(x, y: np.ndarray) -> list[list[float]]:
-    d, nm = x
-    a_values = _scale_start_values(y, float(np.exp(np.mean(np.log(d)))))
-    b_values = _scale_start_values(y, float(np.exp(np.mean(np.log(nm)))))
-    exponent_values = [0.5, 1.0, 2.0]
-    delta_values = _floor_start_values(y)
-    return [
-        [np.log(a), np.log(b), np.log(al), np.log(be), np.log(dl + DELTA_EPS)]
-        for a, b, al, be, dl in itertools.product(
-            a_values, b_values, exponent_values, exponent_values, delta_values)
-    ]
-
-
-JOINT_LAW = ModelFamily(
-    name="joint",
-    param_names=("a_coeff", "b_coeff", "alpha", "beta", "delta"),
-    prepare=_joint_prepare,
-    decode=_joint_decode,
-    predict=_joint_predict,
-    jacobian=_joint_jacobian,
-    default_starts=_joint_starts,
-)
-
-
-def _cost_at(model: ModelFamily, t: np.ndarray, xp, y: np.ndarray):
-    with np.errstate(all="ignore"):
-        r = model.predict(model.decode(t), xp) - y
-        if not np.all(np.isfinite(r)):
-            return None, np.inf
-        cost = float(r @ r)
-    return (r, cost) if np.isfinite(cost) else (None, np.inf)
-
-
-def _levenberg_marquardt(model: ModelFamily, xp, y: np.ndarray,
-                         t0: np.ndarray, opts: FitOptions):
-    """One damped Gauss-Newton descent from t0; returns (t, cost, iters, converged, reason)."""
-    t = np.array(t0, dtype=float)
-    r, cost = _cost_at(model, t, xp, y)
-    if r is None:
-        return t, np.inf, 0, False, "non-finite start"
-    lam = LAMBDA_INIT
-    for iteration in range(1, opts.max_iters + 1):
-        with np.errstate(all="ignore"):
-            jac = model.jacobian(t, xp)
-        if not np.all(np.isfinite(jac)):
-            return t, cost, iteration, False, "non-finite jacobian"
-        grad = 2.0 * (jac.T @ r)
-        if float(np.max(np.abs(grad))) < opts.gradient_tolerance:
-            return t, cost, iteration, True, "gradient below tolerance"
-        jtj = jac.T @ jac
-        # Marquardt scaling: damp each parameter relative to its own curvature.
-        damping = np.maximum(np.diag(jtj), 1e-12)
-        accepted = False
-        while lam <= LAMBDA_MAX:
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve each system a[s] x = b[s]; NaN rows where a[s] is singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for s in range(len(a)):
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(damping), -(jac.T @ r))
+                out[s] = np.linalg.solve(a[s], b[s])
             except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if not np.all(np.isfinite(step)):
-                lam *= 10.0
-                continue
-            r_new, cost_new = _cost_at(model, t + step, xp, y)
-            if cost_new < cost:
-                drop = (cost - cost_new) / cost if cost > 0 else 0.0
-                t = t + step
-                r, cost = r_new, cost_new
-                lam = max(lam / 10.0, 1e-15)
-                accepted = True
-                if drop < COST_REL_TOL:
-                    return t, cost, iteration, True, "cost decrease below tolerance"
-                break
-            lam *= 10.0
-        if not accepted:
-            # No step improves even under maximal damping: decrease is 0 < tol.
-            return t, cost, iteration, True, "cost decrease below tolerance"
-    return t, cost, opts.max_iters, False, "max_iters reached"
+                pass
+        return out
 
 
-def least_squares(model: ModelFamily, x: Sequence, y: Sequence[float],
+def _descend(model: PowerLaw, xp: np.ndarray, y: np.ndarray,
+             t0: np.ndarray, opts: FitOptions):
+    """Damped Gauss-Newton descents from every row of t0 at once.
+
+    Each start follows its own Levenberg-Marquardt rules: Marquardt
+    diagonal damping, lambda x10 on a rejected or non-finite step (up to
+    LAMBDA_MAX) and /10 (floored at 1e-15) on an accepted one, and a stop
+    on a small gradient, a relative cost drop below COST_REL_TOL, no
+    acceptable step, or max_iters.
+
+    Returns:
+        (t, cost, iterations, reason): final log-space vectors (S, p), final
+        costs (inf for a non-finite start), iteration counts, and indices
+        into STOP_REASONS.
+    """
+    t = t0.copy()
+    with np.errstate(all="ignore"):
+        r = model.residuals(t, xp, y)
+        cost = _costs(r)
+    live = np.isfinite(cost)
+    iters = np.where(live, opts.max_iters, 0)
+    reason = np.where(live, _MAX_ITERS, _NONFINITE_START)
+    lam = np.full(len(t), LAMBDA_INIT)
+
+    def stop(where, code):
+        live[where], iters[where], reason[where] = False, iteration, code
+
+    for iteration in range(1, opts.max_iters + 1):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        with np.errstate(all="ignore"):
+            jac = model.jacobian(t[idx], xp)
+        ok = np.isfinite(jac).all(axis=(1, 2))
+        stop(idx[~ok], _NONFINITE_JACOBIAN)
+        idx, jac = idx[ok], jac[ok]
+        jtr = (jac.transpose(0, 2, 1) @ r[idx, :, None])[:, :, 0]
+        flat = np.max(np.abs(2.0 * jtr), axis=1) < opts.gradient_tolerance
+        stop(idx[flat], _GRADIENT)
+        idx, jac, jtr = idx[~flat], jac[~flat], jtr[~flat]
+        jtj = jac.transpose(0, 2, 1) @ jac
+        # Marquardt scaling: damp each parameter relative to its own curvature.
+        damping = np.maximum(np.diagonal(jtj, axis1=1, axis2=2), 1e-12)
+        diag = np.arange(jtj.shape[1])
+        accepted = np.zeros(idx.size, dtype=bool)
+        search = np.flatnonzero(lam[idx] <= LAMBDA_MAX)   # positions in idx
+        while search.size:
+            s = idx[search]
+            normal = jtj[search]
+            normal[:, diag, diag] += lam[s, None] * damping[search]
+            with np.errstate(all="ignore"):
+                step = _solve(normal, -jtr[search])
+                finite = np.isfinite(step).all(axis=1)
+                trial = t[s[finite]] + step[finite]
+                r_new = model.residuals(trial, xp, y)
+                cost_new = np.full(s.size, np.inf)
+                cost_new[finite] = _costs(r_new)
+            better = cost_new < cost[s]
+            take = better[finite]
+            moved = s[better]
+            drop = (cost[moved] - cost_new[better]) / cost[moved]
+            t[moved], r[moved], cost[moved] = trial[take], r_new[take], cost_new[better]
+            lam[moved] = np.maximum(lam[moved] / 10.0, 1e-15)
+            stop(moved[drop < COST_REL_TOL], _COST)
+            accepted[search[better]] = True
+            lam[s[~better]] *= 10.0
+            search = search[~better]
+            search = search[lam[idx[search]] <= LAMBDA_MAX]
+        # No step improves even under maximal damping: decrease is 0 < tol.
+        stop(idx[~accepted], _COST)
+    return t, cost, iters, reason
+
+
+def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
                   opts: Optional[FitOptions] = None):
     """Fit model parameters by damped Gauss-Newton over a multistart grid.
 
     Minimizes sum((model(x_i; theta) - y_i)^2) in raw target space. Every
-    start in the grid is descended independently; the lowest final cost
-    wins, ties going to the earliest grid index.
+    start in the grid is descended independently, all in one batch; the
+    lowest final cost wins, ties going to the earliest grid index.
 
     Args:
-        model: a ModelFamily (DIM_LAW or JOINT_LAW).
+        model: a PowerLaw (DIM_LAW or JOINT_LAW).
         x: model inputs, one entry per target.
         y: observed targets.
         opts: engine options; defaults to FitOptions().
@@ -280,42 +277,37 @@ def least_squares(model: ModelFamily, x: Sequence, y: Sequence[float],
         raise DataError(f"{len(x)} inputs vs {y_arr.size} targets")
     if not np.all(np.isfinite(y_arr)):
         raise DataError("targets must be finite")
-    xp = model.prepare(x)
     n_params = len(model.param_names)
     if y_arr.size < n_params + 1:
         raise DataError(
             f"under-determined: {y_arr.size} points for {n_params} parameters "
             f"(need at least {n_params + 1})"
         )
+    xp = model.prepare(x)
     starts = opts.multistart_grid
     if starts is None:
         starts = model.default_starts(xp, y_arr)
-    if not starts:
+    if len(starts) == 0:
         raise DataError("multistart grid is empty")
-
-    best = None
     for index, t0 in enumerate(starts):
-        t0_arr = np.asarray(t0, dtype=float)
-        if t0_arr.shape != (n_params,):
+        if np.shape(t0) != (n_params,):
             raise DataError(
-                f"start {index} has shape {t0_arr.shape}, expected ({n_params},)"
+                f"start {index} has shape {np.shape(t0)}, expected ({n_params},)"
             )
-        t, cost, iters, converged, reason = _levenberg_marquardt(
-            model, xp, y_arr, t0_arr, opts)
-        if np.isfinite(cost) and (best is None or cost < best[1]):
-            best = (t, cost, iters, converged, reason, index)
-    if best is None:
-        raise DataError("no multistart run produced a finite cost")
 
-    t, cost, iters, converged, reason, index = best
+    t, cost, iters, reason = _descend(model, xp, y_arr,
+                                      np.array(starts, dtype=float), opts)
+    if not np.isfinite(cost).any():
+        raise DataError("no multistart run produced a finite cost")
+    best = int(np.argmin(cost))   # the first of equal minima
     report = ConvergenceReport(
-        converged=converged,
-        iterations=iters,
-        stop_reason=reason,
-        start_index=index,
+        converged=bool(reason[best] in (_GRADIENT, _COST)),
+        iterations=int(iters[best]),
+        stop_reason=STOP_REASONS[reason[best]],
+        start_index=best,
         n_starts=len(starts),
     )
-    return model.decode(t), sqrt(cost), report
+    return model.decode(t[best]), sqrt(cost[best]), report
 
 
 @dataclass(frozen=True)
@@ -381,13 +373,30 @@ def _single_dataset(table: ObservationTable) -> None:
         )
 
 
-def _fit_warnings(delta: float, y: np.ndarray, report: ConvergenceReport) -> tuple:
+def _fit_law(model: PowerLaw, x: list, table: ObservationTable,
+             opts: Optional[FitOptions]) -> tuple[tuple, dict]:
+    """Fit model to the table's entropies at inputs x.
+
+    Returns the natural parameters, delta clipped at 0, and the fields
+    every fit record shares.
+    """
+    y = np.asarray([row.entropy for row in table], dtype=float)
+    params, residual_norm, report = least_squares(model, x, y, opts)
+    params = params[:-1] + (max(0.0, params[-1]),)
+    predictions = model.predict(params, model.prepare(x))
     warnings = []
     if not report.converged:
         warnings.append(f"fit did not converge: {report.stop_reason}")
-    if delta > float(np.min(y)):
+    if params[-1] > float(np.min(y)):
         warnings.append("delta exceeds the smallest observed entropy")
-    return tuple(warnings)
+    return params, dict(
+        r2=r_squared(predictions.tolist(), y.tolist()),
+        residual_norm=residual_norm,
+        n_points=len(x),
+        converged=report.converged,
+        start_index=report.start_index,
+        warnings=tuple(warnings),
+    )
 
 
 def fit_dim_law(table: ObservationTable,
@@ -406,20 +415,9 @@ def fit_dim_law(table: ObservationTable,
         raise DataError(
             f"mixed models {table.model_names}; fit_dim_law needs exactly one"
         )
-    x = [row.embed_dim for row in table]
-    y = np.asarray([row.entropy for row in table], dtype=float)
-    (a, alpha, delta), residual_norm, report = least_squares(DIM_LAW, x, y, opts)
-    delta = max(0.0, delta)
-    predictions = _dim_predict((a, alpha, delta), np.asarray(x, dtype=float))
-    return DimLawFit(
-        a_coeff=a, alpha=alpha, delta=delta,
-        r2=r_squared(predictions.tolist(), y.tolist()),
-        residual_norm=residual_norm,
-        n_points=len(x),
-        converged=report.converged,
-        start_index=report.start_index,
-        warnings=_fit_warnings(delta, y, report),
-    )
+    params, common = _fit_law(DIM_LAW, [row.embed_dim for row in table],
+                              table, opts)
+    return DimLawFit(*params, **common)
 
 
 def fit_joint_law(table: ObservationTable,
@@ -439,22 +437,8 @@ def fit_joint_law(table: ObservationTable,
             "joint law needs at least 2 distinct models; use fit_dim_law for one"
         )
     x = [(row.embed_dim, row.n_params / MILLION) for row in table]
-    y = np.asarray([row.entropy for row in table], dtype=float)
-    params, residual_norm, report = least_squares(JOINT_LAW, x, y, opts)
-    a, b, alpha, beta, delta = params
-    delta = max(0.0, delta)
-    d_arr = np.asarray([p[0] for p in x], dtype=float)
-    nm_arr = np.asarray([p[1] for p in x], dtype=float)
-    predictions = _joint_predict((a, b, alpha, beta, delta), (d_arr, nm_arr))
-    return JointLawFit(
-        a_coeff=a, b_coeff=b, alpha=alpha, beta=beta, delta=delta,
-        r2=r_squared(predictions.tolist(), y.tolist()),
-        residual_norm=residual_norm,
-        n_points=len(x),
-        converged=report.converged,
-        start_index=report.start_index,
-        warnings=_fit_warnings(delta, y, report),
-    )
+    params, common = _fit_law(JOINT_LAW, x, table, opts)
+    return JointLawFit(*params, **common)
 
 
 def _law_value(delta: float, *terms: tuple[float, float, float]) -> float:
@@ -520,18 +504,14 @@ def fit_to_report(fit: Union[DimLawFit, JointLawFit],
                   opts: Optional[FitOptions] = None) -> dict:
     """Serialize a fit to the report-JSON structure (law, parameters, diagnostics)."""
     if isinstance(fit, DimLawFit):
-        law = "dim"
-        parameters = {"a_coeff": fit.a_coeff, "alpha": fit.alpha,
-                      "delta": fit.delta}
+        model, parameters = DIM_LAW, {}
     elif isinstance(fit, JointLawFit):
-        law = "joint"
-        parameters = {"a_coeff": fit.a_coeff, "b_coeff": fit.b_coeff,
-                      "alpha": fit.alpha, "beta": fit.beta,
-                      "delta": fit.delta, "param_unit": fit.param_unit}
+        model, parameters = JOINT_LAW, {"param_unit": fit.param_unit}
     else:
         raise DataError(f"not a fit object: {type(fit).__name__}")
+    parameters.update((name, getattr(fit, name)) for name in model.param_names)
     report = {
-        "law": law,
+        "law": model.name,
         "parameters": parameters,
         "r2": fit.r2,
         "residual_norm": fit.residual_norm,
@@ -569,12 +549,10 @@ def fit_from_report(obj: dict) -> Union[DimLawFit, JointLawFit]:
             warnings=tuple(obj.get("warnings", ())),
         )
         if law == "dim":
-            return DimLawFit(a_coeff=params["a_coeff"], alpha=params["alpha"],
-                             delta=params["delta"], **common)
+            return DimLawFit(*(params[name] for name in DIM_LAW.param_names),
+                             **common)
         if law == "joint":
-            return JointLawFit(a_coeff=params["a_coeff"], b_coeff=params["b_coeff"],
-                               alpha=params["alpha"], beta=params["beta"],
-                               delta=params["delta"],
+            return JointLawFit(*(params[name] for name in JOINT_LAW.param_names),
                                param_unit=params.get("param_unit", "millions"),
                                **common)
     except (KeyError, TypeError) as exc:

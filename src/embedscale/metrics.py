@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, islice
-from math import exp, fsum, isfinite
+from math import exp, fsum, inf, isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,8 +61,9 @@ class EvalConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.temperature is not None and not self.temperature > 0:
-            raise DataError(f"temperature must be positive, got {self.temperature}")
+        if self.temperature is not None and not 0 < self.temperature < inf:
+            raise DataError(
+                f"temperature must be positive and finite, got {self.temperature}")
         if self.n_negatives < 1:
             raise DataError(f"n_negatives must be >= 1, got {self.n_negatives}")
         if self.rng_seed < 0:
@@ -264,9 +265,10 @@ def sample_negatives(corpus_ids: Sequence[str], positive_ids: set,
             f"(corpus {len(corpus_ids)}, positives excluded {len(corpus_ids) - len(pool)})"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    n = len(pool)
-    for i in range(k):
-        j = i + int(rng.integers(0, n - i))
+    # One draw for all k swaps; below 2^32 it is the stream of k scalar draws.
+    offsets = rng.integers(0, len(pool) - np.arange(k)).tolist()
+    for i, offset in enumerate(offsets):
+        j = i + offset
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
 
@@ -278,16 +280,23 @@ def contrastive_loss_grad(positive: float, negatives: Sequence[float],
 
     With p = softmax of the scaled scores and t the effective temperature
     (1 when tau is absent): dL/ds+ = (p+ - 1)/t and dL/ds-_i = p_i/t.
+
+    Raises:
+        NumericError: the scaled scores or the gradient are not finite.
     """
     _check_scores(positive, negatives, tau)
     t = 1.0 if tau is None else tau
-    scaled_pos = positive / t
-    scaled_neg = [v / t for v in negatives]
-    m = max(scaled_pos, max(scaled_neg))
-    terms = [exp(scaled_pos - m)] + [exp(v - m) for v in scaled_neg]
+    scaled = [positive / t] + [v / t for v in negatives]
+    if not all(map(isfinite, scaled)):
+        raise NumericError(f"scores scaled by temperature {tau} are not finite")
+    m = max(scaled)
+    terms = [exp(v - m) for v in scaled]
     z = fsum(terms)
-    p_pos = terms[0] / z
-    return (p_pos - 1.0) / t, [w / z / t for w in terms[1:]]
+    grad_pos = (terms[0] / z - 1.0) / t
+    grad_neg = [w / z / t for w in terms[1:]]
+    if not (isfinite(grad_pos) and all(map(isfinite, grad_neg))):
+        raise NumericError(f"contrastive gradient at temperature {tau} is not finite")
+    return grad_pos, grad_neg
 
 
 def margin_mse(student_pos: float, student_neg: float,

@@ -98,6 +98,18 @@ class TestEvalCe:
         assert "numeric failure" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    def test_non_finite_tau_is_data_error(self, tmp_path, capsys, tau):
+        path = tmp_path / "scores.jsonl"
+        write_jsonl(path, [{"query_id": "q", "positives": [0.5],
+                            "negatives": [0.1, 0.2]}])
+        code, out, err = run(["eval-ce", str(path), "--tau", tau,
+                              "--output-dir", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert out == ""
+        assert "temperature must be positive and finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", [
         '{"query_id": "q", "positives": [1' + "0" * 400 + '], "negatives": [0]}',
         "[" * 100_000,

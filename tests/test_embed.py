@@ -146,6 +146,35 @@ class TestScorePairs:
         assert np.all(scores <= 1.0 + 1e-12)
         assert np.all(scores >= -1.0 - 1e-12)
 
+    def test_normalized_matches_row_by_row(self):
+        # The rows are normalized in one step; each must match l2_normalize.
+        rng = np.random.default_rng(12)
+        qdata = rng.normal(size=(40, 16)) * rng.uniform(1e-6, 1e6, size=(40, 1))
+        ddata = rng.normal(size=(60, 16))
+        scores = score_pairs(EmbeddingMatrix.from_rows(qdata),
+                             EmbeddingMatrix.from_rows(ddata), normalize=True)
+        expected = (np.vstack([l2_normalize(row) for row in qdata])
+                    @ np.vstack([l2_normalize(row) for row in ddata]).T)
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("side", ["queries", "docs"])
+    def test_one_zero_row_among_many_rejected(self, side):
+        rng = np.random.default_rng(13)
+        rows = rng.normal(size=(30, 8))
+        zeroed = rows.copy()
+        zeroed[17] = 1e-13
+        good = EmbeddingMatrix.from_rows(rows)
+        bad = EmbeddingMatrix.from_rows(zeroed)
+        q, d = (bad, good) if side == "queries" else (good, bad)
+        with pytest.raises(NumericError, match="near-zero"):
+            score_pairs(q, d, normalize=True)
+        assert score_pairs(q, d).shape == (30, 30)
+
+    def test_normalized_empty_side(self):
+        q = EmbeddingMatrix(0, 3, np.zeros(0))
+        d = EmbeddingMatrix.from_rows([[1.0, 2.0, 2.0]])
+        assert score_pairs(q, d, normalize=True).shape == (0, 1)
+
 
 class TestLinearity:
     def test_project_commutes_with_mean_pool(self):

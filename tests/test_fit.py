@@ -1,16 +1,131 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedscale import (DIM_LAW, JOINT_LAW, DataError, DimLawFit, FitOptions,
                         JointLawFit, NumericError, Observation,
                         ObservationTable, filter_by,
                         fit_dim_law, fit_from_report, fit_joint_law,
-                        fit_to_report, least_squares, predict_dim,
-                        predict_joint, r_squared)
+                        fit_to_report, least_squares, parse_observations,
+                        predict_dim, predict_joint, r_squared)
+from embedscale.fit import (COST_REL_TOL, DELTA_EPS, LAMBDA_INIT, LAMBDA_MAX,
+                            STOP_REASONS, _descend)
 
 DIMS = (32, 64, 128, 256, 512, 1024, 2048)
+FIXTURES = sorted(p.name for p in (Path(__file__).parent / "data").glob("obs_*.csv"))
+CONVERGED = ("gradient below tolerance", "cost decrease below tolerance")
+
+
+# ---------------------------------------------------------------------------
+# reference: the serial engine that the batched descent replaced, one start
+# at a time, over either the batched model at a batch of one start (the same
+# arithmetic as the engine) or the per-law formulas of the serial engine.
+
+
+def reference_lm(residual, jacobian, t0, opts):
+    """One damped Gauss-Newton descent from t0; returns (t, cost, iters, converged, reason)."""
+    def cost_at(t):
+        with np.errstate(all="ignore"):
+            r = residual(t)
+            if not np.all(np.isfinite(r)):
+                return None, np.inf
+            cost = float(r @ r)
+        return (r, cost) if np.isfinite(cost) else (None, np.inf)
+
+    t = np.array(t0, dtype=float)
+    r, cost = cost_at(t)
+    if r is None:
+        return t, np.inf, 0, False, "non-finite start"
+    lam = LAMBDA_INIT
+    for iteration in range(1, opts.max_iters + 1):
+        with np.errstate(all="ignore"):
+            jac = jacobian(t)
+        if not np.all(np.isfinite(jac)):
+            return t, cost, iteration, False, "non-finite jacobian"
+        grad = 2.0 * (jac.T @ r)
+        if float(np.max(np.abs(grad))) < opts.gradient_tolerance:
+            return t, cost, iteration, True, "gradient below tolerance"
+        jtj = jac.T @ jac
+        damping = np.maximum(np.diag(jtj), 1e-12)
+        accepted = False
+        while lam <= LAMBDA_MAX:
+            try:
+                step = np.linalg.solve(jtj + lam * np.diag(damping), -(jac.T @ r))
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            if not np.all(np.isfinite(step)):
+                lam *= 10.0
+                continue
+            r_new, cost_new = cost_at(t + step)
+            if cost_new < cost:
+                drop = (cost - cost_new) / cost if cost > 0 else 0.0
+                t = t + step
+                r, cost = r_new, cost_new
+                lam = max(lam / 10.0, 1e-15)
+                accepted = True
+                if drop < COST_REL_TOL:
+                    return t, cost, iteration, True, "cost decrease below tolerance"
+                break
+            lam *= 10.0
+        if not accepted:
+            return t, cost, iteration, True, "cost decrease below tolerance"
+    return t, cost, opts.max_iters, False, "max_iters reached"
+
+
+def batch_of_one(model, xp, y):
+    return (lambda t: model.residuals(t[None], xp, y)[0],
+            lambda t: model.jacobian(t[None], xp)[0])
+
+
+def serial_formulas(model, xp, y):
+    """The serial engine's residual and Jacobian, scalar exponents included."""
+    k = model.n_terms
+
+    def residual(t):
+        params = [float(np.exp(v)) for v in t]
+        params[-1] -= DELTA_EPS
+        return model.predict(params, xp) - y
+
+    def jacobian(t):
+        natural = [np.exp(v) for v in t]
+        terms = [natural[i] * xk ** (-natural[k + i]) for i, xk in enumerate(xp)]
+        slopes = [-term * np.log(xk) * natural[k + i]
+                  for i, (term, xk) in enumerate(zip(terms, xp))]
+        return np.column_stack(terms + slopes + [np.full(xp.shape[1], natural[-1])])
+    return residual, jacobian
+
+
+def reference_runs(make, model, xp, y, starts, opts):
+    residual, jacobian = make(model, xp, y)
+    return [reference_lm(residual, jacobian, t0, opts) for t0 in starts]
+
+
+def fixture_laws(name):
+    """(label, model, prepared x, y) for the joint law and each model's dim law."""
+    table = parse_observations((Path(__file__).parent / "data" / name).read_text())
+    x = [(row.embed_dim, row.n_params / 1e6) for row in table]
+    cases = [("joint", JOINT_LAW, JOINT_LAW.prepare(x), table)]
+    for model_name in table.model_names:
+        series = filter_by(table, model_name=model_name, dataset=table.datasets[0])
+        cases.append((model_name, DIM_LAW,
+                      DIM_LAW.prepare([row.embed_dim for row in series]), series))
+    return [(label, model, xp, np.array([row.entropy for row in rows]))
+            for label, model, xp, rows in cases]
+
+
+def assert_same_descents(batched, reference):
+    t, cost, iters, reason = batched
+    for s, (ref_t, ref_cost, ref_iters, ref_converged, ref_reason) in enumerate(reference):
+        assert STOP_REASONS[reason[s]] == ref_reason, s
+        assert iters[s] == ref_iters, s
+        assert (ref_reason in CONVERGED) == ref_converged, s
+        assert cost[s] == ref_cost, s
+        np.testing.assert_array_equal(t[s], ref_t, err_msg=f"start {s}")
 
 
 def dim_table(a, alpha, delta, dims=DIMS, noise=None):
@@ -292,3 +407,130 @@ class TestReportRoundTrip:
             fit_from_report({"law": "cubic", "parameters": {}})
         with pytest.raises(DataError):
             fit_from_report({"law": "dim", "parameters": {"a_coeff": 1.0}})
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_every_start_descends_as_it_would_alone(self, fixture):
+        opts = FitOptions()
+        for label, model, xp, y in fixture_laws(fixture):
+            starts = model.default_starts(xp, y)
+            batched = _descend(model, xp, y, starts, opts)
+            assert_same_descents(
+                batched, reference_runs(batch_of_one, model, xp, y, starts, opts))
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_fits_agree_with_serial_engine(self, fixture):
+        # The serial formulas take x ** -1.0 as a reciprocal, the batched
+        # power does not, so starts at a unit exponent may differ in the
+        # last bits; every start still stops the same way at the same cost.
+        opts = FitOptions()
+        for label, model, xp, y in fixture_laws(fixture):
+            starts = model.default_starts(xp, y)
+            serial = reference_runs(serial_formulas, model, xp, y, starts, opts)
+            _, cost, iters, reason = _descend(model, xp, y, starts, opts)
+            for s, (_, ref_cost, ref_iters, _, ref_reason) in enumerate(serial):
+                assert (STOP_REASONS[reason[s]], iters[s]) == (ref_reason, ref_iters)
+                assert cost[s] == pytest.approx(ref_cost, rel=1e-12, abs=0)
+
+            old = min(range(len(serial)), key=lambda s: serial[s][1])
+            old_params = model.decode(serial[old][0])
+            params, norm, report = least_squares(model, xp.T, y, opts)
+            assert report.n_starts == len(starts)
+            assert report.iterations == serial[report.start_index][2]
+            assert report.stop_reason == serial[report.start_index][4]
+            if report.start_index == old:
+                assert params == pytest.approx(old_params, rel=1e-9), label
+            else:
+                assert norm ** 2 <= serial[old][1] * (1 + 1e-12), label
+                assert params == pytest.approx(old_params, rel=1e-6), label
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), joint=st.booleans())
+    def test_seeded_laws_descend_as_alone(self, seed, joint):
+        rng = np.random.default_rng(seed)
+        d = np.array(DIMS, dtype=float)
+        a, alpha = rng.uniform(1, 200), rng.uniform(0.3, 2.5)
+        delta = rng.uniform(0, 0.3)
+        if joint:
+            model = JOINT_LAW
+            nm = np.array([5.0, 40.0, 300.0])
+            xp = np.array([np.tile(d, 3), np.repeat(nm, d.size)])
+            b, beta = rng.uniform(0.1, 10), rng.uniform(0.3, 2.0)
+            y = a * xp[0] ** -alpha + b * xp[1] ** -beta + delta
+        else:
+            model = DIM_LAW
+            xp = d[None]
+            y = a * d ** -alpha + delta
+        y = y * (1 + 0.01 * rng.standard_normal(y.size))
+        starts = model.default_starts(xp, y)
+        if joint:
+            starts = starts[np.sort(rng.choice(len(starts), 24, replace=False))]
+        opts = FitOptions()
+        assert_same_descents(_descend(model, xp, y, starts, opts),
+                             reference_runs(batch_of_one, model, xp, y, starts, opts))
+
+    def test_non_finite_jacobian_leaves_other_starts_alone(self, bert_trec_table):
+        series = filter_by(bert_trec_table, model_name="BERT-L12-H128-A2",
+                           dataset="trecdl")
+        xp = DIM_LAW.prepare([row.embed_dim for row in series])
+        y = np.array([row.entropy for row in series])
+        starts = DIM_LAW.default_starts(xp, y)
+        # Start 7 leaves finite territory in its third iteration.
+        grid = starts[[11, 7, 3]]
+        opts = FitOptions()
+        t, cost, iters, reason = _descend(DIM_LAW, xp, y, grid, opts)
+        assert STOP_REASONS[reason[1]] == "non-finite jacobian"
+        assert iters[1] == 3 and np.isfinite(cost[1])
+        for s in (0, 2):
+            alone = _descend(DIM_LAW, xp, y, grid[s:s + 1], opts)
+            assert STOP_REASONS[reason[s]] in CONVERGED
+            assert (cost[s], iters[s], reason[s]) == (alone[1][0], alone[2][0],
+                                                     alone[3][0])
+            np.testing.assert_array_equal(t[s], alone[0][0])
+        _, _, report = least_squares(DIM_LAW, xp[0], y,
+                                     FitOptions(multistart_grid=tuple(grid)))
+        assert report.start_index == int(np.argmin(cost))
+        assert report.converged
+
+    def test_tied_best_cost_goes_to_earliest_start(self):
+        table = dim_table(50.0, 1.2, 0.05,
+                          noise=1.0 + 0.03 * np.random.default_rng(2).standard_normal(7))
+        x = [row.embed_dim for row in table]
+        y = [row.entropy for row in table]
+        good = (math.log(40.0), math.log(1.0), math.log(0.04 + DELTA_EPS))
+        worse = (math.log(1e6), math.log(3.0), math.log(1e-9))
+        overflowing = (800.0, 0.0, 0.0)
+        grid = (overflowing, worse, good, worse, good)
+        opts = FitOptions(max_iters=5, multistart_grid=grid)
+        t, cost, iters, reason = _descend(DIM_LAW, DIM_LAW.prepare(x),
+                                          np.array(y), np.array(grid), opts)
+        assert STOP_REASONS[reason[0]] == "non-finite start" and cost[0] == np.inf
+        assert cost[2] == cost[4] < cost[1]
+        _, norm, report = least_squares(DIM_LAW, x, y, opts)
+        assert report.start_index == 2
+        assert norm == math.sqrt(cost[2])
+
+    def test_max_iters_is_counted_per_start(self):
+        noise = 1.0 + 0.01 * np.random.default_rng(3).standard_normal(len(DIMS))
+        table = dim_table(100.0, 1.5, 0.1, noise=noise)
+        xp = DIM_LAW.prepare([row.embed_dim for row in table])
+        y = np.array([row.entropy for row in table])
+        near = (math.log(100.0), math.log(1.5), math.log(0.1 + DELTA_EPS))
+        far = (math.log(1e6), math.log(3.0), math.log(1e-9))
+        grid = np.array([far, near])
+        free = _descend(DIM_LAW, xp, y, grid, FitOptions())
+        cap = int(free[2][1]) + 2
+        assert free[2][0] > cap
+        opts = FitOptions(max_iters=cap)
+        t, cost, iters, reason = _descend(DIM_LAW, xp, y, grid, opts)
+        assert (iters[0], STOP_REASONS[reason[0]]) == (cap, "max_iters reached")
+        assert (iters[1], reason[1]) == (free[2][1], free[3][1])
+        np.testing.assert_array_equal(t[1], free[0][1])
+        capped_far = _descend(DIM_LAW, xp, y, grid[:1], opts)
+        np.testing.assert_array_equal(t[0], capped_far[0][0])
+        _, _, report = least_squares(DIM_LAW, xp[0], y,
+                                     FitOptions(max_iters=cap,
+                                                multistart_grid=tuple(grid)))
+        assert report.start_index == 1
+        assert report.iterations == free[2][1] and report.converged

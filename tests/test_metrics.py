@@ -47,6 +47,17 @@ def reference_query_entropy(rec, tau=None):
     return math.fsum(values) / len(values)
 
 
+def reference_sample_negatives(corpus_ids, positive_ids, k, seed):
+    """The sampler before its draws were batched: one scalar draw per swap."""
+    pool = [cid for cid in corpus_ids if cid not in positive_ids]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = len(pool)
+    for i in range(k):
+        j = i + int(rng.integers(0, n - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
 finite_scores = st.floats(min_value=-30, max_value=30)
 
 
@@ -275,6 +286,16 @@ class TestSampleNegatives:
         with pytest.raises(DataError, match="eligible"):
             sample_negatives(["a", "b"], {"a"}, 2, seed=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 300, 2499])
+    @pytest.mark.parametrize("k_of", ["one", "half", "all"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_matches_scalar_draws(self, n, k_of, seed):
+        corpus = [f"d{i}" for i in range(n + 2)]
+        positives = {"d0", f"d{n + 1}"}
+        k = {"one": 1, "half": max(1, n // 2), "all": n}[k_of]
+        assert (sample_negatives(corpus, positives, k, seed)
+                == reference_sample_negatives(corpus, positives, k, seed))
+
     def test_uniformity_monte_carlo(self):
         # corpus of 10 with one positive: each of the 9 eligible ids should
         # be drawn with frequency 1/9 within +-0.01 over 1e5 seeds.
@@ -317,6 +338,13 @@ class TestLosses:
         assert g_pos == pytest.approx(math.exp(1.0) / z - 1, rel=1e-12)
         assert g_negs[0] == pytest.approx(math.exp(0.0) / z, rel=1e-12)
         assert g_negs[1] == pytest.approx(math.exp(0.5) / z, rel=1e-12)
+
+    @pytest.mark.parametrize("pos, negs", [(0.5, [0.1]), (0.0, [0.0])])
+    def test_contrastive_grad_non_finite_is_numeric_error(self, pos, negs):
+        # 0.5 / 1e-310 overflows the scaled scores; with scores 0 the scaled
+        # scores are finite but (p - 1) / 1e-310 overflows the gradient.
+        with pytest.raises(NumericError, match="not finite"):
+            contrastive_loss_grad(pos, negs, tau=1e-310)
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(5)
@@ -519,5 +547,8 @@ class TestScoreRecordParsing:
     def test_config_validation(self):
         with pytest.raises(DataError):
             EvalConfig(temperature=-1.0)
+        for tau in (math.inf, math.nan):
+            with pytest.raises(DataError, match="temperature"):
+                EvalConfig(temperature=tau)
         with pytest.raises(DataError):
             EvalConfig(n_negatives=0)
