@@ -14,10 +14,9 @@ from .metrics import (BatchQueryScores, EvalConfig, QueryScoreRecord,
                       recall_at_k, rr_at_k, sample_negatives)
 from .embed import (EmbeddingMatrix, Projection, l2_normalize, load_matrix,
                     mean_pool, project, save_matrix, score_pairs)
-from .fit import (DIM_LAW, JOINT_LAW, ConvergenceReport, DimLawFit, FitOptions,
-                  JointLawFit, fit_dim_law, fit_from_report, fit_joint_law,
-                  fit_to_report, least_squares, predict_dim, predict_joint,
-                  r_squared)
+from .fit import (DIM_LAW, JOINT_LAW, LAWS, ConvergenceReport, FitOptions,
+                  LawFit, fit_from_report, fit_law, fit_to_report,
+                  least_squares, predict, r_squared)
 from .plan import (AllocationResult, BudgetCurve, BudgetSpec,
                    allocation_from_gamma, budget_curve, flops_encode,
                    flops_score, optimal_allocation, round_dim, round_params)
@@ -35,10 +34,9 @@ __all__ = [
     "rr_at_k", "sample_negatives",
     "EmbeddingMatrix", "Projection", "l2_normalize", "load_matrix",
     "mean_pool", "project", "save_matrix", "score_pairs",
-    "DIM_LAW", "JOINT_LAW", "ConvergenceReport", "DimLawFit", "FitOptions",
-    "JointLawFit", "fit_dim_law", "fit_from_report", "fit_joint_law",
-    "fit_to_report", "least_squares", "predict_dim", "predict_joint",
-    "r_squared",
+    "DIM_LAW", "JOINT_LAW", "LAWS", "ConvergenceReport", "FitOptions",
+    "LawFit", "fit_from_report", "fit_law", "fit_to_report", "least_squares",
+    "predict", "r_squared",
     "AllocationResult", "BudgetCurve", "BudgetSpec", "allocation_from_gamma",
     "budget_curve", "flops_encode", "flops_score", "optimal_allocation",
     "round_dim", "round_params",

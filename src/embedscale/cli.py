@@ -1,11 +1,12 @@
 """Command-line surface: reproducible evaluation, fitting, and planning runs.
 
 Every run that writes files embeds a manifest (command, input paths with
-content hashes, echoed options, tool version, seed) in its JSON report;
-curve files reference that report by name. Writes go through a temp file
-and os.replace, so a failed run leaves nothing partial behind. Identical
-inputs and seed produce byte-identical outputs regardless of output
-directory.
+content hashes, echoed options, tool version) in its JSON report; curve
+files reference that report by name. Writes go through a temp file and
+os.replace, so a failed run leaves nothing partial behind. Identical
+inputs produce byte-identical outputs regardless of output directory.
+Both laws go through the same commands: --law names one of fit.LAWS, and
+predict and plan read either law's report through one reader.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -27,8 +28,8 @@ import numpy as np
 from . import __version__
 from .core import (DataError, NumericError, SweepConfig, expand_sweep,
                    filter_by, parse_observations)
-from .fit import (FitOptions, JointLawFit, fit_dim_law, fit_from_report,
-                  fit_joint_law, fit_to_report, predict_dim, predict_joint)
+from .fit import (JOINT_LAW, LAWS, FitOptions, fit_from_report, fit_law,
+                  fit_to_report, predict)
 from .metrics import (EvalConfig, contrastive_entropy_records,
                       parse_score_records)
 from .plan import BudgetSpec, budget_curve, optimal_allocation
@@ -68,15 +69,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, input_paths: list[str], options: dict,
-              seed: int) -> dict:
+def _manifest(command: str, input_paths: list[str], options: dict) -> dict:
     # Input paths are recorded as given; output paths are deliberately not
     # recorded so the same run is byte-identical under any --output-dir.
     return {
         "command": command,
         "inputs": [{"path": p, "sha256": _sha256(p)} for p in input_paths],
         "options": options,
-        "seed": seed,
         "tool": "embedscale",
         "version": __version__,
     }
@@ -109,7 +108,7 @@ def _fmt(value: float) -> str:
 
 
 def cmd_eval_ce(args) -> int:
-    cfg = EvalConfig(temperature=args.tau, rng_seed=args.seed)
+    cfg = EvalConfig(temperature=args.tau)
     text = _read_text(args.scores)
     records = parse_score_records(text)
     if not records:
@@ -124,8 +123,7 @@ def cmd_eval_ce(args) -> int:
         "n_queries": len(records),
         "per_query": per_query,
         "temperature": args.tau,
-        "manifest": _manifest("eval-ce", [args.scores],
-                              {"tau": args.tau}, args.seed),
+        "manifest": _manifest("eval-ce", [args.scores], {"tau": args.tau}),
     }
     _write_json(os.path.join(args.output_dir, "eval_ce_report.json"), report)
     print(_fmt(dataset_entropy))
@@ -143,13 +141,16 @@ def _resolve_table(path: str, model: str | None, dataset: str | None):
     return filter_by(table, model_name=model, dataset=dataset)
 
 
-def _dim_curve_lines(fit, dims: list[int]) -> list[str]:
-    lo, hi = min(dims), max(dims)
-    grid = np.geomspace(lo, hi, CURVE_SAMPLES) if lo < hi else np.asarray([float(lo)])
-    return [f"{_fmt(d)} {_fmt(predict_dim(fit, float(d)))}" for d in grid]
+def _read_fit(path: str):
+    try:
+        obj = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: not a JSON fit report: {exc}") from None
+    return fit_from_report(obj)
 
 
-def _joint_curve_blocks(fit, table) -> list[str]:
+def _curve_blocks(fit, table) -> list[str]:
+    """Each model's fitted curve; a joint-law block names its model."""
     blocks = []
     for name in table.model_names:
         rows = [r for r in table if r.model_name == name]
@@ -158,8 +159,9 @@ def _joint_curve_blocks(fit, table) -> list[str]:
         lo, hi = min(dims), max(dims)
         grid = (np.geomspace(lo, hi, CURVE_SAMPLES)
                 if lo < hi else np.asarray([float(lo)]))
-        lines = [f"# model {name} n_params {_fmt(n_params)}"]
-        lines += [f"{_fmt(d)} {_fmt(predict_joint(fit, float(d), n_params))}"
+        lines = ([f"# model {name} n_params {_fmt(n_params)}"]
+                 if fit.model is JOINT_LAW else [])
+        lines += [f"{_fmt(d)} {_fmt(predict(fit, float(d), n_params))}"
                   for d in grid]
         blocks.append("\n".join(lines))
     return blocks
@@ -167,26 +169,17 @@ def _joint_curve_blocks(fit, table) -> list[str]:
 
 def cmd_fit(args) -> int:
     table = _resolve_table(args.observations, args.model, args.dataset)
-    opts = FitOptions(seed=args.seed)
-    if args.law == "dim":
-        fit = fit_dim_law(table, opts)
-    else:
-        fit = fit_joint_law(table, opts)
+    opts = FitOptions()
+    fit = fit_law(table, LAWS[args.law], opts)
     report = fit_to_report(fit, opts)
-    report["manifest"] = _manifest(
-        "fit", [args.observations],
-        {"law": args.law, "model": args.model, "dataset": args.dataset},
-        args.seed,
-    )
+    report["manifest"] = _manifest("fit", [args.observations], {
+        "law": args.law, "model": args.model, "dataset": args.dataset})
     header = [
         "# embedscale fitted-curve samples",
         "# manifest: fit_report.json",
         "# columns: dim predicted_entropy",
     ]
-    if args.law == "dim":
-        body = "\n".join(_dim_curve_lines(fit, [r.embed_dim for r in table]))
-    else:
-        body = "\n\n".join(_joint_curve_blocks(fit, table))
+    body = "\n\n".join(_curve_blocks(fit, table))
 
     # All artifacts are built before the first write so a failure cannot
     # leave a partial run on disk.
@@ -202,22 +195,18 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    fit = fit_from_report(json.loads(_read_text(args.fit_report)))
+    fit = _read_fit(args.fit_report)
     if args.dim < 1:
         raise UsageError("--dim must be >= 1")
-    if isinstance(fit, JointLawFit):
-        if args.params is None:
-            raise UsageError("--params is required for a joint-law report")
-        value = predict_joint(fit, args.dim, args.params)
-    else:
-        value = predict_dim(fit, args.dim)
-    print(_fmt(value))
+    if fit.model is JOINT_LAW and args.params is None:
+        raise UsageError("--params is required for a joint-law report")
+    print(_fmt(predict(fit, args.dim, args.params)))
     return 0
 
 
 def cmd_plan(args) -> int:
-    fit = fit_from_report(json.loads(_read_text(args.fit_report)))
-    if not isinstance(fit, JointLawFit):
+    fit = _read_fit(args.fit_report)
+    if fit.model is not JOINT_LAW:
         raise DataError("plan requires a joint-law fit report")
     allocations = []
     curves = []
@@ -233,13 +222,10 @@ def cmd_plan(args) -> int:
     report = {
         "allocations": allocations,
         "notes": "ann scoring cost uses the natural logarithm of corpus size",
-        "manifest": _manifest(
-            "plan", [args.fit_report],
-            {"budget": args.budget, "tokens": args.tokens,
-             "corpus": args.corpus, "regime": args.regime,
-             "curve": args.curve or []},
-            args.seed,
-        ),
+        "manifest": _manifest("plan", [args.fit_report], {
+            "budget": args.budget, "tokens": args.tokens,
+            "corpus": args.corpus, "regime": args.regime,
+            "curve": args.curve or []}),
     }
     _write_json(os.path.join(args.output_dir, "plan_report.json"), report)
 
@@ -289,18 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scores", help="QueryScoreRecord JSONL file")
     p.add_argument("--tau", type=float, default=None,
                    help="temperature applied as score/tau")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_eval_ce)
 
     p = sub.add_parser("fit", help="fit a scaling law to an observation CSV")
     p.add_argument("observations", help="observation CSV file")
-    p.add_argument("--law", choices=("dim", "joint"), required=True)
+    p.add_argument("--law", choices=tuple(LAWS), required=True)
     p.add_argument("--model", default=None,
                    help="restrict to one model name")
     p.add_argument("--dataset", default=None,
                    help="dataset tag (required when the CSV has several)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_fit)
 
@@ -323,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--curve", type=int, nargs="+", default=None,
                    help="also write entropy-vs-dim curves at these dims")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_plan)
 

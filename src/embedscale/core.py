@@ -64,7 +64,6 @@ class ObservationTable:
     """
 
     rows: tuple[Observation, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         if not self.rows:
@@ -119,7 +118,7 @@ class SweepConfig:
                 raise DataError(f"multipliers must be positive, got {phi}")
 
 
-def parse_observations(text, fmt: str = "csv") -> ObservationTable:
+def parse_observations(text) -> ObservationTable:
     """Parse an observation table from CSV text.
 
     Expects the exact header ``model_name,n_params,embed_dim,dataset,entropy``.
@@ -128,17 +127,14 @@ def parse_observations(text, fmt: str = "csv") -> ObservationTable:
 
     Args:
         text: CSV content as a string or a readable text stream.
-        fmt: Input format; only ``"csv"`` is supported.
 
     Returns:
         A validated ObservationTable with row order preserved.
 
     Raises:
-        DataError: on unknown format, bad header, malformed rows (reported
+        DataError: on a bad header, malformed rows (reported
             with their line number), duplicate keys, or an empty body.
     """
-    if fmt != "csv":
-        raise DataError(f"unsupported format {fmt!r}")
     if isinstance(text, str):
         text = io.StringIO(text)
 
@@ -223,7 +219,7 @@ def filter_by(table: ObservationTable, model_name: str | None = None,
         raise DataError(
             f"empty selection: no rows for model={model_name!r}, dataset={dataset!r}"
         )
-    return ObservationTable(rows, provenance=table.provenance)
+    return ObservationTable(rows)
 
 
 def expand_sweep(cfg: SweepConfig) -> list[int]:

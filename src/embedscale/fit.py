@@ -7,6 +7,9 @@ Both laws are one model over K inputs,
 with K = 1 for the dimension-only law, L(D) = A / D^alpha + delta, and
 K = 2 for the joint law, L(D, N) = A / D^alpha + B / (N/1e6)^beta + delta.
 
+The two laws share one record, LawFit, one fit function, fit_law, and one
+evaluator, predict; LAWS looks a law up by the name its reports carry.
+
 Residuals are taken in raw (linear) entropy space, unweighted. Positivity
 of every parameter is enforced by optimizing logarithms; the floor term
 uses log(delta + 1e-9) so delta = 0 stays reachable. The engine is a damped
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import fsum, inf, isfinite, sqrt
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +52,6 @@ class FitOptions:
     max_iters: int = 500
     gradient_tolerance: float = 1e-10
     multistart_grid: Optional[tuple] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -151,6 +153,7 @@ class PowerLaw:
 
 DIM_LAW = PowerLaw("dim", ("a_coeff", "alpha", "delta"))
 JOINT_LAW = PowerLaw("joint", ("a_coeff", "b_coeff", "alpha", "beta", "delta"))
+LAWS = {law.name: law for law in (DIM_LAW, JOINT_LAW)}
 
 
 def _costs(r: np.ndarray) -> np.ndarray:
@@ -256,7 +259,7 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
     lowest final cost wins, ties going to the earliest grid index.
 
     Args:
-        model: a PowerLaw (DIM_LAW or JOINT_LAW).
+        model: a PowerLaw, one of LAWS.
         x: model inputs, one entry per target.
         y: observed targets.
         opts: engine options; defaults to FitOptions().
@@ -311,75 +314,68 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
 
 
 @dataclass(frozen=True)
-class DimLawFit:
-    """Fitted dimension-only law L(D) = a_coeff / D^alpha + delta."""
+class LawFit:
+    """A fitted law: its model, natural parameters and diagnostics.
 
-    a_coeff: float
-    alpha: float
-    delta: float
-    r2: float
-    residual_norm: float
-    n_points: int
-    converged: bool = True
-    start_index: int = 0
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not (self.a_coeff > 0 and self.alpha > 0):
-            raise DataError("a_coeff and alpha must be positive")
-        if self.delta < 0:
-            raise DataError("delta must be nonnegative")
-        if self.r2 > 1.0:
-            raise DataError(f"r2 must be <= 1, got {self.r2}")
-
-
-@dataclass(frozen=True)
-class JointLawFit:
-    """Fitted joint law L(D, N) = a_coeff/D^alpha + b_coeff/(N/1e6)^beta + delta.
-
-    param_unit records that b_coeff is calibrated against parameter counts
-    expressed in millions; predict_joint does the division internally.
+    params follows model.param_names, and each parameter also reads by
+    name (fit.alpha, fit.b_coeff). The joint law's b_coeff is calibrated
+    against parameter counts in millions; predict does the division.
     """
 
-    a_coeff: float
-    b_coeff: float
-    alpha: float
-    beta: float
-    delta: float
+    model: PowerLaw
+    params: tuple[float, ...]
     r2: float
     residual_norm: float
     n_points: int
-    param_unit: str = "millions"
     converged: bool = True
     start_index: int = 0
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (self.a_coeff > 0 and self.b_coeff > 0
-                and self.alpha > 0 and self.beta > 0):
-            raise DataError("a_coeff, b_coeff, alpha, beta must be positive")
-        if self.delta < 0:
+        names = self.model.param_names
+        if len(self.params) != len(names):
+            raise DataError(f"{self.model.name} law takes {len(names)} parameters "
+                            f"{names}, got {len(self.params)}")
+        if not all(map(isfinite, self.params)):
+            raise DataError(f"parameters must be finite, got {self.params}")
+        if not all(value > 0 for value in self.params[:-1]):
+            raise DataError(f"{', '.join(names[:-1])} must be positive")
+        if self.params[-1] < 0:
             raise DataError("delta must be nonnegative")
         if self.r2 > 1.0:
             raise DataError(f"r2 must be <= 1, got {self.r2}")
-        if self.param_unit != "millions":
-            raise DataError(f"param_unit must be 'millions', got {self.param_unit!r}")
+
+    def __getattr__(self, name):
+        """A parameter by name, e.g. fit.alpha; called only for non-fields."""
+        model = vars(self).get("model")
+        if model is None or name not in model.param_names:
+            raise AttributeError(f"LawFit has no attribute {name!r}")
+        return self.params[model.param_names.index(name)]
 
 
-def _single_dataset(table: ObservationTable) -> None:
+def fit_law(table: ObservationTable, model: PowerLaw,
+            opts: Optional[FitOptions] = None) -> LawFit:
+    """Fit a law to one dataset's observations.
+
+    The dimension law (K = 1) takes exactly one model's series; the joint
+    law (K = 2) takes at least two models, with parameter counts divided by
+    one million before fitting. Delta is clipped at 0.
+
+    Raises:
+        DataError: mixed datasets, the wrong number of models for the law,
+            or too few points.
+    """
     if len(table.datasets) != 1:
         raise DataError(
             f"mixed datasets {table.datasets}; filter to a single dataset first"
         )
-
-
-def _fit_law(model: PowerLaw, x: list, table: ObservationTable,
-             opts: Optional[FitOptions]) -> tuple[tuple, dict]:
-    """Fit model to the table's entropies at inputs x.
-
-    Returns the natural parameters, delta clipped at 0, and the fields
-    every fit record shares.
-    """
+    models = table.model_names
+    if model.n_terms == 1 and len(models) != 1:
+        raise DataError(f"mixed models {models}; the dim law needs exactly one")
+    if model.n_terms > 1 and len(models) < 2:
+        raise DataError(f"{model.name} law needs at least 2 distinct models; "
+                        "fit the dim law to one")
+    x = [(row.embed_dim, row.n_params / MILLION)[:model.n_terms] for row in table]
     y = np.asarray([row.entropy for row in table], dtype=float)
     params, residual_norm, report = least_squares(model, x, y, opts)
     params = params[:-1] + (max(0.0, params[-1]),)
@@ -389,95 +385,42 @@ def _fit_law(model: PowerLaw, x: list, table: ObservationTable,
         warnings.append(f"fit did not converge: {report.stop_reason}")
     if params[-1] > float(np.min(y)):
         warnings.append("delta exceeds the smallest observed entropy")
-    return params, dict(
-        r2=r_squared(predictions.tolist(), y.tolist()),
-        residual_norm=residual_norm,
-        n_points=len(x),
-        converged=report.converged,
-        start_index=report.start_index,
-        warnings=tuple(warnings),
-    )
+    return LawFit(model, params,
+                  r2=r_squared(predictions.tolist(), y.tolist()),
+                  residual_norm=residual_norm,
+                  n_points=len(x),
+                  converged=report.converged,
+                  start_index=report.start_index,
+                  warnings=tuple(warnings))
 
 
-def fit_dim_law(table: ObservationTable,
-                opts: Optional[FitOptions] = None) -> DimLawFit:
-    """Fit the dimension-only law to a single model's series on one dataset.
+def predict(fit: LawFit, d, n_params=None) -> float:
+    """The fitted law at dimension d and, for the joint law, n_params.
 
-    Args:
-        table: observations for exactly one (model, dataset), >= 4 points.
-        opts: optional engine options.
+    d is a positive real: observed dimensions are integers, but the law is
+    defined on the whole positive axis. n_params is a raw parameter count
+    (not millions); the dimension law ignores it.
 
     Raises:
-        DataError: mixed models or datasets, or too few points.
+        DataError: d or a needed n_params not positive.
+        NumericError: the value overflows or is not finite.
     """
-    _single_dataset(table)
-    if len(table.model_names) != 1:
-        raise DataError(
-            f"mixed models {table.model_names}; fit_dim_law needs exactly one"
-        )
-    params, common = _fit_law(DIM_LAW, [row.embed_dim for row in table],
-                              table, opts)
-    return DimLawFit(*params, **common)
-
-
-def fit_joint_law(table: ObservationTable,
-                  opts: Optional[FitOptions] = None) -> JointLawFit:
-    """Fit the joint law to several models' series on one dataset.
-
-    Parameter counts are divided by one million before fitting, so b_coeff
-    and beta are calibrated in that unit (param_unit = "millions").
-
-    Raises:
-        DataError: a single-model table (use fit_dim_law), mixed datasets,
-            or fewer than 6 points.
-    """
-    _single_dataset(table)
-    if len(table.model_names) < 2:
-        raise DataError(
-            "joint law needs at least 2 distinct models; use fit_dim_law for one"
-        )
-    x = [(row.embed_dim, row.n_params / MILLION) for row in table]
-    params, common = _fit_law(JOINT_LAW, x, table, opts)
-    return JointLawFit(*params, **common)
-
-
-def _law_value(delta: float, *terms: tuple[float, float, float]) -> float:
-    """delta + sum of c / x**e over (c, x, e); NumericError unless finite."""
+    if not d > 0:
+        raise DataError(f"dimension must be positive, got {d}")
+    x = (float(d),)
+    k = fit.model.n_terms
+    if k > 1:
+        if n_params is None or not n_params > 0:
+            raise DataError(f"n_params must be positive, got {n_params}")
+        x += (float(n_params) / MILLION,)
     try:
-        value = sum(c / x ** e for c, x, e in terms) + delta
+        value = sum(c / xk ** e for c, xk, e
+                    in zip(fit.params[:k], x, fit.params[k:2 * k])) + fit.params[-1]
     except (OverflowError, ZeroDivisionError):
         value = inf
     if not isfinite(value):
-        raise NumericError(f"fitted law is not finite at {terms}: {value}")
+        raise NumericError(f"fitted law is not finite at {x}: {value}")
     return value
-
-
-def predict_dim(fit: DimLawFit, d) -> float:
-    """Evaluate a_coeff / D^alpha + delta.
-
-    D is a positive real; observed dimensions are integers but the law is
-    defined on the whole positive axis. Raises NumericError on overflow.
-    """
-    if not d > 0:
-        raise DataError(f"dimension must be positive, got {d}")
-    return _law_value(fit.delta, (fit.a_coeff, float(d), fit.alpha))
-
-
-def predict_joint(fit: JointLawFit, d, n_params) -> float:
-    """Evaluate a_coeff/D^alpha + b_coeff/(N/1e6)^beta + delta.
-
-    Raises NumericError on overflow.
-
-    Args:
-        d: embedding dimension, positive real.
-        n_params: model size in raw parameters (not millions).
-    """
-    if not d > 0:
-        raise DataError(f"dimension must be positive, got {d}")
-    if not n_params > 0:
-        raise DataError(f"n_params must be positive, got {n_params}")
-    return _law_value(fit.delta, (fit.a_coeff, float(d), fit.alpha),
-                      (fit.b_coeff, float(n_params) / MILLION, fit.beta))
 
 
 def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:
@@ -500,18 +443,13 @@ def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_to_report(fit: Union[DimLawFit, JointLawFit],
-                  opts: Optional[FitOptions] = None) -> dict:
+def fit_to_report(fit: LawFit, opts: Optional[FitOptions] = None) -> dict:
     """Serialize a fit to the report-JSON structure (law, parameters, diagnostics)."""
-    if isinstance(fit, DimLawFit):
-        model, parameters = DIM_LAW, {}
-    elif isinstance(fit, JointLawFit):
-        model, parameters = JOINT_LAW, {"param_unit": fit.param_unit}
-    else:
-        raise DataError(f"not a fit object: {type(fit).__name__}")
-    parameters.update((name, getattr(fit, name)) for name in model.param_names)
+    parameters = dict(zip(fit.model.param_names, fit.params))
+    if fit.model is JOINT_LAW:
+        parameters["param_unit"] = "millions"
     report = {
-        "law": model.name,
+        "law": fit.model.name,
         "parameters": parameters,
         "r2": fit.r2,
         "residual_norm": fit.residual_norm,
@@ -524,37 +462,35 @@ def fit_to_report(fit: Union[DimLawFit, JointLawFit],
         report["options"] = {
             "max_iters": opts.max_iters,
             "gradient_tolerance": opts.gradient_tolerance,
-            "seed": opts.seed,
             "n_starts": None if opts.multistart_grid is None
             else len(opts.multistart_grid),
         }
     return report
 
 
-def fit_from_report(obj: dict) -> Union[DimLawFit, JointLawFit]:
-    """Rebuild a fit object from report JSON; inverse of fit_to_report.
+def fit_from_report(obj) -> LawFit:
+    """Rebuild a fit from report JSON; inverse of fit_to_report.
 
     Raises:
-        DataError: unknown law tag or missing fields.
+        DataError: anything but a JSON object of a known law with an object
+            of finite, in-range parameters and every diagnostic field.
     """
+    if not (isinstance(obj, dict) and isinstance(obj.get("parameters"), dict)):
+        raise DataError("malformed fit report: the report and its parameters "
+                        "must be JSON objects")
+    params = obj["parameters"]
     try:
-        law = obj["law"]
-        params = obj["parameters"]
-        common = dict(
-            r2=obj["r2"],
-            residual_norm=obj["residual_norm"],
-            n_points=obj["n_points"],
-            converged=obj.get("converged", True),
-            start_index=obj.get("multistart_index", 0),
-            warnings=tuple(obj.get("warnings", ())),
-        )
-        if law == "dim":
-            return DimLawFit(*(params[name] for name in DIM_LAW.param_names),
-                             **common)
-        if law == "joint":
-            return JointLawFit(*(params[name] for name in JOINT_LAW.param_names),
-                               param_unit=params.get("param_unit", "millions"),
-                               **common)
-    except (KeyError, TypeError) as exc:
+        if obj["law"] not in LAWS:
+            raise DataError(f"unknown law {obj['law']!r} in fit report")
+        model = LAWS[obj["law"]]
+        if params.get("param_unit", "millions") != "millions":
+            raise DataError(f"param_unit must be 'millions', got {params['param_unit']!r}")
+        return LawFit(model, tuple(params[name] for name in model.param_names),
+                      r2=obj["r2"],
+                      residual_norm=obj["residual_norm"],
+                      n_points=obj["n_points"],
+                      converged=obj.get("converged", True),
+                      start_index=obj.get("multistart_index", 0),
+                      warnings=tuple(obj.get("warnings", ())))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed fit report: {exc}") from None
-    raise DataError(f"unknown law {law!r} in fit report")

@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import DataError, NumericError
 
-DEFAULT_N_NEGATIVES = 256
 # Scores per kernel pass. Bounds the kernel's working set, which would
 # otherwise grow with the whole score file.
 KERNEL_CHUNK = 1 << 16
@@ -54,20 +53,12 @@ class QueryScoreRecord:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation protocol knobs: temperature, negative count, sampling seed."""
+    """Evaluation protocol knobs: the temperature scores are divided by."""
 
     temperature: Optional[float] = None
-    n_negatives: int = DEFAULT_N_NEGATIVES
-    rng_seed: int = 0
 
     def __post_init__(self):
-        if self.temperature is not None and not 0 < self.temperature < inf:
-            raise DataError(
-                f"temperature must be positive and finite, got {self.temperature}")
-        if self.n_negatives < 1:
-            raise DataError(f"n_negatives must be >= 1, got {self.n_negatives}")
-        if self.rng_seed < 0:
-            raise DataError(f"rng_seed must be nonnegative, got {self.rng_seed}")
+        _check_temperature(self.temperature)
 
 
 @dataclass(frozen=True)
@@ -112,6 +103,11 @@ class BatchQueryScores:
             )
 
 
+def _check_temperature(tau: Optional[float]):
+    if tau is not None and not 0 < tau < inf:
+        raise DataError(f"temperature must be positive and finite, got {tau}")
+
+
 def _check_scores(positive: float, negatives: Sequence[float],
                   tau: Optional[float]):
     if not negatives:
@@ -121,8 +117,7 @@ def _check_scores(positive: float, negatives: Sequence[float],
     for v in negatives:
         if not isfinite(v):
             raise DataError(f"non-finite negative score {v}")
-    if tau is not None and not tau > 0:
-        raise DataError(f"temperature must be positive, got {tau}")
+    _check_temperature(tau)
 
 
 def contrastive_entropy_records(records: Sequence[QueryScoreRecord],
@@ -138,11 +133,10 @@ def contrastive_entropy_records(records: Sequence[QueryScoreRecord],
     a value does not depend on the chunking.
 
     Raises:
-        DataError: a record without negatives, or tau <= 0.
+        DataError: a record without negatives, or tau not in (0, inf).
         NumericError: a scaled score or an entropy is not finite.
     """
-    if tau is not None and not tau > 0:
-        raise DataError(f"temperature must be positive, got {tau}")
+    _check_temperature(tau)
     out: list[float] = []
     chunk: list[QueryScoreRecord] = []
     size = 0
@@ -211,7 +205,7 @@ def contrastive_entropy_single(positive: float, negatives: Sequence[float],
     Args:
         positive: similarity score of the relevant document.
         negatives: similarity scores of the sampled negatives, nonempty.
-        tau: optional positive temperature.
+        tau: optional positive, finite temperature.
 
     Returns:
         -log(exp(s+) / (exp(s+) + sum_i exp(s-_i))) on the scaled scores.
@@ -219,7 +213,7 @@ def contrastive_entropy_single(positive: float, negatives: Sequence[float],
         softmax mass underflows double precision.
 
     Raises:
-        DataError: empty negatives, non-finite score, or tau <= 0.
+        DataError: empty negatives, non-finite score, or tau not in (0, inf).
         NumericError: the scaled scores or the entropy are not finite.
     """
     _check_scores(positive, negatives, tau)

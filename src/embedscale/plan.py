@@ -20,7 +20,7 @@ from math import isfinite, log, log1p, nextafter
 from typing import Optional, Sequence
 
 from .core import DataError
-from .fit import MILLION, JointLawFit, predict_joint
+from .fit import JOINT_LAW, MILLION, LawFit, predict
 
 REGIMES = ("exhaustive", "ann")
 _MAX_BISECTIONS = 1100
@@ -131,7 +131,7 @@ def round_params(n: float) -> float:
     return max(1e6, round(n / 1e6) * 1e6)
 
 
-def optimal_allocation(fit: JointLawFit, b: BudgetSpec) -> AllocationResult:
+def optimal_allocation(fit: LawFit, b: BudgetSpec) -> AllocationResult:
     """Minimize predicted entropy over the gamma split of one budget.
 
     The objective a*(c_D(1-gamma))^-alpha + b*(c_N gamma)^-beta + delta has
@@ -148,7 +148,7 @@ def optimal_allocation(fit: JointLawFit, b: BudgetSpec) -> AllocationResult:
             smallest allocation the rounding reports (N = 1e6, D = 8).
         NumericError: the law is not finite at the optimizer.
     """
-    if not isinstance(fit, JointLawFit):
+    if getattr(fit, "model", None) is not JOINT_LAW:
         raise DataError("optimal_allocation requires a joint-law fit")
     # round_params and round_dim never report less than N = 1e6 and D = 8.
     smallest = (flops_encode(1e6, b.query_tokens)
@@ -162,12 +162,13 @@ def optimal_allocation(fit: JointLawFit, b: BudgetSpec) -> AllocationResult:
     log_c_n = log(b.total_flops / (2.0 * b.query_tokens * MILLION))
     # Logs of a*alpha*c_D^-alpha and b*beta*c_N^-beta, the slope terms'
     # factors, summed term by term so that no product overflows.
-    k_d = log(fit.a_coeff) + log(fit.alpha) - fit.alpha * log_c_d
-    k_n = log(fit.b_coeff) + log(fit.beta) - fit.beta * log_c_n
+    a_coeff, b_coeff, alpha, beta, _ = fit.params
+    k_d = log(a_coeff) + log(alpha) - alpha * log_c_d
+    k_n = log(b_coeff) + log(beta) - beta * log_c_n
 
     def slope_nonnegative(gamma: float) -> bool:
-        return (k_d - (fit.alpha + 1.0) * log1p(-gamma)
-                - k_n + (fit.beta + 1.0) * log(gamma)) >= 0.0
+        return (k_d - (alpha + 1.0) * log1p(-gamma)
+                - k_n + (beta + 1.0) * log(gamma)) >= 0.0
 
     # When per_dim/B is below half an ulp of 1, the D = 1 end rounds to 1.0;
     # the largest double below 1 still gives D >= 1.
@@ -187,7 +188,7 @@ def optimal_allocation(fit: JointLawFit, b: BudgetSpec) -> AllocationResult:
 
     def objective(gamma: float) -> float:
         n, d = allocation_from_gamma(gamma, b)
-        return predict_joint(fit, d, n)
+        return predict(fit, d, n)
 
     value, gamma_hat = min((objective(g), g) for g in (lo, hi) if g > 0.0)
     n_hat, d_hat = allocation_from_gamma(gamma_hat, b)
@@ -208,7 +209,7 @@ def optimal_allocation(fit: JointLawFit, b: BudgetSpec) -> AllocationResult:
     )
 
 
-def budget_curve(fit: JointLawFit, b: BudgetSpec,
+def budget_curve(fit: LawFit, b: BudgetSpec,
                  dims: Sequence[float]) -> BudgetCurve:
     """Predicted entropy at each dimension when the leftover budget buys N.
 
@@ -220,7 +221,7 @@ def budget_curve(fit: JointLawFit, b: BudgetSpec,
         DataError: non-joint fit, empty dims, a dim < 1, or every dim
             infeasible.
     """
-    if not isinstance(fit, JointLawFit):
+    if getattr(fit, "model", None) is not JOINT_LAW:
         raise DataError("budget_curve requires a joint-law fit")
     if not len(dims):
         raise DataError("dims must be nonempty")
@@ -234,7 +235,7 @@ def budget_curve(fit: JointLawFit, b: BudgetSpec,
             skipped.append(d)
             continue
         n = (b.total_flops - score) / (2.0 * b.query_tokens)
-        points.append((d, predict_joint(fit, d, n)))
+        points.append((d, predict(fit, d, n)))
     if not points:
         raise DataError(
             f"all {len(dims)} dimensions infeasible for budget {b.total_flops}"

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import scipy.optimize
 
-from embedscale import (BudgetSpec, Observation, ObservationTable,
-                        budget_curve, contrastive_entropy_single,
-                        contrastive_loss_grad, filter_by, fit_dim_law,
-                        fit_joint_law, margin_mse, margin_mse_grad,
+from embedscale import (DIM_LAW, JOINT_LAW, BudgetSpec, Observation,
+                        ObservationTable, budget_curve,
+                        contrastive_entropy_single, contrastive_loss_grad,
+                        filter_by, fit_law, margin_mse, margin_mse_grad,
                         optimal_allocation)
 from embedscale.metrics import TeacherMargin
 
@@ -41,7 +41,7 @@ def bert_l8_series(bert_ms_table):
 def test_criterion_01_dim_law_refit(bert_ms_table):
     series = bert_l8_series(bert_ms_table)
     start = time.perf_counter()
-    fit = fit_dim_law(series)
+    fit = fit_law(series, DIM_LAW)
     elapsed = time.perf_counter() - start
     check(1, [
         (len(series) == 9, f"n_points={len(series)}"),
@@ -54,7 +54,7 @@ def test_criterion_01_dim_law_refit(bert_ms_table):
 
 
 def test_criterion_02_parameterization_cross_check(bert_ms_table):
-    fit = fit_dim_law(bert_l8_series(bert_ms_table))
+    fit = fit_law(bert_l8_series(bert_ms_table), DIM_LAW)
     a_prime = fit.a_coeff ** (1.0 / fit.alpha)
     rel = abs(a_prime - 9.76707) / 9.76707
     check(2, [
@@ -64,7 +64,7 @@ def test_criterion_02_parameterization_cross_check(bert_ms_table):
 
 def test_criterion_03_joint_refit_bert_msmarco(bert_ms_table):
     start = time.perf_counter()
-    fit = fit_joint_law(bert_ms_table)
+    fit = fit_law(bert_ms_table, JOINT_LAW)
     elapsed = time.perf_counter() - start
     check(3, [
         (len(bert_ms_table.model_names) == 7,
@@ -81,7 +81,7 @@ def test_criterion_03_joint_refit_bert_msmarco(bert_ms_table):
 
 
 def test_criterion_04_joint_refit_ettin_msmarco(ettin_ms_table):
-    fit = fit_joint_law(ettin_ms_table)
+    fit = fit_law(ettin_ms_table, JOINT_LAW)
     check(4, [
         (len(ettin_ms_table.model_names) == 6,
          f"models={len(ettin_ms_table.model_names)}"),
@@ -297,7 +297,7 @@ def test_criterion_09_engine_matches_grid_oracle():
     table = ObservationTable(tuple(
         Observation("synthetic", 1e7, d, "bench", y)
         for d, y in zip(dims, targets)))
-    engine = fit_dim_law(table).residual_norm
+    engine = fit_law(table, DIM_LAW).residual_norm
     oracle = grid_oracle_residual(dims, targets)
     check(9, [
         (engine <= oracle * (1.0 + 1e-6),
@@ -318,17 +318,17 @@ def test_criterion_10_cli_determinism(data_dir, tmp_path):
     report = str(data_dir / "fit_report_bert_trecdl.json")
     artifacts = [
         ("dim", ["fit", bert_csv, "--law", "dim", "--model",
-                 "BERT-L8-H512-A8", "--dataset", "msmarco", "--seed", "0"],
+                 "BERT-L8-H512-A8", "--dataset", "msmarco"],
          ["fit_report.json", "fit_curve.dat"]),
-        ("joint_bert", ["fit", bert_csv, "--law", "joint", "--seed", "0"],
+        ("joint_bert", ["fit", bert_csv, "--law", "joint"],
          ["fit_report.json", "fit_curve.dat"]),
-        ("joint_ettin", ["fit", ettin_csv, "--law", "joint", "--seed", "0"],
+        ("joint_ettin", ["fit", ettin_csv, "--law", "joint"],
          ["fit_report.json", "fit_curve.dat"]),
         ("plan_m1e7", ["plan", report, "--budget", "1e9", "--tokens", "32",
-                       "--corpus", "10000000", "--seed", "0"],
+                       "--corpus", "10000000"],
          ["plan_report.json"]),
         ("plan_m1e5", ["plan", report, "--budget", "1e9", "3.162e10",
-                       "--tokens", "32", "--corpus", "100000", "--seed", "0"],
+                       "--tokens", "32", "--corpus", "100000"],
          ["plan_report.json"]),
     ]
     clauses = []

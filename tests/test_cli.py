@@ -7,8 +7,7 @@ import sys
 import pytest
 
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
-                        fit_from_report, parse_score_records, predict_dim,
-                        predict_joint)
+                        fit_from_report, parse_score_records, predict)
 from embedscale.cli import _write_json, main
 
 
@@ -149,7 +148,7 @@ class TestFit:
         # Samples must lie on the reported law exactly.
         fit = fit_from_report(report)
         d, value = (float(tok) for tok in samples[0].split())
-        assert value == predict_dim(fit, d)
+        assert value == predict(fit, d)
 
     def test_joint_fit_curve_has_model_blocks(self, data_dir, tmp_path,
                                               capsys):
@@ -166,7 +165,7 @@ class TestFit:
             "--model", "BERT-L8-H512-A8", "--output-dir", str(tmp_path)],
             capsys)
         assert code == 2
-        assert "fit_dim_law" in err
+        assert "dim law" in err
         assert not list(tmp_path.iterdir())
 
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
@@ -211,7 +210,7 @@ class TestPredict:
                             "--params", "109482240"], capsys)
         assert code == 0
         fit = fit_from_report(json.loads(report_path.read_text()))
-        assert float(out) == predict_joint(fit, 512, 109482240)
+        assert float(out) == predict(fit, 512, 109482240)
 
     def test_joint_needs_params(self, data_dir, capsys):
         code, _, err = run(["predict",
@@ -226,6 +225,32 @@ class TestPredict:
                             "--dim", "0", "--params", "1e8"], capsys)
         assert code == 1
         assert ">= 1" in err
+
+
+MALFORMED_REPORTS = {
+    "deep nesting": lambda obj: "[" * 100_000,
+    "list parameters": lambda obj: json.dumps(dict(obj, parameters=[1, 2])),
+    "nan delta": lambda obj: json.dumps(
+        dict(obj, parameters=dict(obj["parameters"], delta=math.nan))),
+    "param_unit": lambda obj: json.dumps(
+        dict(obj, parameters=dict(obj["parameters"], param_unit="billions"))),
+}
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize("command", ["predict", "plan"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+    def test_is_data_error(self, data_dir, tmp_path, capsys, case, command):
+        obj = json.loads((data_dir / "fit_report_bert_trecdl.json").read_text())
+        path = tmp_path / "report.json"
+        path.write_text(MALFORMED_REPORTS[case](obj))
+        args = {"predict": ["--dim", "512", "--params", "1e8"],
+                "plan": ["--budget", "1e9", "--tokens", "32", "--corpus",
+                         "100000", "--output-dir", str(tmp_path / "out")]}
+        code, out, err = run([command, str(path), *args[command]], capsys)
+        assert code == 2, err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestPlan:
@@ -340,7 +365,7 @@ class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, data_dir, tmp_path,
                                                capsys):
         base = ["fit", str(data_dir / "obs_ettin_msmarco.csv"),
-                "--law", "joint", "--seed", "0"]
+                "--law", "joint"]
         run(base + ["--output-dir", str(tmp_path / "a")], capsys)
         run(base + ["--output-dir", str(tmp_path / "b")], capsys)
         for name in ("fit_report.json", "fit_curve.dat"):

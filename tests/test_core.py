@@ -51,10 +51,6 @@ class TestParse:
         with pytest.raises(DataError, match="line 2.*fields"):
             parse_observations(HEADER + "\nm,1e6,32,ms\n")
 
-    def test_unsupported_format(self):
-        with pytest.raises(DataError, match="unsupported format"):
-            parse_observations(HEADER + "\nm,1e6,32,ms,0.5\n", fmt="tsv")
-
     def test_fixture_counts(self, bert_ms_table, ettin_ms_table):
         assert len(bert_ms_table) == 58
         assert len(bert_ms_table.model_names) == 7

@@ -3,15 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from embedscale import (DIM_LAW, JOINT_LAW, DataError, DimLawFit, FitOptions,
-                        JointLawFit, NumericError, Observation,
-                        ObservationTable, filter_by,
-                        fit_dim_law, fit_from_report, fit_joint_law,
-                        fit_to_report, least_squares, parse_observations,
-                        predict_dim, predict_joint, r_squared)
+from embedscale import (DIM_LAW, JOINT_LAW, DataError, FitOptions, LawFit,
+                        NumericError, Observation, ObservationTable,
+                        filter_by, fit_from_report, fit_law, fit_to_report,
+                        least_squares, parse_observations, predict,
+                        r_squared)
 from embedscale.fit import (COST_REL_TOL, DELTA_EPS, LAMBDA_INIT, LAMBDA_MAX,
                             STOP_REASONS, _descend)
 
@@ -150,7 +149,7 @@ def joint_table(a, b, alpha, beta, delta):
 
 class TestDimRecovery:
     def test_noiseless_exact(self):
-        fit = fit_dim_law(dim_table(100.0, 1.5, 0.1))
+        fit = fit_law(dim_table(100.0, 1.5, 0.1), DIM_LAW)
         assert fit.a_coeff == pytest.approx(100.0, rel=1e-6)
         assert fit.alpha == pytest.approx(1.5, rel=1e-6)
         assert fit.delta == pytest.approx(0.1, rel=1e-6)
@@ -160,9 +159,9 @@ class TestDimRecovery:
 
     def test_refit_on_own_predictions_is_fixed_point(self):
         noise = 1.0 + 0.01 * np.random.default_rng(7).standard_normal(len(DIMS))
-        first = fit_dim_law(dim_table(100.0, 1.5, 0.1, noise=noise))
-        second = fit_dim_law(
-            dim_table(first.a_coeff, first.alpha, first.delta))
+        first = fit_law(dim_table(100.0, 1.5, 0.1, noise=noise), DIM_LAW)
+        second = fit_law(dim_table(first.a_coeff, first.alpha, first.delta),
+                         DIM_LAW)
         assert second.a_coeff == pytest.approx(first.a_coeff, rel=1e-6)
         assert second.alpha == pytest.approx(first.alpha, rel=1e-6)
         assert second.delta == pytest.approx(first.delta, rel=1e-6)
@@ -171,7 +170,7 @@ class TestDimRecovery:
         # The winning fit may never be worse than any untouched start.
         noise = 1.0 + 0.05 * np.random.default_rng(11).standard_normal(len(DIMS))
         table = dim_table(50.0, 1.2, 0.05, noise=noise)
-        fit = fit_dim_law(table)
+        fit = fit_law(table, DIM_LAW)
         d = np.asarray([row.embed_dim for row in table], dtype=float)
         y = np.asarray([row.entropy for row in table])
         fitted_cost = fit.residual_norm ** 2
@@ -182,7 +181,7 @@ class TestDimRecovery:
 
     def test_alternative_parameterization_identity(self):
         # a / d^alpha == (a' / d)^alpha with a' = a^(1/alpha).
-        fit = fit_dim_law(dim_table(100.0, 1.5, 0.1))
+        fit = fit_law(dim_table(100.0, 1.5, 0.1), DIM_LAW)
         a_prime = fit.a_coeff ** (1.0 / fit.alpha)
         assert a_prime ** fit.alpha == pytest.approx(fit.a_coeff, rel=1e-9)
         for d in (48, 512, 10000):
@@ -193,20 +192,20 @@ class TestDimRecovery:
 
 class TestJointRecovery:
     def test_noiseless_exact(self):
-        fit = fit_joint_law(joint_table(80.0, 2.0, 1.4, 0.9, 0.05))
+        fit = fit_law(joint_table(80.0, 2.0, 1.4, 0.9, 0.05), JOINT_LAW)
         assert fit.a_coeff == pytest.approx(80.0, rel=1e-5)
         assert fit.b_coeff == pytest.approx(2.0, rel=1e-5)
         assert fit.alpha == pytest.approx(1.4, rel=1e-5)
         assert fit.beta == pytest.approx(0.9, rel=1e-5)
         assert fit.delta == pytest.approx(0.05, rel=1e-5)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert fit.param_unit == "millions"
+        assert fit_to_report(fit)["parameters"]["param_unit"] == "millions"
 
     def test_param_unit_is_millions(self):
         # b_coeff is calibrated against n_params / 1e6, so a model listed
         # at 40e6 raw parameters contributes b / 40^beta.
-        fit = fit_joint_law(joint_table(80.0, 2.0, 1.4, 0.9, 0.05))
-        value = predict_joint(fit, 128, 40e6)
+        fit = fit_law(joint_table(80.0, 2.0, 1.4, 0.9, 0.05), JOINT_LAW)
+        value = predict(fit, 128, 40e6)
         expected = (fit.a_coeff / 128 ** fit.alpha
                     + fit.b_coeff / 40.0 ** fit.beta + fit.delta)
         assert value == pytest.approx(expected, rel=1e-15)
@@ -215,101 +214,99 @@ class TestJointRecovery:
 class TestTableGuards:
     def test_under_determined_dim(self):
         with pytest.raises(DataError, match="under-determined"):
-            fit_dim_law(dim_table(100.0, 1.5, 0.1, dims=(32, 64, 128)))
+            fit_law(dim_table(100.0, 1.5, 0.1, dims=(32, 64, 128)), DIM_LAW)
 
     def test_under_determined_joint(self):
         rows = tuple(Observation(f"m{n}", n * 1e6, d, "bench", 0.5 + d * 1e-4)
                      for n, d in ((5, 32), (5, 64), (40, 32), (40, 64),
                                   (40, 128)))
         with pytest.raises(DataError, match="under-determined"):
-            fit_joint_law(ObservationTable(rows))
+            fit_law(ObservationTable(rows), JOINT_LAW)
 
     def test_dim_law_rejects_mixed_models(self, bert_ms_table):
         with pytest.raises(DataError, match="mixed models"):
-            fit_dim_law(bert_ms_table)
+            fit_law(bert_ms_table, DIM_LAW)
 
     def test_mixed_datasets_rejected(self, bert_ms_table, bert_trec_table):
         merged = ObservationTable(bert_ms_table.rows + bert_trec_table.rows)
         with pytest.raises(DataError, match="mixed datasets"):
-            fit_joint_law(merged)
+            fit_law(merged, JOINT_LAW)
 
     def test_joint_law_rejects_single_model(self, bert_ms_table):
         one = filter_by(bert_ms_table, model_name="BERT-L8-H512-A8",
                         dataset="msmarco")
-        with pytest.raises(DataError, match="fit_dim_law"):
-            fit_joint_law(one)
+        with pytest.raises(DataError, match="dim law"):
+            fit_law(one, JOINT_LAW)
 
 
 class TestPrediction:
     def test_curve_is_decreasing_and_convex(self):
-        fit = DimLawFit(a_coeff=100.0, alpha=1.5, delta=0.1, r2=1.0,
-                        residual_norm=0.0, n_points=7)
+        fit = LawFit(DIM_LAW, (100.0, 1.5, 0.1), r2=1.0, residual_norm=0.0,
+                     n_points=7)
         dims = np.geomspace(8, 8192, 40)
-        values = [predict_dim(fit, d) for d in dims]
+        values = [predict(fit, d) for d in dims]
         assert all(a > b for a, b in zip(values, values[1:]))
         # Convex in d: second differences on a uniform grid are positive.
-        uniform = [predict_dim(fit, d) for d in range(8, 200)]
+        uniform = [predict(fit, d) for d in range(8, 200)]
         second = [uniform[i - 1] - 2 * uniform[i] + uniform[i + 1]
                   for i in range(1, len(uniform) - 1)]
         assert all(s > 0 for s in second)
 
     def test_asymptote_is_delta(self):
-        fit = DimLawFit(a_coeff=100.0, alpha=1.5, delta=0.1, r2=1.0,
-                        residual_norm=0.0, n_points=7)
-        assert abs(predict_dim(fit, 1e12) - 0.1) < 1e-9 * fit.a_coeff
+        fit = LawFit(DIM_LAW, (100.0, 1.5, 0.1), r2=1.0, residual_norm=0.0,
+                     n_points=7)
+        assert abs(predict(fit, 1e12) - 0.1) < 1e-9 * fit.a_coeff
 
     def test_halving_law_at_unit_exponent(self):
-        fit = DimLawFit(a_coeff=10.0, alpha=1.0, delta=0.0, r2=1.0,
-                        residual_norm=0.0, n_points=7)
-        assert predict_dim(fit, 256) == pytest.approx(
-            predict_dim(fit, 128) / 2, rel=1e-12)
+        fit = LawFit(DIM_LAW, (10.0, 1.0, 0.0), r2=1.0, residual_norm=0.0,
+                     n_points=7)
+        assert predict(fit, 256) == pytest.approx(
+            predict(fit, 128) / 2, rel=1e-12)
 
     def test_joint_asymptote_is_delta(self):
-        fit = JointLawFit(a_coeff=100.0, b_coeff=2.0, alpha=1.5, beta=0.9,
-                          delta=0.07, r2=1.0, residual_norm=0.0, n_points=21)
-        assert predict_joint(fit, 1e12, 1e18) == pytest.approx(0.07, abs=1e-9)
+        fit = LawFit(JOINT_LAW, (100.0, 2.0, 1.5, 0.9, 0.07), r2=1.0,
+                     residual_norm=0.0, n_points=21)
+        assert predict(fit, 1e12, 1e18) == pytest.approx(0.07, abs=1e-9)
 
     def test_dim_example_value(self):
-        fit = DimLawFit(a_coeff=9.76707 ** 1.76001, alpha=1.76001,
-                        delta=0.023525, r2=1.0, residual_norm=0.0, n_points=7)
-        assert abs(predict_dim(fit, 512) - 0.024846) < 0.002
+        fit = LawFit(DIM_LAW, (9.76707 ** 1.76001, 1.76001, 0.023525), r2=1.0,
+                     residual_norm=0.0, n_points=7)
+        assert abs(predict(fit, 512) - 0.024846) < 0.002
 
     def test_joint_example_value(self):
-        fit = JointLawFit(a_coeff=114.887, b_coeff=0.800, alpha=1.887,
-                          beta=1.247, delta=0.013, r2=1.0, residual_norm=0.0,
-                          n_points=58)
-        assert abs(predict_joint(fit, 512, 41373184) - 0.024846) < 0.005
+        fit = LawFit(JOINT_LAW, (114.887, 0.800, 1.887, 1.247, 0.013), r2=1.0,
+                     residual_norm=0.0, n_points=58)
+        assert abs(predict(fit, 512, 41373184) - 0.024846) < 0.005
 
     def test_positive_domain_enforced(self):
-        fit = DimLawFit(a_coeff=1.0, alpha=1.0, delta=0.0, r2=1.0,
-                        residual_norm=0.0, n_points=7)
+        fit = LawFit(DIM_LAW, (1.0, 1.0, 0.0), r2=1.0, residual_norm=0.0,
+                     n_points=7)
         with pytest.raises(DataError):
-            predict_dim(fit, 0)
-        jfit = JointLawFit(a_coeff=1.0, b_coeff=1.0, alpha=1.0, beta=1.0,
-                           delta=0.0, r2=1.0, residual_norm=0.0, n_points=21)
+            predict(fit, 0)
+        jfit = LawFit(JOINT_LAW, (1.0, 1.0, 1.0, 1.0, 0.0), r2=1.0,
+                      residual_norm=0.0, n_points=21)
         with pytest.raises(DataError):
-            predict_joint(jfit, 128, 0)
+            predict(jfit, 128, 0)
 
     def test_non_finite_value_is_numeric_error(self):
         # 1e4**300 overflows, 1e-4**300 underflows to 0, and 1e308 + 1e308
         # is inf; none may escape as OverflowError or ZeroDivisionError.
-        fit = DimLawFit(a_coeff=1e308, alpha=300.0, delta=0.0, r2=1.0,
-                        residual_norm=0.0, n_points=7)
-        jfit = JointLawFit(a_coeff=1e308, b_coeff=1e308, alpha=300.0,
-                           beta=1.0, delta=0.0, r2=1.0, residual_norm=0.0,
-                           n_points=21)
+        fit = LawFit(DIM_LAW, (1e308, 300.0, 0.0), r2=1.0, residual_norm=0.0,
+                     n_points=7)
+        jfit = LawFit(JOINT_LAW, (1e308, 1e308, 300.0, 1.0, 0.0), r2=1.0,
+                      residual_norm=0.0, n_points=21)
         for d in (1e4, 1e-4):
             with pytest.raises(NumericError):
-                predict_dim(fit, d)
+                predict(fit, d)
             with pytest.raises(NumericError):
-                predict_joint(jfit, d, 1e8)
+                predict(jfit, d, 1e8)
         with pytest.raises(NumericError):
-            predict_joint(jfit, 1.0, 1e6)
+            predict(jfit, 1.0, 1e6)
 
     def test_fractional_dimension_accepted(self):
-        fit = DimLawFit(a_coeff=8.0, alpha=1.0, delta=0.0, r2=1.0,
-                        residual_norm=0.0, n_points=7)
-        assert predict_dim(fit, 2.5) == pytest.approx(3.2, rel=1e-15)
+        fit = LawFit(DIM_LAW, (8.0, 1.0, 0.0), r2=1.0, residual_norm=0.0,
+                     n_points=7)
+        assert predict(fit, 2.5) == pytest.approx(3.2, rel=1e-15)
 
 
 class TestRSquared:
@@ -366,40 +363,65 @@ class TestEngine:
         table = dim_table(100.0, 1.5, 0.1, noise=noise)
         far = (math.log(1e6), math.log(3.0), math.log(1e-9))
         opts = FitOptions(max_iters=3, multistart_grid=(far,))
-        fit = fit_dim_law(table, opts)
+        fit = fit_law(table, DIM_LAW, opts)
         assert not fit.converged
         assert any("did not converge" in w for w in fit.warnings)
 
     def test_delta_warning_on_low_floor(self, bert_ms_table):
         series = filter_by(bert_ms_table, model_name="BERT-L8-H512-A8",
                            dataset="msmarco")
-        fit = fit_dim_law(series)
+        fit = fit_law(series, DIM_LAW)
         assert fit.converged
         assert any("smallest observed entropy" in w for w in fit.warnings)
 
 
+JOINT_FIT = LawFit(JOINT_LAW, (80.0, 2.0, 1.4, 0.9, 0.05), r2=0.99,
+                   residual_norm=0.1, n_points=21)
+DIM_FIT = LawFit(DIM_LAW, (100.0, 1.5, 0.1), r2=0.9, residual_norm=0.1,
+                 n_points=7)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def mutated_reports(draw):
+    """A valid report of either law with some keys, or parameters, changed or dropped."""
+    report = fit_to_report(draw(st.sampled_from([JOINT_FIT, DIM_FIT])))
+    for target in (report["parameters"], report):
+        for key in draw(st.lists(st.sampled_from(sorted(target)), max_size=3,
+                                 unique=True)):
+            if draw(st.booleans()):
+                del target[key]
+            else:
+                target[key] = draw(JSON_VALUES)
+    return report
+
+
 class TestReportRoundTrip:
     def test_dim_round_trip(self):
-        fit = fit_dim_law(dim_table(100.0, 1.5, 0.1))
+        fit = fit_law(dim_table(100.0, 1.5, 0.1), DIM_LAW)
         restored = fit_from_report(fit_to_report(fit))
         assert restored == fit
 
     def test_joint_round_trip(self):
-        fit = fit_joint_law(joint_table(80.0, 2.0, 1.4, 0.9, 0.05))
+        fit = fit_law(joint_table(80.0, 2.0, 1.4, 0.9, 0.05), JOINT_LAW)
         restored = fit_from_report(fit_to_report(fit))
         assert restored == fit
 
     def test_options_echoed(self):
-        opts = FitOptions(max_iters=200, seed=5)
-        report = fit_to_report(fit_dim_law(dim_table(100.0, 1.5, 0.1), opts),
-                               opts)
+        opts = FitOptions(max_iters=200)
+        report = fit_to_report(
+            fit_law(dim_table(100.0, 1.5, 0.1), DIM_LAW, opts), opts)
         assert report["options"]["max_iters"] == 200
-        assert report["options"]["seed"] == 5
         assert report["law"] == "dim"
 
     def test_fixture_report_loads(self, bert_trec_joint_fit):
-        assert isinstance(bert_trec_joint_fit, JointLawFit)
-        assert bert_trec_joint_fit.param_unit == "millions"
+        assert bert_trec_joint_fit.model is JOINT_LAW
+        assert (fit_to_report(bert_trec_joint_fit)["parameters"]["param_unit"]
+                == "millions")
         assert bert_trec_joint_fit.n_points == 58
 
     def test_malformed_report(self):
@@ -407,6 +429,16 @@ class TestReportRoundTrip:
             fit_from_report({"law": "cubic", "parameters": {}})
         with pytest.raises(DataError):
             fit_from_report({"law": "dim", "parameters": {"a_coeff": 1.0}})
+
+    @settings(max_examples=40, deadline=None)
+    @given(obj=st.one_of(JSON_VALUES, mutated_reports()))
+    @example(obj=dict(fit_to_report(JOINT_FIT), parameters=[1, 2]))
+    def test_reader_returns_fit_or_data_error(self, obj):
+        try:
+            fit = fit_from_report(obj)
+        except DataError:
+            return
+        assert isinstance(fit, LawFit)
 
 
 class TestBatchedEngine:

@@ -110,6 +110,14 @@ class TestEntropySingle:
         with pytest.raises(DataError, match="temperature"):
             contrastive_entropy_single(1.0, [0.0], tau=0.0)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(DataError, match="temperature"):
+            contrastive_entropy_single(0.5, [0.1], tau=tau)
+        with pytest.raises(DataError, match="temperature"):
+            contrastive_entropy_records([QueryScoreRecord("q", (0.5,), (0.1,))],
+                                        tau)
+
     @given(pos=finite_scores,
            negs=st.lists(finite_scores, min_size=1, max_size=40))
     def test_matches_decimal_oracle(self, pos, negs):
@@ -346,6 +354,11 @@ class TestLosses:
         with pytest.raises(NumericError, match="not finite"):
             contrastive_loss_grad(pos, negs, tau=1e-310)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0])
+    def test_contrastive_grad_bad_tau_rejected(self, tau):
+        with pytest.raises(DataError, match="temperature"):
+            contrastive_loss_grad(0.5, [0.1], tau=tau)
+
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(5)
         h = 1e-5
@@ -550,5 +563,3 @@ class TestScoreRecordParsing:
         for tau in (math.inf, math.nan):
             with pytest.raises(DataError, match="temperature"):
                 EvalConfig(temperature=tau)
-        with pytest.raises(DataError):
-            EvalConfig(n_negatives=0)

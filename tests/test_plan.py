@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedscale import (AllocationResult, BudgetSpec, DataError, DimLawFit,
-                        JointLawFit, allocation_from_gamma, budget_curve,
-                        flops_encode, flops_score, optimal_allocation,
-                        predict_joint, round_dim, round_params)
+from embedscale import (DIM_LAW, JOINT_LAW, AllocationResult, BudgetSpec,
+                        DataError, LawFit, allocation_from_gamma, budget_curve,
+                        flops_encode, flops_score, optimal_allocation, predict,
+                        round_dim, round_params)
 
-FIT = JointLawFit(a_coeff=85.54365872631361, b_coeff=2.5888474911923605,
-                  alpha=1.316978841505815, beta=0.9617863677214957,
-                  delta=0.29587339878428, r2=0.9865062029408167,
-                  residual_norm=0.18, n_points=58)
+FIT = LawFit(JOINT_LAW, (85.54365872631361, 2.5888474911923605,
+                         1.316978841505815, 0.9617863677214957,
+                         0.29587339878428),
+             r2=0.9865062029408167, residual_norm=0.18, n_points=58)
 
 
 class TestFlops:
@@ -104,14 +104,14 @@ class TestOptimalAllocation:
         # The optimizer's entropy can never exceed any grid evaluation.
         for gamma in (0.1, 0.3, 0.5, 0.7, 0.9):
             n, d = allocation_from_gamma(gamma, b)
-            assert result.predicted_entropy <= predict_joint(FIT, d, n) + 1e-15
+            assert result.predicted_entropy <= predict(FIT, d, n) + 1e-15
 
     def test_entropy_matches_raw_allocation(self):
         b = BudgetSpec(total_flops=1e10, query_tokens=32,
                        corpus_size=10_000_000)
         result = optimal_allocation(FIT, b)
         assert result.predicted_entropy == pytest.approx(
-            predict_joint(FIT, result.d_hat, result.n_hat), rel=1e-12)
+            predict(FIT, result.d_hat, result.n_hat), rel=1e-12)
         assert result.enc_flops + result.score_flops == pytest.approx(
             b.total_flops, rel=1e-12)
 
@@ -119,8 +119,8 @@ class TestOptimalAllocation:
         # With no dimension penalty the whole budget should go to the
         # encoder, so the optimizer lands on the D = 1 end of the feasible
         # interval.
-        flat = JointLawFit(a_coeff=1e-30, b_coeff=1.0, alpha=1.0, beta=1.0,
-                           delta=0.1, r2=1.0, residual_norm=0.0, n_points=21)
+        flat = LawFit(JOINT_LAW, (1e-30, 1.0, 1.0, 1.0, 0.1), r2=1.0,
+                      residual_norm=0.0, n_points=21)
         b = BudgetSpec(total_flops=1e10, query_tokens=32, corpus_size=1000)
         result = optimal_allocation(flat, b)
         assert result.gamma == 1.0 - flops_score(1000, 1) / b.total_flops
@@ -134,8 +134,8 @@ class TestOptimalAllocation:
         # Under ANN with M = 2 one dimension costs 2 ln 2 FLOPs, so at
         # B = 1e17 the D = 1 end 1 - 2 ln 2 / B rounds to 1.0; the search
         # must stop at the largest double below 1 instead.
-        flat = JointLawFit(a_coeff=1e-30, b_coeff=1.0, alpha=1.0, beta=1.0,
-                           delta=0.1, r2=1.0, residual_norm=0.0, n_points=21)
+        flat = LawFit(JOINT_LAW, (1e-30, 1.0, 1.0, 1.0, 0.1), r2=1.0,
+                      residual_norm=0.0, n_points=21)
         b = BudgetSpec(total_flops=1e17, query_tokens=32, corpus_size=2,
                        regime="ann")
         result = optimal_allocation(flat, b)
@@ -148,11 +148,10 @@ class TestOptimalAllocation:
         # M = 1e9 its optimum lies within 1.2e-4 of gamma = 1 (4.1e-5 at
         # B = 1e13), closer than a 4096-point grid reaches; the scan crowds
         # points toward both ends of (0, 1).
-        fit = JointLawFit(a_coeff=114.88744218701746,
-                          b_coeff=0.8007805510970095,
-                          alpha=1.8873265665111827, beta=1.2473141383056303,
-                          delta=0.0137771781108527, r2=0.99,
-                          residual_norm=0.0, n_points=58)
+        fit = LawFit(JOINT_LAW, (114.88744218701746, 0.8007805510970095,
+                                 1.8873265665111827, 1.2473141383056303,
+                                 0.0137771781108527),
+                     r2=0.99, residual_norm=0.0, n_points=58)
         b = BudgetSpec(total_flops=budget, query_tokens=32,
                        corpus_size=10 ** 9, regime="ann")
         result = optimal_allocation(fit, b)
@@ -221,8 +220,8 @@ class TestOptimalAllocation:
         b = BudgetSpec(total_flops=1e9, query_tokens=32, corpus_size=100)
         with pytest.raises(DataError, match="joint"):
             optimal_allocation("not a fit", b)
-        dim_only = DimLawFit(a_coeff=1.0, alpha=1.0, delta=0.1, r2=1.0,
-                             residual_norm=0.0, n_points=9)
+        dim_only = LawFit(DIM_LAW, (1.0, 1.0, 0.1), r2=1.0, residual_norm=0.0,
+                          n_points=9)
         with pytest.raises(DataError, match="joint"):
             optimal_allocation(dim_only, b)
 
@@ -235,7 +234,7 @@ class TestBudgetCurve:
         n = (1e9 - 6.4e8) / 64.0
         assert d == 32
         assert n == 5.625e6
-        assert entropy == pytest.approx(predict_joint(FIT, 32, n), rel=1e-15)
+        assert entropy == pytest.approx(predict(FIT, 32, n), rel=1e-15)
 
     def test_infeasible_dims_skipped(self):
         b = BudgetSpec(total_flops=1e9, query_tokens=32, corpus_size=10_000_000)
