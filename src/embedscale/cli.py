@@ -5,8 +5,10 @@ content hashes, echoed options, tool version) in its JSON report; curve
 files reference that report by name. Writes go through a temp file and
 os.replace, so a failed run leaves nothing partial behind. Identical
 inputs produce byte-identical outputs regardless of output directory.
-Both laws go through the same commands: --law names one of fit.LAWS, and
-predict and plan read either law's report through one reader.
+Both laws go through the same commands: --law names one of law.LAWS, and
+predict and plan read either law's report through one reader. Only fit
+and eval-ce load the numpy modules (fit, metrics), when they run, so
+predict, plan, sweep-dims and --version start without numpy.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -23,15 +25,10 @@ from dataclasses import asdict
 from fractions import Fraction
 from math import fsum
 
-import numpy as np
-
 from . import __version__
 from .core import (DataError, NumericError, SweepConfig, expand_sweep,
                    filter_by, parse_observations)
-from .fit import (JOINT_LAW, LAWS, FitOptions, fit_from_report, fit_law,
-                  fit_to_report, predict)
-from .metrics import (EvalConfig, contrastive_entropy_records,
-                      parse_score_records)
+from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
 from .plan import BudgetSpec, budget_curve, optimal_allocation
 
 CURVE_SAMPLES = 100
@@ -108,6 +105,8 @@ def _fmt(value: float) -> str:
 
 
 def cmd_eval_ce(args) -> int:
+    from .metrics import (EvalConfig, contrastive_entropy_records,
+                          parse_score_records)
     cfg = EvalConfig(temperature=args.tau)
     text = _read_text(args.scores)
     records = parse_score_records(text)
@@ -151,6 +150,7 @@ def _read_fit(path: str):
 
 def _curve_blocks(fit, table) -> list[str]:
     """Each model's fitted curve; a joint-law block names its model."""
+    import numpy as np
     blocks = []
     for name in table.model_names:
         rows = [r for r in table if r.model_name == name]
@@ -168,6 +168,7 @@ def _curve_blocks(fit, table) -> list[str]:
 
 
 def cmd_fit(args) -> int:
+    from .fit import FitOptions, fit_law
     table = _resolve_table(args.observations, args.model, args.dataset)
     opts = FitOptions()
     fit = fit_law(table, LAWS[args.law], opts)

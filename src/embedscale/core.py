@@ -118,6 +118,13 @@ class SweepConfig:
                 raise DataError(f"multipliers must be positive, got {phi}")
 
 
+def _csv_fields(lineno: int, line: str) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:    # e.g. a bare carriage return inside a line
+        raise DataError(f"line {lineno}: {exc}") from None
+
+
 def parse_observations(text) -> ObservationTable:
     """Parse an observation table from CSV text.
 
@@ -147,7 +154,7 @@ def parse_observations(text) -> ObservationTable:
         raise DataError("empty table: no header row")
 
     header_line = numbered[0][1]
-    header = next(csv.reader([header_line]))
+    header = _csv_fields(numbered[0][0], header_line)
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise DataError(
             f"line {numbered[0][0]}: expected header {','.join(CSV_HEADER)!r}, "
@@ -156,7 +163,7 @@ def parse_observations(text) -> ObservationTable:
 
     rows = []
     for lineno, line in numbered[1:]:
-        fields = next(csv.reader([line]))
+        fields = _csv_fields(lineno, line)
         if len(fields) != len(CSV_HEADER):
             raise DataError(
                 f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(fields)}"

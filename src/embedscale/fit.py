@@ -1,42 +1,32 @@
-"""Scaling-law models and the nonlinear least-squares engine behind them.
+"""How a law of embedscale.law is fitted: its array math and the engine.
 
-Both laws are one model over K inputs,
-
-  L(x) = sum_k c_k / x_k^e_k + delta
-
-with K = 1 for the dimension-only law, L(D) = A / D^alpha + delta, and
-K = 2 for the joint law, L(D, N) = A / D^alpha + B / (N/1e6)^beta + delta.
-
-The two laws share one record, LawFit, one fit function, fit_law, and one
-evaluator, predict; LAWS looks a law up by the name its reports carry.
-
-Residuals are taken in raw (linear) entropy space, unweighted. Positivity
-of every parameter is enforced by optimizing logarithms; the floor term
-uses log(delta + 1e-9) so delta = 0 stays reachable. The engine is a damped
-Gauss-Newton (Levenberg-Marquardt) iteration with an analytic Jacobian,
-run from every start of a deterministic multistart grid at once: residuals,
-Jacobians and normal equations are stacked over the starts, each damping
-round is one batched solve, and each start keeps its own damping, stop
-test and iteration count, so it descends exactly as it would alone.
-Repeated fits of the same table are bit-identical.
+Residuals are taken in raw entropy space, unweighted. The engine works on
+log-space vectors t = (log c_1..c_K, log e_1..e_K, log(delta + 1e-9)), so
+every parameter stays positive and delta = 0 stays reachable. It runs a
+damped Gauss-Newton (Levenberg-Marquardt) iteration with an analytic
+Jacobian from every start of a deterministic multistart grid at once:
+residuals, Jacobians and normal equations are stacked over the starts,
+each damping round is one batched solve, and each start keeps its own
+damping, stop test, iteration count and last accepted power terms, so it
+descends exactly as it would alone. Repeated fits are bit-identical.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import fsum, inf, isfinite, sqrt
+from math import sqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DataError, NumericError, ObservationTable
+from .core import DataError, ObservationTable
+from .law import MILLION, LawFit, PowerLaw, r_squared
 
 DELTA_EPS = 1e-9         # offset inside log(delta + eps); keeps delta=0 reachable
 COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
-MILLION = 1e6
 
 # Why a start stopped, indexed by the codes the engine keeps per start.
 STOP_REASONS = ("non-finite start", "non-finite jacobian",
@@ -71,89 +61,71 @@ class ConvergenceReport:
     n_starts: int
 
 
-@dataclass(frozen=True)
-class PowerLaw:
-    """L(x) = sum_k c_k * x_k^(-e_k) + delta over K inputs.
+def _prepare(model: PowerLaw, x: Sequence) -> np.ndarray:
+    """The caller's inputs (scalars for K = 1, K-tuples otherwise) as a (K, n) array."""
+    cols = np.asarray(x, dtype=float).reshape(len(x), -1).T
+    if cols.shape[0] != model.n_terms:
+        raise DataError(f"{model.name} law takes {model.n_terms} input(s) per target")
+    if not (np.all(cols[0] >= 1) and np.all(cols[1:] > 0)):
+        raise DataError(f"{model.name} law inputs need dimension >= 1 "
+                        "and every other input > 0")
+    return cols
 
-    The first input is the embedding dimension (>= 1); any others are
-    positive. The engine works on log-space vectors
-    t = (log c_1..c_K, log e_1..e_K, log(delta + DELTA_EPS)), and
-    param_names names the natural parameters in that order.
+
+def _decode(t: Sequence[float]) -> tuple[float, ...]:
+    """Natural parameters, in param_names order, of one log-space vector."""
+    natural = np.exp(np.asarray(t, dtype=float))
+    natural[-1] -= DELTA_EPS
+    return tuple(map(float, natural))
+
+
+def _values(model: PowerLaw, params: Sequence[float], x) -> np.ndarray:
+    """The law at prepared inputs x; a 1-d x is the single input of K = 1."""
+    k = model.n_terms
+    value = sum(params[i] * xk ** (-params[k + i])
+                for i, xk in enumerate(np.atleast_2d(x)))
+    return value + params[-1]
+
+
+def _default_starts(model: PowerLaw, x, y) -> np.ndarray:
+    """The 3^(2K+1) grid of log-space starts, one row per start.
+
+    Each c_k is scaled so that c_k / x_k has the data's magnitude at the
+    geometric mean of x_k; exponents take 0.5, 1 and 2; delta takes 0,
+    half and 0.99 of the smallest target.
     """
-
-    name: str
-    param_names: tuple[str, ...]
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.param_names) // 2
-
-    def prepare(self, x: Sequence) -> np.ndarray:
-        """The caller's inputs (scalars for K = 1, K-tuples otherwise) as a (K, n) array."""
-        cols = np.asarray(x, dtype=float).reshape(len(x), -1).T
-        if cols.shape[0] != self.n_terms:
-            raise DataError(f"{self.name} law takes {self.n_terms} input(s) per target")
-        if not (np.all(cols[0] >= 1) and np.all(cols[1:] > 0)):
-            raise DataError(f"{self.name} law inputs need dimension >= 1 "
-                            "and every other input > 0")
-        return cols
-
-    def decode(self, t: Sequence[float]) -> tuple[float, ...]:
-        """Natural parameters, in param_names order, of one log-space vector."""
-        natural = np.exp(np.asarray(t, dtype=float))
-        natural[-1] -= DELTA_EPS
-        return tuple(map(float, natural))
-
-    def predict(self, params: Sequence[float], x) -> np.ndarray:
-        """The law at prepared inputs x; a 1-d x is the single input of K = 1."""
-        k = self.n_terms
-        value = sum(params[i] * xk ** (-params[k + i])
-                    for i, xk in enumerate(np.atleast_2d(x)))
-        return value + params[-1]
-
-    def default_starts(self, x, y) -> np.ndarray:
-        """The 3^(2K+1) grid of log-space starts, one row per start.
-
-        Each c_k is scaled so that c_k / x_k has the data's magnitude at the
-        geometric mean of x_k; exponents take 0.5, 1 and 2; delta takes 0,
-        half and 0.99 of the smallest target.
-        """
-        y = np.asarray(y, dtype=float)
-        ymin = float(np.min(y))
-        axes = []
-        for xk in np.atleast_2d(x):
-            base = max(float(np.mean(y)) * float(np.exp(np.mean(np.log(xk)))), 1e-12)
-            axes.append(np.log([0.1 * base, base, 10.0 * base]))
-        axes += [np.log([0.5, 1.0, 2.0])] * self.n_terms
-        axes.append(np.log(np.array([0.0, ymin / 2.0, 0.99 * ymin]) + DELTA_EPS))
-        return np.array(list(itertools.product(*axes)))
-
-    def _terms(self, t: np.ndarray, x: np.ndarray):
-        """exp(t) and the terms c_k * x_k^(-e_k), shape (S, K, n), of each start."""
-        k = self.n_terms
-        natural = np.exp(t)
-        return natural, natural[:, :k, None] * x ** (-natural[:, k:2 * k, None])
-
-    def residuals(self, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Model minus targets for each start in t (S, p): shape (S, n)."""
-        natural, terms = self._terms(t, x)
-        return terms.sum(axis=1) + (natural[:, -1:] - DELTA_EPS) - y
-
-    def jacobian(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """d residual / d t for each start in t (S, p): shape (S, n, p)."""
-        k = self.n_terms
-        natural, terms = self._terms(t, x)
-        jac = np.empty((t.shape[0], x.shape[1], t.shape[1]))
-        jac[:, :, :k] = terms.transpose(0, 2, 1)
-        jac[:, :, k:2 * k] = (-terms * np.log(x) * natural[:, k:2 * k, None]
-                              ).transpose(0, 2, 1)
-        jac[:, :, -1] = natural[:, -1:]
-        return jac
+    y = np.asarray(y, dtype=float)
+    ymin = float(np.min(y))
+    axes = []
+    for xk in np.atleast_2d(x):
+        base = max(float(np.mean(y)) * float(np.exp(np.mean(np.log(xk)))), 1e-12)
+        axes.append(np.log([0.1 * base, base, 10.0 * base]))
+    axes += [np.log([0.5, 1.0, 2.0])] * model.n_terms
+    axes.append(np.log(np.array([0.0, ymin / 2.0, 0.99 * ymin]) + DELTA_EPS))
+    return np.array(list(itertools.product(*axes)))
 
 
-DIM_LAW = PowerLaw("dim", ("a_coeff", "alpha", "delta"))
-JOINT_LAW = PowerLaw("joint", ("a_coeff", "b_coeff", "alpha", "beta", "delta"))
-LAWS = {law.name: law for law in (DIM_LAW, JOINT_LAW)}
+def _terms(model: PowerLaw, t: np.ndarray, x: np.ndarray):
+    """exp(t) and the terms c_k * x_k^(-e_k), shape (S, K, n), of S starts t."""
+    k = model.n_terms
+    natural = np.exp(t)
+    return natural, natural[:, :k, None] * x ** (-natural[:, k:2 * k, None])
+
+
+def _residuals(natural: np.ndarray, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Model minus targets, shape (S, n), from _terms of S starts."""
+    return terms.sum(axis=1) + (natural[:, -1:] - DELTA_EPS) - y
+
+
+def _jacobian(natural: np.ndarray, terms: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """d residual / d t, shape (S, n, p), from _terms of S starts and log x."""
+    k = terms.shape[1]
+    jac = np.empty((terms.shape[0], terms.shape[2], natural.shape[1]))
+    jac[:, :, :k] = terms.transpose(0, 2, 1)
+    jac[:, :, k:2 * k] = (-terms * log_x * natural[:, k:2 * k, None]
+                          ).transpose(0, 2, 1)
+    jac[:, :, -1] = natural[:, -1:]
+    return jac
 
 
 def _costs(r: np.ndarray) -> np.ndarray:
@@ -193,8 +165,10 @@ def _descend(model: PowerLaw, xp: np.ndarray, y: np.ndarray,
         into STOP_REASONS.
     """
     t = t0.copy()
+    log_x = np.log(xp)
     with np.errstate(all="ignore"):
-        r = model.residuals(t, xp, y)
+        natural, terms = _terms(model, t, xp)
+        r = _residuals(natural, terms, y)
         cost = _costs(r)
     live = np.isfinite(cost)
     iters = np.where(live, opts.max_iters, 0)
@@ -209,7 +183,8 @@ def _descend(model: PowerLaw, xp: np.ndarray, y: np.ndarray,
         if idx.size == 0:
             break
         with np.errstate(all="ignore"):
-            jac = model.jacobian(t[idx], xp)
+            # Each start's terms are those of its last accepted evaluation.
+            jac = _jacobian(np.exp(t[idx]), terms[idx], log_x)
         ok = np.isfinite(jac).all(axis=(1, 2))
         stop(idx[~ok], _NONFINITE_JACOBIAN)
         idx, jac = idx[ok], jac[ok]
@@ -231,7 +206,8 @@ def _descend(model: PowerLaw, xp: np.ndarray, y: np.ndarray,
                 step = _solve(normal, -jtr[search])
                 finite = np.isfinite(step).all(axis=1)
                 trial = t[s[finite]] + step[finite]
-                r_new = model.residuals(trial, xp, y)
+                natural_new, terms_new = _terms(model, trial, xp)
+                r_new = _residuals(natural_new, terms_new, y)
                 cost_new = np.full(s.size, np.inf)
                 cost_new[finite] = _costs(r_new)
             better = cost_new < cost[s]
@@ -239,6 +215,7 @@ def _descend(model: PowerLaw, xp: np.ndarray, y: np.ndarray,
             moved = s[better]
             drop = (cost[moved] - cost_new[better]) / cost[moved]
             t[moved], r[moved], cost[moved] = trial[take], r_new[take], cost_new[better]
+            terms[moved] = terms_new[take]
             lam[moved] = np.maximum(lam[moved] / 10.0, 1e-15)
             stop(moved[drop < COST_REL_TOL], _COST)
             accepted[search[better]] = True
@@ -286,10 +263,10 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
             f"under-determined: {y_arr.size} points for {n_params} parameters "
             f"(need at least {n_params + 1})"
         )
-    xp = model.prepare(x)
+    xp = _prepare(model, x)
     starts = opts.multistart_grid
     if starts is None:
-        starts = model.default_starts(xp, y_arr)
+        starts = _default_starts(model, xp, y_arr)
     if len(starts) == 0:
         raise DataError("multistart grid is empty")
     for index, t0 in enumerate(starts):
@@ -310,47 +287,7 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
         start_index=best,
         n_starts=len(starts),
     )
-    return model.decode(t[best]), sqrt(cost[best]), report
-
-
-@dataclass(frozen=True)
-class LawFit:
-    """A fitted law: its model, natural parameters and diagnostics.
-
-    params follows model.param_names, and each parameter also reads by
-    name (fit.alpha, fit.b_coeff). The joint law's b_coeff is calibrated
-    against parameter counts in millions; predict does the division.
-    """
-
-    model: PowerLaw
-    params: tuple[float, ...]
-    r2: float
-    residual_norm: float
-    n_points: int
-    converged: bool = True
-    start_index: int = 0
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        names = self.model.param_names
-        if len(self.params) != len(names):
-            raise DataError(f"{self.model.name} law takes {len(names)} parameters "
-                            f"{names}, got {len(self.params)}")
-        if not all(map(isfinite, self.params)):
-            raise DataError(f"parameters must be finite, got {self.params}")
-        if not all(value > 0 for value in self.params[:-1]):
-            raise DataError(f"{', '.join(names[:-1])} must be positive")
-        if self.params[-1] < 0:
-            raise DataError("delta must be nonnegative")
-        if self.r2 > 1.0:
-            raise DataError(f"r2 must be <= 1, got {self.r2}")
-
-    def __getattr__(self, name):
-        """A parameter by name, e.g. fit.alpha; called only for non-fields."""
-        model = vars(self).get("model")
-        if model is None or name not in model.param_names:
-            raise AttributeError(f"LawFit has no attribute {name!r}")
-        return self.params[model.param_names.index(name)]
+    return _decode(t[best]), sqrt(cost[best]), report
 
 
 def fit_law(table: ObservationTable, model: PowerLaw,
@@ -379,7 +316,7 @@ def fit_law(table: ObservationTable, model: PowerLaw,
     y = np.asarray([row.entropy for row in table], dtype=float)
     params, residual_norm, report = least_squares(model, x, y, opts)
     params = params[:-1] + (max(0.0, params[-1]),)
-    predictions = model.predict(params, model.prepare(x))
+    predictions = _values(model, params, _prepare(model, x))
     warnings = []
     if not report.converged:
         warnings.append(f"fit did not converge: {report.stop_reason}")
@@ -392,105 +329,3 @@ def fit_law(table: ObservationTable, model: PowerLaw,
                   converged=report.converged,
                   start_index=report.start_index,
                   warnings=tuple(warnings))
-
-
-def predict(fit: LawFit, d, n_params=None) -> float:
-    """The fitted law at dimension d and, for the joint law, n_params.
-
-    d is a positive real: observed dimensions are integers, but the law is
-    defined on the whole positive axis. n_params is a raw parameter count
-    (not millions); the dimension law ignores it.
-
-    Raises:
-        DataError: d or a needed n_params not positive.
-        NumericError: the value overflows or is not finite.
-    """
-    if not d > 0:
-        raise DataError(f"dimension must be positive, got {d}")
-    x = (float(d),)
-    k = fit.model.n_terms
-    if k > 1:
-        if n_params is None or not n_params > 0:
-            raise DataError(f"n_params must be positive, got {n_params}")
-        x += (float(n_params) / MILLION,)
-    try:
-        value = sum(c / xk ** e for c, xk, e
-                    in zip(fit.params[:k], x, fit.params[k:2 * k])) + fit.params[-1]
-    except (OverflowError, ZeroDivisionError):
-        value = inf
-    if not isfinite(value):
-        raise NumericError(f"fitted law is not finite at {x}: {value}")
-    return value
-
-
-def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:
-    """Coefficient of determination in raw target space.
-
-    Raises:
-        DataError: length mismatch, empty input, or all-identical targets
-            (zero total variance).
-    """
-    if len(predictions) != len(targets) or not targets:
-        raise DataError(
-            f"predictions ({len(predictions)}) and targets ({len(targets)}) "
-            "must be equal-length and nonempty"
-        )
-    mean = fsum(targets) / len(targets)
-    ss_tot = fsum((t - mean) ** 2 for t in targets)
-    if ss_tot == 0.0:
-        raise DataError("zero total variance: targets are all identical")
-    ss_res = fsum((p - t) ** 2 for p, t in zip(predictions, targets))
-    return 1.0 - ss_res / ss_tot
-
-
-def fit_to_report(fit: LawFit, opts: Optional[FitOptions] = None) -> dict:
-    """Serialize a fit to the report-JSON structure (law, parameters, diagnostics)."""
-    parameters = dict(zip(fit.model.param_names, fit.params))
-    if fit.model is JOINT_LAW:
-        parameters["param_unit"] = "millions"
-    report = {
-        "law": fit.model.name,
-        "parameters": parameters,
-        "r2": fit.r2,
-        "residual_norm": fit.residual_norm,
-        "n_points": fit.n_points,
-        "converged": fit.converged,
-        "multistart_index": fit.start_index,
-        "warnings": list(fit.warnings),
-    }
-    if opts is not None:
-        report["options"] = {
-            "max_iters": opts.max_iters,
-            "gradient_tolerance": opts.gradient_tolerance,
-            "n_starts": None if opts.multistart_grid is None
-            else len(opts.multistart_grid),
-        }
-    return report
-
-
-def fit_from_report(obj) -> LawFit:
-    """Rebuild a fit from report JSON; inverse of fit_to_report.
-
-    Raises:
-        DataError: anything but a JSON object of a known law with an object
-            of finite, in-range parameters and every diagnostic field.
-    """
-    if not (isinstance(obj, dict) and isinstance(obj.get("parameters"), dict)):
-        raise DataError("malformed fit report: the report and its parameters "
-                        "must be JSON objects")
-    params = obj["parameters"]
-    try:
-        if obj["law"] not in LAWS:
-            raise DataError(f"unknown law {obj['law']!r} in fit report")
-        model = LAWS[obj["law"]]
-        if params.get("param_unit", "millions") != "millions":
-            raise DataError(f"param_unit must be 'millions', got {params['param_unit']!r}")
-        return LawFit(model, tuple(params[name] for name in model.param_names),
-                      r2=obj["r2"],
-                      residual_norm=obj["residual_norm"],
-                      n_points=obj["n_points"],
-                      converged=obj.get("converged", True),
-                      start_index=obj.get("multistart_index", 0),
-                      warnings=tuple(obj.get("warnings", ())))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise DataError(f"malformed fit report: {exc}") from None

@@ -1,0 +1,194 @@
+"""What a scaling law is, and how to evaluate and serialize one, with math only.
+
+Both laws are one model over K inputs, L(x) = sum_k c_k / x_k^e_k + delta:
+K = 1 for the dimension-only law, L(D) = A / D^alpha + delta, and K = 2
+for the joint law, L(D, N) = A / D^alpha + B / (N/1e6)^beta + delta. They
+share one record, LawFit, and one evaluator, predict; LAWS looks a law up
+by the name its reports carry. No numpy is imported here, so planning and
+prediction start without it; embedscale.fit holds the engine that fits.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import exp, fsum, inf, isfinite, log
+from sys import float_info
+from typing import Sequence
+
+from .core import DataError, NumericError
+
+MILLION = 1e6
+
+
+@dataclass(frozen=True)
+class PowerLaw:
+    """L(x) = sum_k c_k * x_k^(-e_k) + delta over K inputs.
+
+    The first input is the embedding dimension (>= 1); any others are
+    positive. param_names names the parameters (c_1..c_K, e_1..e_K, delta)
+    in that order.
+    """
+
+    name: str
+    param_names: tuple[str, ...]
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.param_names) // 2
+
+
+DIM_LAW = PowerLaw("dim", ("a_coeff", "alpha", "delta"))
+JOINT_LAW = PowerLaw("joint", ("a_coeff", "b_coeff", "alpha", "beta", "delta"))
+LAWS = {law.name: law for law in (DIM_LAW, JOINT_LAW)}
+
+
+@dataclass(frozen=True)
+class LawFit:
+    """A fitted law: its model, natural parameters and diagnostics.
+
+    params follows model.param_names, and each parameter also reads by
+    name (fit.alpha, fit.b_coeff). The joint law's b_coeff is calibrated
+    against parameter counts in millions; predict does the division.
+    """
+
+    model: PowerLaw
+    params: tuple[float, ...]
+    r2: float
+    residual_norm: float
+    n_points: int
+    converged: bool = True
+    start_index: int = 0
+    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        names = self.model.param_names
+        if len(self.params) != len(names):
+            raise DataError(f"{self.model.name} law takes {len(names)} parameters "
+                            f"{names}, got {len(self.params)}")
+        if not all(map(isfinite, self.params)):
+            raise DataError(f"parameters must be finite, got {self.params}")
+        if not all(value > 0 for value in self.params[:-1]):
+            raise DataError(f"{', '.join(names[:-1])} must be positive")
+        if self.params[-1] < 0:
+            raise DataError("delta must be nonnegative")
+        if self.r2 > 1.0:
+            raise DataError(f"r2 must be <= 1, got {self.r2}")
+
+    def __getattr__(self, name):
+        """A parameter by name, e.g. fit.alpha; called only for non-fields."""
+        model = vars(self).get("model")
+        if model is None or name not in model.param_names:
+            raise AttributeError(f"LawFit has no attribute {name!r}")
+        return self.params[model.param_names.index(name)]
+
+
+def _term(c: float, x, scale: float, e: float) -> float:
+    """c / (x/scale)^e; in log space where x/scale or the power is not normal."""
+    try:
+        base = float(x) / scale
+        power = base ** e
+        if min(base, power) >= float_info.min:   # full precision, and not 0
+            return c / power
+    except OverflowError:
+        pass
+    try:
+        return exp(log(c) - e * (log(x) - log(scale)))
+    except OverflowError:
+        return inf
+
+
+def predict(fit: LawFit, d, n_params=None) -> float:
+    """The fitted law at dimension d and, for the joint law, n_params.
+
+    d is a positive real: observed dimensions are integers, but the law is
+    defined on the whole positive axis. n_params is a raw parameter count
+    (not millions); the dimension law ignores it.
+
+    Raises:
+        DataError: d or a needed n_params not positive.
+        NumericError: the value is not finite, even in log space.
+    """
+    if not d > 0:
+        raise DataError(f"dimension must be positive, got {d}")
+    k = fit.model.n_terms
+    if k > 1 and (n_params is None or not n_params > 0):
+        raise DataError(f"n_params must be positive, got {n_params}")
+    inputs = ((d, 1.0), (n_params, MILLION))[:k]
+    value = sum(_term(c, x, scale, e) for c, (x, scale), e
+                in zip(fit.params[:k], inputs, fit.params[k:2 * k])) + fit.params[-1]
+    if not isfinite(value):
+        raise NumericError(f"fitted law is not finite at {(d, n_params)[:k]}: {value}")
+    return value
+
+
+def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:
+    """Coefficient of determination in raw target space.
+
+    Raises:
+        DataError: length mismatch, empty input, or all-identical targets
+            (zero total variance).
+    """
+    if len(predictions) != len(targets) or not targets:
+        raise DataError(
+            f"predictions ({len(predictions)}) and targets ({len(targets)}) "
+            "must be equal-length and nonempty"
+        )
+    mean = fsum(targets) / len(targets)
+    ss_tot = fsum((t - mean) ** 2 for t in targets)
+    if ss_tot == 0.0:
+        raise DataError("zero total variance: targets are all identical")
+    ss_res = fsum((p - t) ** 2 for p, t in zip(predictions, targets))
+    return 1.0 - ss_res / ss_tot
+
+
+def fit_to_report(fit: LawFit, opts=None) -> dict:
+    """Serialize a fit, and the FitOptions opts if given, to report JSON."""
+    parameters = dict(zip(fit.model.param_names, fit.params))
+    if fit.model is JOINT_LAW:
+        parameters["param_unit"] = "millions"
+    report = {
+        "law": fit.model.name,
+        "parameters": parameters,
+        "r2": fit.r2,
+        "residual_norm": fit.residual_norm,
+        "n_points": fit.n_points,
+        "converged": fit.converged,
+        "multistart_index": fit.start_index,
+        "warnings": list(fit.warnings),
+    }
+    if opts is not None:
+        report["options"] = {
+            "max_iters": opts.max_iters,
+            "gradient_tolerance": opts.gradient_tolerance,
+            "n_starts": None if opts.multistart_grid is None
+            else len(opts.multistart_grid),
+        }
+    return report
+
+
+def fit_from_report(obj) -> LawFit:
+    """Rebuild a fit from report JSON; inverse of fit_to_report.
+
+    Raises:
+        DataError: anything but a JSON object of a known law with an object
+            of finite, in-range parameters and every diagnostic field.
+    """
+    if not (isinstance(obj, dict) and isinstance(obj.get("parameters"), dict)):
+        raise DataError("malformed fit report: the report and its parameters "
+                        "must be JSON objects")
+    params = obj["parameters"]
+    try:
+        if obj["law"] not in LAWS:
+            raise DataError(f"unknown law {obj['law']!r} in fit report")
+        model = LAWS[obj["law"]]
+        if params.get("param_unit", "millions") != "millions":
+            raise DataError(f"param_unit must be 'millions', got {params['param_unit']!r}")
+        return LawFit(model, tuple(params[name] for name in model.param_names),
+                      r2=obj["r2"],
+                      residual_norm=obj["residual_norm"],
+                      n_points=obj["n_points"],
+                      converged=obj.get("converged", True),
+                      start_index=obj.get("multistart_index", 0),
+                      warnings=tuple(obj.get("warnings", ())))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise DataError(f"malformed fit report: {exc}") from None

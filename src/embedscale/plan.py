@@ -20,7 +20,7 @@ from math import isfinite, log, log1p, nextafter
 from typing import Optional, Sequence
 
 from .core import DataError
-from .fit import JOINT_LAW, MILLION, LawFit, predict
+from .law import JOINT_LAW, MILLION, LawFit, predict
 
 REGIMES = ("exhaustive", "ann")
 _MAX_BISECTIONS = 1100

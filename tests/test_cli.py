@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
                         fit_from_report, parse_score_records, predict)
@@ -219,12 +224,55 @@ class TestPredict:
         assert code == 1
         assert "--params" in err
 
+    @pytest.mark.parametrize("digits", [300, 400])
+    def test_power_past_the_doubles_is_finite(self, data_dir, capsys, digits):
+        # D**alpha overflows (and past 400 digits D is no double at all),
+        # so the value is delta + b * 100**-beta.
+        path = data_dir / "fit_report_bert_trecdl.json"
+        code, out, err = run(["predict", str(path), "--dim", "1" + "0" * digits,
+                              "--params", "1e8"], capsys)
+        assert (code, err) == (0, "")
+        fit = fit_from_report(json.loads(path.read_text()))
+        assert float(out) == pytest.approx(fit.delta + fit.b_coeff / 100 ** fit.beta,
+                                           rel=1e-15)
+
     def test_dim_lower_bound(self, data_dir, capsys):
         code, _, err = run(["predict",
                             str(data_dir / "fit_report_bert_trecdl.json"),
                             "--dim", "0", "--params", "1e8"], capsys)
         assert code == 1
         assert ">= 1" in err
+
+
+def exact_law(params, d, n_params):
+    """The joint law at (d, n_params), in 40-digit decimal arithmetic."""
+    a, b, alpha, beta, delta = map(Decimal, params)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        n = Decimal(n_params) / Decimal(10 ** 6)
+        return a * (+Decimal(d)) ** -alpha + b * n ** -beta + delta
+
+
+class TestPredictProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 10 ** 4000),
+           params=st.floats(min_value=0.0, exclude_min=True))
+    @example(dim=10 ** 300, params=1e8)
+    @example(dim=1, params=5e-324)
+    def test_exit_code_follows_exact_value(self, data_dir, dim, params):
+        path = data_dir / "fit_report_bert_trecdl.json"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["predict", str(path), "--dim", str(dim),
+                         "--params", repr(params)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3) and "Traceback" not in err
+        fit = fit_from_report(json.loads(path.read_text()))
+        exact = exact_law(fit.params, dim, params)
+        if code == 3:
+            assert exact > Decimal(sys.float_info.max) * Decimal("0.999999")
+        if code == 0:
+            assert float(out) == pytest.approx(float(exact), rel=1e-12)
 
 
 MALFORMED_REPORTS = {
@@ -322,7 +370,9 @@ class TestPlan:
                                              capsys):
         report = json.loads(
             (data_dir / "fit_report_bert_trecdl.json").read_text())
-        report["parameters"].update(a_coeff=1e308, alpha=300.0)
+        # Each term is about 1e308 at every allocation, so their sum is inf.
+        report["parameters"].update(a_coeff=1e308, b_coeff=1e308,
+                                    alpha=1e-3, beta=1e-3)
         path = tmp_path / "fit_report.json"
         path.write_text(json.dumps(report))
         proc = subprocess.run(
@@ -334,6 +384,19 @@ class TestPlan:
         assert "Traceback" not in proc.stderr
         assert "numeric failure" in proc.stderr
         assert not (tmp_path / "plan").exists()
+
+    def test_power_past_the_doubles_is_planned(self, data_dir, tmp_path,
+                                               capsys):
+        # D**alpha and N**beta overflow at this budget; their terms are ~0.
+        path = data_dir / "fit_report_bert_trecdl.json"
+        code, out, _ = run(["plan", str(path), "--budget", "1e300",
+                            "--tokens", "32", "--corpus", "100000",
+                            "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        report = json.loads((tmp_path / "plan_report.json").read_text())
+        [alloc] = report["allocations"]
+        delta = fit_from_report(json.loads(path.read_text())).delta
+        assert alloc["predicted_entropy"] == pytest.approx(delta, rel=1e-12)
 
 
 class TestSweepDims:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedscale import (DataError, Observation, ObservationTable, SweepConfig,
@@ -153,3 +153,54 @@ class TestSweep:
         assert dims == sorted(set(dims))
         assert len(dims) <= len(mults)
         assert all(d >= 1 for d in dims)
+
+
+ROWS = ["m1,4.39e6,32,ms,0.3547", "m1,4.39e6,64,ms,0.3301",
+        "m2,1.1e8,32,ms,0.2904", "m2,1.1e8,64,ms,0.2710"]
+FIELD_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "nan", "-inf", "1e400", "-0", "0", "1" * 5000,
+                     '"', '"a,b"', "#", "\r", "\x00", "m1", "ms"]))
+
+
+@st.composite
+def mutated_csv(draw):
+    """A valid observation CSV with a few rows, fields or lines mutated."""
+    lines = [HEADER, *ROWS]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        op = draw(st.sampled_from(["field", "drop", "extra", "line", "delete",
+                                   "duplicate"]))
+        if op == "field":
+            fields[j] = draw(FIELD_TEXT)
+        elif op == "drop":
+            del fields[j]
+        elif op == "extra":
+            fields.insert(j, draw(FIELD_TEXT))
+        if op == "line":
+            lines.insert(i, draw(st.text(max_size=40)))
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = ",".join(fields)
+        if not lines:
+            lines = [""]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestParseProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(text=mutated_csv())
+    @example(text=HEADER + "\nm,1e6,32,ms,0.5\rx\n")
+    def test_table_or_data_error(self, text):
+        try:
+            table = parse_observations(text)
+        except DataError:
+            return
+        assert isinstance(table, ObservationTable)

@@ -12,7 +12,8 @@ from embedscale import (DIM_LAW, JOINT_LAW, DataError, FitOptions, LawFit,
                         least_squares, parse_observations, predict,
                         r_squared)
 from embedscale.fit import (COST_REL_TOL, DELTA_EPS, LAMBDA_INIT, LAMBDA_MAX,
-                            STOP_REASONS, _descend)
+                            STOP_REASONS, _decode, _default_starts, _descend,
+                            _jacobian, _prepare, _residuals, _terms, _values)
 
 DIMS = (32, 64, 128, 256, 512, 1024, 2048)
 FIXTURES = sorted(p.name for p in (Path(__file__).parent / "data").glob("obs_*.csv"))
@@ -77,8 +78,8 @@ def reference_lm(residual, jacobian, t0, opts):
 
 
 def batch_of_one(model, xp, y):
-    return (lambda t: model.residuals(t[None], xp, y)[0],
-            lambda t: model.jacobian(t[None], xp)[0])
+    return (lambda t: _residuals(*_terms(model, t[None], xp), y)[0],
+            lambda t: _jacobian(*_terms(model, t[None], xp), np.log(xp))[0])
 
 
 def serial_formulas(model, xp, y):
@@ -88,7 +89,7 @@ def serial_formulas(model, xp, y):
     def residual(t):
         params = [float(np.exp(v)) for v in t]
         params[-1] -= DELTA_EPS
-        return model.predict(params, xp) - y
+        return _values(model, params, xp) - y
 
     def jacobian(t):
         natural = [np.exp(v) for v in t]
@@ -108,11 +109,11 @@ def fixture_laws(name):
     """(label, model, prepared x, y) for the joint law and each model's dim law."""
     table = parse_observations((Path(__file__).parent / "data" / name).read_text())
     x = [(row.embed_dim, row.n_params / 1e6) for row in table]
-    cases = [("joint", JOINT_LAW, JOINT_LAW.prepare(x), table)]
+    cases = [("joint", JOINT_LAW, _prepare(JOINT_LAW, x), table)]
     for model_name in table.model_names:
         series = filter_by(table, model_name=model_name, dataset=table.datasets[0])
         cases.append((model_name, DIM_LAW,
-                      DIM_LAW.prepare([row.embed_dim for row in series]), series))
+                      _prepare(DIM_LAW, [row.embed_dim for row in series]), series))
     return [(label, model, xp, np.array([row.entropy for row in rows]))
             for label, model, xp, rows in cases]
 
@@ -174,9 +175,9 @@ class TestDimRecovery:
         d = np.asarray([row.embed_dim for row in table], dtype=float)
         y = np.asarray([row.entropy for row in table])
         fitted_cost = fit.residual_norm ** 2
-        for t0 in DIM_LAW.default_starts(d, y):
-            params = DIM_LAW.decode(np.asarray(t0, dtype=float))
-            start_cost = float(np.sum((DIM_LAW.predict(params, d) - y) ** 2))
+        for t0 in _default_starts(DIM_LAW, d, y):
+            params = _decode(np.asarray(t0, dtype=float))
+            start_cost = float(np.sum((_values(DIM_LAW, params, d) - y) ** 2))
             assert fitted_cost <= start_cost + 1e-12
 
     def test_alternative_parameterization_identity(self):
@@ -289,19 +290,38 @@ class TestPrediction:
             predict(jfit, 128, 0)
 
     def test_non_finite_value_is_numeric_error(self):
-        # 1e4**300 overflows, 1e-4**300 underflows to 0, and 1e308 + 1e308
-        # is inf; none may escape as OverflowError or ZeroDivisionError.
+        # 1e-4**300 underflows to 0, where the law is 1e308 * 1e1200, and
+        # 1e308 + 1e308 is inf; none may escape as ZeroDivisionError.
         fit = LawFit(DIM_LAW, (1e308, 300.0, 0.0), r2=1.0, residual_norm=0.0,
                      n_points=7)
         jfit = LawFit(JOINT_LAW, (1e308, 1e308, 300.0, 1.0, 0.0), r2=1.0,
                       residual_norm=0.0, n_points=21)
-        for d in (1e4, 1e-4):
-            with pytest.raises(NumericError):
-                predict(fit, d)
-            with pytest.raises(NumericError):
-                predict(jfit, d, 1e8)
+        with pytest.raises(NumericError):
+            predict(fit, 1e-4)
+        with pytest.raises(NumericError):
+            predict(jfit, 1e-4, 1e8)
         with pytest.raises(NumericError):
             predict(jfit, 1.0, 1e6)
+
+    def test_power_past_the_doubles_is_taken_in_log_space(self):
+        # Each power below leaves the doubles while its term does not: it
+        # overflows (1e10**40, 1e4**300), underflows to 0 (1e-200**2), is
+        # subnormal (1e-160**2), or its input is an integer past 2**1024.
+        cases = [((1e300, 40.0, 0.0), 1e10, 1e-100),
+                 ((1e-300, 2.0, 0.0), 1e-200, 1e100),
+                 ((1e-300, 2.0, 0.0), 1e-160, 1e20),
+                 ((1.0, 0.5, 0.25), 10 ** 400, 0.25 + 1e-200)]
+        for params, d, expected in cases:
+            fit = LawFit(DIM_LAW, params, r2=1.0, residual_norm=0.0, n_points=7)
+            assert predict(fit, d) == pytest.approx(expected, rel=1e-12)
+        jfit = LawFit(JOINT_LAW, (1e308, 1e308, 300.0, 1.0, 0.0), r2=1.0,
+                      residual_norm=0.0, n_points=21)
+        assert predict(jfit, 1e4, 1e8) == pytest.approx(1e306, rel=1e-12)
+        # n_params / 1e6 underflows to 0; the term is 1e-300 * 1e6 / 5e-324.
+        small = LawFit(JOINT_LAW, (1.0, 1e-300, 1.0, 1.0, 0.0), r2=1.0,
+                       residual_norm=0.0, n_points=21)
+        assert predict(small, 1.0, 5e-324) == pytest.approx(
+            1.0 + 1e-294 / 5e-324, rel=1e-12)
 
     def test_fractional_dimension_accepted(self):
         fit = LawFit(DIM_LAW, (8.0, 1.0, 0.0), r2=1.0, residual_norm=0.0,
@@ -446,7 +466,7 @@ class TestBatchedEngine:
     def test_every_start_descends_as_it_would_alone(self, fixture):
         opts = FitOptions()
         for label, model, xp, y in fixture_laws(fixture):
-            starts = model.default_starts(xp, y)
+            starts = _default_starts(model, xp, y)
             batched = _descend(model, xp, y, starts, opts)
             assert_same_descents(
                 batched, reference_runs(batch_of_one, model, xp, y, starts, opts))
@@ -458,7 +478,7 @@ class TestBatchedEngine:
         # last bits; every start still stops the same way at the same cost.
         opts = FitOptions()
         for label, model, xp, y in fixture_laws(fixture):
-            starts = model.default_starts(xp, y)
+            starts = _default_starts(model, xp, y)
             serial = reference_runs(serial_formulas, model, xp, y, starts, opts)
             _, cost, iters, reason = _descend(model, xp, y, starts, opts)
             for s, (_, ref_cost, ref_iters, _, ref_reason) in enumerate(serial):
@@ -466,7 +486,7 @@ class TestBatchedEngine:
                 assert cost[s] == pytest.approx(ref_cost, rel=1e-12, abs=0)
 
             old = min(range(len(serial)), key=lambda s: serial[s][1])
-            old_params = model.decode(serial[old][0])
+            old_params = _decode(serial[old][0])
             params, norm, report = least_squares(model, xp.T, y, opts)
             assert report.n_starts == len(starts)
             assert report.iterations == serial[report.start_index][2]
@@ -495,7 +515,7 @@ class TestBatchedEngine:
             xp = d[None]
             y = a * d ** -alpha + delta
         y = y * (1 + 0.01 * rng.standard_normal(y.size))
-        starts = model.default_starts(xp, y)
+        starts = _default_starts(model, xp, y)
         if joint:
             starts = starts[np.sort(rng.choice(len(starts), 24, replace=False))]
         opts = FitOptions()
@@ -505,9 +525,9 @@ class TestBatchedEngine:
     def test_non_finite_jacobian_leaves_other_starts_alone(self, bert_trec_table):
         series = filter_by(bert_trec_table, model_name="BERT-L12-H128-A2",
                            dataset="trecdl")
-        xp = DIM_LAW.prepare([row.embed_dim for row in series])
+        xp = _prepare(DIM_LAW, [row.embed_dim for row in series])
         y = np.array([row.entropy for row in series])
-        starts = DIM_LAW.default_starts(xp, y)
+        starts = _default_starts(DIM_LAW, xp, y)
         # Start 7 leaves finite territory in its third iteration.
         grid = starts[[11, 7, 3]]
         opts = FitOptions()
@@ -535,7 +555,7 @@ class TestBatchedEngine:
         overflowing = (800.0, 0.0, 0.0)
         grid = (overflowing, worse, good, worse, good)
         opts = FitOptions(max_iters=5, multistart_grid=grid)
-        t, cost, iters, reason = _descend(DIM_LAW, DIM_LAW.prepare(x),
+        t, cost, iters, reason = _descend(DIM_LAW, _prepare(DIM_LAW, x),
                                           np.array(y), np.array(grid), opts)
         assert STOP_REASONS[reason[0]] == "non-finite start" and cost[0] == np.inf
         assert cost[2] == cost[4] < cost[1]
@@ -546,7 +566,7 @@ class TestBatchedEngine:
     def test_max_iters_is_counted_per_start(self):
         noise = 1.0 + 0.01 * np.random.default_rng(3).standard_normal(len(DIMS))
         table = dim_table(100.0, 1.5, 0.1, noise=noise)
-        xp = DIM_LAW.prepare([row.embed_dim for row in table])
+        xp = _prepare(DIM_LAW, [row.embed_dim for row in table])
         y = np.array([row.entropy for row in table])
         near = (math.log(100.0), math.log(1.5), math.log(0.1 + DELTA_EPS))
         far = (math.log(1e6), math.log(3.0), math.log(1e-9))

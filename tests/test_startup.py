@@ -1,0 +1,101 @@
+"""predict, plan, sweep-dims and --version run without numpy; fit and eval-ce load it."""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+
+import embedscale
+from embedscale.cli import main
+
+# Runs each argv of the JSON list in argv[1] through main with numpy made
+# unimportable, and prints each exit code and stdout, and the public names
+# that dir(embedscale) leaves out, as JSON.
+BLOCKED_RUNNER = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import embedscale
+from embedscale.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue()])
+unlisted = sorted(set(embedscale.__all__) - set(dir(embedscale)))
+print(json.dumps({"runs": results, "unlisted": unlisted}))
+"""
+
+
+def run_in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue()]
+
+
+def artifacts(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_numpy_free_commands_match_a_normal_run(data_dir, tmp_path):
+    dim_dir = tmp_path / "dim"
+    proc = subprocess.run(
+        [sys.executable, "-m", "embedscale", "fit",
+         str(data_dir / "obs_bert_msmarco.csv"), "--law", "dim",
+         "--model", "BERT-L8-H512-A8", "--dataset", "msmarco",
+         "--output-dir", str(dim_dir)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    joint = str(data_dir / "fit_report_bert_trecdl.json")
+
+    def commands(out):
+        return [
+            ["plan", joint, "--budget", "1e9", "3.162e10", "--tokens", "32",
+             "--corpus", "100000", "--curve", "32", "256", "4096",
+             "--output-dir", str(out / "exhaustive")],
+            ["plan", joint, "--budget", "1e9", "--tokens", "32",
+             "--corpus", "1000000000", "--regime", "ann", "--curve", "64", "768",
+             "--output-dir", str(out / "ann")],
+            ["predict", str(dim_dir / "fit_report.json"), "--dim", "768"],
+            ["predict", joint, "--dim", "512", "--params", "109482240"],
+            ["sweep-dims", "--hidden", "512", "--multipliers", "1/4", "1", "16"],
+            ["--version"],
+        ]
+
+    blocked = subprocess.run(
+        [sys.executable, "-c", BLOCKED_RUNNER,
+         json.dumps(commands(tmp_path / "blocked"))],
+        capture_output=True, text=True)
+    assert blocked.returncode == 0 and blocked.stderr == "", blocked.stderr
+    normal = [run_in_process(argv) for argv in commands(tmp_path / "normal")]
+    assert json.loads(blocked.stdout) == {"runs": normal, "unlisted": []}
+    assert all(code == 0 for code, _ in normal)
+    for regime in ("exhaustive", "ann"):
+        expected = artifacts(tmp_path / "normal" / regime)
+        assert "plan_curve_01.dat" in expected
+        assert artifacts(tmp_path / "blocked" / regime) == expected
+
+
+def test_fit_and_eval_ce_load_numpy(data_dir, tmp_path):
+    for argv in (["fit", str(data_dir / "obs_ettin_msmarco.csv"), "--law", "joint"],
+                 ["eval-ce", str(data_dir / "scores_small.jsonl")]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "embedscale", *argv,
+             "--output-dir", str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "fit_report.json", "fit_curve.dat", "eval_ce_report.json"}
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(embedscale)
+    for name in embedscale.__all__:
+        assert getattr(embedscale, name) is not None
+        assert name in listed
