@@ -8,6 +8,7 @@ from importlib import import_module
 from .core import (DataError, NumericError, Observation, ObservationTable,
                    SweepConfig, expand_sweep, filter_by, parse_observations,
                    serialize_observations)
+from .fit import ConvergenceReport, FitOptions, fit_law, least_squares
 from .law import (DIM_LAW, JOINT_LAW, LAWS, LawFit, fit_from_report,
                   fit_to_report, predict, r_squared)
 from .plan import (AllocationResult, BudgetCurve, BudgetSpec,
@@ -15,7 +16,7 @@ from .plan import (AllocationResult, BudgetCurve, BudgetSpec,
                    flops_score, optimal_allocation, round_dim, round_params)
 
 # The numpy modules load on first use of one of their names (PEP 562), so
-# planning and prediction start without numpy.
+# fitting, planning and prediction start without numpy.
 _LAZY = {
     "metrics": ("BatchQueryScores", "EvalConfig", "QueryScoreRecord",
                 "TeacherMargin", "combined_loss", "contrastive_entropy_dataset",
@@ -25,7 +26,6 @@ _LAZY = {
                 "recall_at_k", "rr_at_k", "sample_negatives"),
     "embed": ("EmbeddingMatrix", "Projection", "l2_normalize", "load_matrix",
               "mean_pool", "project", "save_matrix", "score_pairs"),
-    "fit": ("ConvergenceReport", "FitOptions", "fit_law", "least_squares"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -34,6 +34,7 @@ __all__ = [
     "DataError", "NumericError", "Observation", "ObservationTable",
     "SweepConfig", "expand_sweep", "filter_by", "parse_observations",
     "serialize_observations",
+    "ConvergenceReport", "FitOptions", "fit_law", "least_squares",
     "DIM_LAW", "JOINT_LAW", "LAWS", "LawFit", "fit_from_report",
     "fit_to_report", "predict", "r_squared",
     "AllocationResult", "BudgetCurve", "BudgetSpec", "allocation_from_gamma",

@@ -6,9 +6,9 @@ files reference that report by name. Writes go through a temp file and
 os.replace, so a failed run leaves nothing partial behind. Identical
 inputs produce byte-identical outputs regardless of output directory.
 Both laws go through the same commands: --law names one of law.LAWS, and
-predict and plan read either law's report through one reader. Only fit
-and eval-ce load the numpy modules (fit, metrics), when they run, so
-predict, plan, sweep-dims and --version start without numpy.
+predict and plan read either law's report through one reader. Only
+eval-ce loads numpy (through metrics), when it runs, so fit, predict,
+plan, sweep-dims and --version start without numpy.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -23,11 +23,12 @@ import sys
 import tempfile
 from dataclasses import asdict
 from fractions import Fraction
-from math import fsum
+from math import fsum, log10
 
 from . import __version__
 from .core import (DataError, NumericError, SweepConfig, expand_sweep,
                    filter_by, parse_observations)
+from .fit import FitOptions, fit_law
 from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
 from .plan import BudgetSpec, budget_curve, optimal_allocation
 
@@ -148,27 +149,33 @@ def _read_fit(path: str):
     return fit_from_report(obj)
 
 
+def _geomspace(lo: float, hi: float, num: int) -> list[float]:
+    """num points from lo to hi, evenly spaced in log10, with exact ends."""
+    log_lo = log10(lo)
+    step = (log10(hi) - log_lo) / (num - 1)
+    grid = [10.0 ** (log_lo + i * step) for i in range(num)]
+    grid[0], grid[-1] = float(lo), float(hi)
+    return grid
+
+
 def _curve_blocks(fit, table) -> list[str]:
     """Each model's fitted curve; a joint-law block names its model."""
-    import numpy as np
     blocks = []
     for name in table.model_names:
         rows = [r for r in table if r.model_name == name]
         dims = [r.embed_dim for r in rows]
         n_params = rows[0].n_params
         lo, hi = min(dims), max(dims)
-        grid = (np.geomspace(lo, hi, CURVE_SAMPLES)
-                if lo < hi else np.asarray([float(lo)]))
+        grid = _geomspace(lo, hi, CURVE_SAMPLES) if lo < hi else [float(lo)]
         lines = ([f"# model {name} n_params {_fmt(n_params)}"]
                  if fit.model is JOINT_LAW else [])
-        lines += [f"{_fmt(d)} {_fmt(predict(fit, float(d), n_params))}"
+        lines += [f"{_fmt(d)} {_fmt(predict(fit, d, n_params))}"
                   for d in grid]
         blocks.append("\n".join(lines))
     return blocks
 
 
 def cmd_fit(args) -> int:
-    from .fit import FitOptions, fit_law
     table = _resolve_table(args.observations, args.model, args.dataset)
     opts = FitOptions()
     fit = fit_law(table, LAWS[args.law], opts)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite
 from numbers import Rational
+from sys import float_info
 
 CSV_HEADER = ("model_name", "n_params", "embed_dim", "dataset", "entropy")
 
@@ -45,6 +46,9 @@ class Observation:
             raise DataError(f"n_params must be positive and finite, got {self.n_params}")
         if self.embed_dim < 1:
             raise DataError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.embed_dim > float_info.max:
+            raise DataError("embed_dim must not exceed the largest double "
+                            f"{float_info.max!r}")
         if not (isfinite(self.entropy) and self.entropy >= 0):
             raise DataError(f"entropy must be nonnegative and finite, got {self.entropy}")
 

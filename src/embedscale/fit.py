@@ -1,34 +1,38 @@
-"""How a law of embedscale.law is fitted: its array math and the engine.
+"""How a law of embedscale.law is fitted, with math only.
 
-Residuals are taken in raw entropy space, unweighted. The engine works on
-log-space vectors t = (log c_1..c_K, log e_1..e_K, log(delta + 1e-9)), so
-every parameter stays positive and delta = 0 stays reachable. It runs a
-damped Gauss-Newton (Levenberg-Marquardt) iteration with an analytic
-Jacobian from every start of a deterministic multistart grid at once:
-residuals, Jacobians and normal equations are stacked over the starts,
-each damping round is one batched solve, and each start keeps its own
-damping, stop test, iteration count and last accepted power terms, so it
-descends exactly as it would alone. Repeated fits are bit-identical.
+Residuals are taken in raw entropy space, unweighted. For fixed exponents
+the law sum_k c_k x_k^(-e_k) + delta is linear in (c, delta), so the fit
+is a separable least-squares problem (variable projection). It first
+profiles the exponents: on a geometric grid over EXPONENT_RANGE, each
+cell solves the normal equations for (c, delta) in closed form, keeping
+delta >= 0 and marking cells with a coefficient c_k <= 0 infeasible.
+Every feasible cell whose SSE is a local minimum among its grid
+neighbours then starts one polish: a damped Gauss-Newton
+(Levenberg-Marquardt) descent with an analytic Jacobian on log-space
+vectors t = (log c_1..c_K, log e_1..e_K, log(delta + 1e-9)), so every
+parameter stays positive and delta = 0 stays reachable. The lowest
+polished cost wins. Repeated fits are bit-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import sqrt
+from itertools import product
+from math import exp, inf, isfinite, log, sqrt
+from operator import mul
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .core import DataError, ObservationTable
+from .core import DataError, NumericError, ObservationTable
 from .law import MILLION, LawFit, PowerLaw, r_squared
 
 DELTA_EPS = 1e-9         # offset inside log(delta + eps); keeps delta=0 reachable
 COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
+EXPONENT_RANGE = (0.05, 4.0)
+GRID_POINTS = {1: 64, 2: 24}   # profile grid points per exponent axis, by K
 
-# Why a start stopped, indexed by the codes the engine keeps per start.
+# Why a descent stopped, indexed by the codes _descend returns.
 STOP_REASONS = ("non-finite start", "non-finite jacobian",
                 "gradient below tolerance", "cost decrease below tolerance",
                 "max_iters reached")
@@ -37,10 +41,11 @@ _NONFINITE_START, _NONFINITE_JACOBIAN, _GRADIENT, _COST, _MAX_ITERS = range(5)
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Engine knobs. multistart_grid entries are log-space parameter vectors."""
+    """Engine knobs. multistart_grid entries are log-space parameter vectors
+    that replace the profile grid's starts."""
 
     max_iters: int = 500
-    gradient_tolerance: float = 1e-10
+    gradient_tolerance: float = 1e-12
     multistart_grid: Optional[tuple] = None
 
     def __post_init__(self):
@@ -52,7 +57,12 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """How the winning multistart run stopped."""
+    """How the winning descent stopped.
+
+    start_index is the start it descended from: a flat index into the
+    profile grid (first exponent axis slowest), or a row of an explicit
+    multistart_grid. n_starts counts the descents run.
+    """
 
     converged: bool
     iterations: int
@@ -61,12 +71,63 @@ class ConvergenceReport:
     n_starts: int
 
 
-def _prepare(model: PowerLaw, x: Sequence) -> np.ndarray:
-    """The caller's inputs (scalars for K = 1, K-tuples otherwise) as a (K, n) array."""
-    cols = np.asarray(x, dtype=float).reshape(len(x), -1).T
-    if cols.shape[0] != model.n_terms:
+def _dot(u, v) -> float:
+    return sum(map(mul, u, v))
+
+
+def _exp(v: float) -> float:
+    """exp(v), inf where it overflows, as IEEE arithmetic has it."""
+    try:
+        return exp(v)
+    except OverflowError:
+        return inf
+
+
+def _terms(c: float, e: float, xs) -> list[float]:
+    """c * x^-e for each x of xs; a power that overflows is inf."""
+    try:
+        return [c * x ** -e for x in xs]
+    except OverflowError:
+        return [c * _exp(-e * log(x)) for x in xs]
+
+
+def _solve(a, b):
+    """x with a x = b, by Gaussian elimination with partial pivoting; None if singular."""
+    n = len(b)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if m[pivot][col] == 0.0:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for row in m[col + 1:]:
+            f = row[col] / m[col][col]
+            for j in range(col, n + 1):
+                row[j] -= f * m[col][j]
+    x = [0.0] * n
+    for r in reversed(range(n)):
+        x[r] = (m[r][n] - _dot(m[r][r + 1:n], x[r + 1:])) / m[r][r]
+    return x
+
+
+def _prepare(model: PowerLaw, x: Sequence) -> list[list[float]]:
+    """The caller's inputs (scalars for K = 1, K-tuples otherwise) as K columns."""
+    def inputs(entry):
+        try:
+            return tuple(map(float, entry))
+        except TypeError:       # a scalar input of a one-input law
+            return (float(entry),)
+
+    try:
+        rows = [inputs(entry) for entry in x]
+    except OverflowError:
+        raise DataError(f"{model.name} law inputs must not exceed the largest "
+                        "double") from None
+    if any(len(row) != model.n_terms for row in rows):
         raise DataError(f"{model.name} law takes {model.n_terms} input(s) per target")
-    if not (np.all(cols[0] >= 1) and np.all(cols[1:] > 0)):
+    cols = [list(col) for col in zip(*rows)]
+    if not (all(v >= 1 for v in cols[0])
+            and all(v > 0 for col in cols[1:] for v in col)):
         raise DataError(f"{model.name} law inputs need dimension >= 1 "
                         "and every other input > 0")
     return cols
@@ -74,166 +135,175 @@ def _prepare(model: PowerLaw, x: Sequence) -> np.ndarray:
 
 def _decode(t: Sequence[float]) -> tuple[float, ...]:
     """Natural parameters, in param_names order, of one log-space vector."""
-    natural = np.exp(np.asarray(t, dtype=float))
+    natural = [_exp(v) for v in t]
     natural[-1] -= DELTA_EPS
-    return tuple(map(float, natural))
+    return tuple(natural)
 
 
-def _values(model: PowerLaw, params: Sequence[float], x) -> np.ndarray:
-    """The law at prepared inputs x; a 1-d x is the single input of K = 1."""
+def _values(model: PowerLaw, params: Sequence[float], cols) -> list[float]:
+    """The law at prepared inputs cols."""
     k = model.n_terms
-    value = sum(params[i] * xk ** (-params[k + i])
-                for i, xk in enumerate(np.atleast_2d(x)))
-    return value + params[-1]
+    terms = map(_terms, params[:k], params[k:2 * k], cols)
+    return [sum(parts) + params[-1] for parts in zip(*terms)]
 
 
-def _default_starts(model: PowerLaw, x, y) -> np.ndarray:
-    """The 3^(2K+1) grid of log-space starts, one row per start.
+def _closed_form(a, b):
+    """x with a x = b for a 1x1 or 2x2 system, by Cramer's rule; None if singular."""
+    if len(b) == 1:
+        return [b[0] / a[0][0]] if a[0][0] else None
+    (p, q), (r, s) = a
+    det = p * s - q * r
+    if not det:
+        return None
+    return [(s * b[0] - q * b[1]) / det, (p * b[1] - r * b[0]) / det]
 
-    Each c_k is scaled so that c_k / x_k has the data's magnitude at the
-    geometric mean of x_k; exponents take 0.5, 1 and 2; delta takes 0,
-    half and 0.99 of the smallest target.
+
+def _profile(model: PowerLaw, cols, y) -> list[tuple[int, list[float]]]:
+    """(flat cell index, log-space start) of each local minimum of the profile grid.
+
+    Each cell fixes the exponents and solves for (c, delta), centring the
+    normal equations to take delta out; when that delta is negative the
+    cell is solved again with delta = 0. A cell is a local minimum when its
+    SSE, yy - b.c, is finite and no neighbour's (diagonals included) is lower.
+
+    Raises:
+        NumericError: no cell has all coefficients positive.
     """
-    y = np.asarray(y, dtype=float)
-    ymin = float(np.min(y))
-    axes = []
-    for xk in np.atleast_2d(x):
-        base = max(float(np.mean(y)) * float(np.exp(np.mean(np.log(xk)))), 1e-12)
-        axes.append(np.log([0.1 * base, base, 10.0 * base]))
-    axes += [np.log([0.5, 1.0, 2.0])] * model.n_terms
-    axes.append(np.log(np.array([0.0, ymin / 2.0, 0.99 * ymin]) + DELTA_EPS))
-    return np.array(list(itertools.product(*axes)))
-
-
-def _terms(model: PowerLaw, t: np.ndarray, x: np.ndarray):
-    """exp(t) and the terms c_k * x_k^(-e_k), shape (S, K, n), of S starts t."""
     k = model.n_terms
-    natural = np.exp(t)
-    return natural, natural[:, :k, None] * x ** (-natural[:, k:2 * k, None])
+    lo, hi = EXPONENT_RANGE
+    points = GRID_POINTS[k]
+    exponents = [lo * (hi / lo) ** (i / (points - 1)) for i in range(points)]
+    n, y_sum, yy = len(y), sum(y), _dot(y, y)
+    y_mean = y_sum / n
+    # Per axis and exponent: the basis column u = x^-e, its sum, u.u and u.y.
+    axes = []
+    for xs in cols:
+        axis = []
+        for e in exponents:
+            u = _terms(1.0, e, xs)
+            axis.append((u, sum(u), _dot(u, u), _dot(u, y)))
+        axes.append(axis)
+
+    cells = list(product(range(points), repeat=k))
+    sse = {}
+    solved = {}
+    for cell in cells:
+        us, sums, squares, uys = zip(*(axis[i] for axis, i in zip(axes, cell)))
+        # Only the cross products u_a.u_b (a != b) depend on the whole cell.
+        gram = [list(squares)]
+        if k == 2:
+            cross = _dot(*us)
+            gram = [[squares[0], cross], [cross, squares[1]]]
+        centred = [[g - sa * sb / n for g, sb in zip(row, sums)]
+                   for row, sa in zip(gram, sums)]
+        rhs = [uy - s * y_mean for uy, s in zip(uys, sums)]
+        c = _closed_form(centred, rhs)
+        delta = None if c is None else y_mean - _dot(c, sums) / n
+        if c is not None and delta >= 0:
+            cost = (yy - y_sum * y_mean) - _dot(c, rhs)
+        else:
+            c, delta = _closed_form(gram, uys), 0.0
+            cost = inf if c is None else yy - _dot(c, uys)
+        if c is None or not all(v > 0 for v in c) or not isfinite(cost):
+            cost = inf
+        sse[cell] = cost
+        solved[cell] = (c, delta)
+
+    offsets = [o for o in product((-1, 0, 1), repeat=k) if any(o)]
+    starts = []
+    for index, cell in enumerate(cells):
+        cost = sse[cell]
+        if cost == inf:
+            continue
+        neighbours = (tuple(map(sum, zip(cell, o))) for o in offsets)
+        if all(cost <= sse.get(other, inf) for other in neighbours):
+            c, delta = solved[cell]
+            t0 = ([log(v) for v in c] + [log(exponents[i]) for i in cell]
+                  + [log(delta + DELTA_EPS)])
+            starts.append((index, t0))
+    if not starts:
+        raise NumericError(
+            f"no {model.name} law with positive coefficients fits: at every "
+            f"exponent in {list(EXPONENT_RANGE)} the best coefficients are "
+            "not all positive (the targets do not fall with each input)")
+    return starts
 
 
-def _residuals(natural: np.ndarray, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Model minus targets, shape (S, n), from _terms of S starts."""
-    return terms.sum(axis=1) + (natural[:, -1:] - DELTA_EPS) - y
+def _evaluate(model: PowerLaw, cols, y, t):
+    """(cost, residuals, terms) at log-space t; cost inf where not finite."""
+    k = model.n_terms
+    natural = [_exp(v) for v in t]
+    terms = list(map(_terms, natural[:k], natural[k:2 * k], cols))
+    delta = natural[-1] - DELTA_EPS
+    r = [sum(parts) + delta - target for *parts, target in zip(*terms, y)]
+    cost = _dot(r, r)
+    return (cost, r, terms) if isfinite(cost) else (inf, None, None)
 
 
-def _jacobian(natural: np.ndarray, terms: np.ndarray, log_x: np.ndarray) -> np.ndarray:
-    """d residual / d t, shape (S, n, p), from _terms of S starts and log x."""
-    k = terms.shape[1]
-    jac = np.empty((terms.shape[0], terms.shape[2], natural.shape[1]))
-    jac[:, :, :k] = terms.transpose(0, 2, 1)
-    jac[:, :, k:2 * k] = (-terms * log_x * natural[:, k:2 * k, None]
-                          ).transpose(0, 2, 1)
-    jac[:, :, -1] = natural[:, -1:]
-    return jac
+def _descend(model: PowerLaw, cols, y, t0, opts: FitOptions):
+    """One damped Gauss-Newton descent from log-space t0.
 
-
-def _costs(r: np.ndarray) -> np.ndarray:
-    """Sum of squared residuals per start; inf where a residual or the sum is not finite."""
-    cost = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-    cost[~(np.isfinite(r).all(axis=1) & np.isfinite(cost))] = np.inf
-    return cost
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve each system a[s] x = b[s]; NaN rows where a[s] is singular."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for s in range(len(a)):
-            try:
-                out[s] = np.linalg.solve(a[s], b[s])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _descend(model: PowerLaw, xp: np.ndarray, y: np.ndarray,
-             t0: np.ndarray, opts: FitOptions):
-    """Damped Gauss-Newton descents from every row of t0 at once.
-
-    Each start follows its own Levenberg-Marquardt rules: Marquardt
-    diagonal damping, lambda x10 on a rejected or non-finite step (up to
-    LAMBDA_MAX) and /10 (floored at 1e-15) on an accepted one, and a stop
-    on a small gradient, a relative cost drop below COST_REL_TOL, no
-    acceptable step, or max_iters.
+    Levenberg-Marquardt rules: Marquardt diagonal damping, lambda x10 on a
+    rejected, singular or non-finite step (up to LAMBDA_MAX) and /10
+    (floored at 1e-15) on an accepted one, and a stop on a small gradient,
+    a relative cost drop below COST_REL_TOL, no acceptable step, or
+    max_iters.
 
     Returns:
-        (t, cost, iterations, reason): final log-space vectors (S, p), final
-        costs (inf for a non-finite start), iteration counts, and indices
+        (t, cost, iterations, reason): the final log-space vector, its cost
+        (inf for a non-finite start), the iteration count and an index
         into STOP_REASONS.
     """
-    t = t0.copy()
-    log_x = np.log(xp)
-    with np.errstate(all="ignore"):
-        natural, terms = _terms(model, t, xp)
-        r = _residuals(natural, terms, y)
-        cost = _costs(r)
-    live = np.isfinite(cost)
-    iters = np.where(live, opts.max_iters, 0)
-    reason = np.where(live, _MAX_ITERS, _NONFINITE_START)
-    lam = np.full(len(t), LAMBDA_INIT)
-
-    def stop(where, code):
-        live[where], iters[where], reason[where] = False, iteration, code
-
+    k = model.n_terms
+    log_x = [[log(v) for v in xs] for xs in cols]
+    t = list(t0)
+    cost, r, terms = _evaluate(model, cols, y, t)
+    if r is None:
+        return t, inf, 0, _NONFINITE_START
+    lam = LAMBDA_INIT
     for iteration in range(1, opts.max_iters + 1):
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            break
-        with np.errstate(all="ignore"):
-            # Each start's terms are those of its last accepted evaluation.
-            jac = _jacobian(np.exp(t[idx]), terms[idx], log_x)
-        ok = np.isfinite(jac).all(axis=(1, 2))
-        stop(idx[~ok], _NONFINITE_JACOBIAN)
-        idx, jac = idx[ok], jac[ok]
-        jtr = (jac.transpose(0, 2, 1) @ r[idx, :, None])[:, :, 0]
-        flat = np.max(np.abs(2.0 * jtr), axis=1) < opts.gradient_tolerance
-        stop(idx[flat], _GRADIENT)
-        idx, jac, jtr = idx[~flat], jac[~flat], jtr[~flat]
-        jtj = jac.transpose(0, 2, 1) @ jac
+        natural = [_exp(v) for v in t]
+        jac = terms + [[-term * lx * e for term, lx in zip(tk, lxs)]
+                       for tk, lxs, e in zip(terms, log_x, natural[k:2 * k])]
+        jac.append([natural[-1]] * len(y))
+        if not all(isfinite(v) for col in jac for v in col):
+            return t, cost, iteration, _NONFINITE_JACOBIAN
+        jtr = [_dot(col, r) for col in jac]
+        if max(abs(2.0 * g) for g in jtr) < opts.gradient_tolerance:
+            return t, cost, iteration, _GRADIENT
+        jtj = [[_dot(a, b) for b in jac] for a in jac]
         # Marquardt scaling: damp each parameter relative to its own curvature.
-        damping = np.maximum(np.diagonal(jtj, axis1=1, axis2=2), 1e-12)
-        diag = np.arange(jtj.shape[1])
-        accepted = np.zeros(idx.size, dtype=bool)
-        search = np.flatnonzero(lam[idx] <= LAMBDA_MAX)   # positions in idx
-        while search.size:
-            s = idx[search]
-            normal = jtj[search]
-            normal[:, diag, diag] += lam[s, None] * damping[search]
-            with np.errstate(all="ignore"):
-                step = _solve(normal, -jtr[search])
-                finite = np.isfinite(step).all(axis=1)
-                trial = t[s[finite]] + step[finite]
-                natural_new, terms_new = _terms(model, trial, xp)
-                r_new = _residuals(natural_new, terms_new, y)
-                cost_new = np.full(s.size, np.inf)
-                cost_new[finite] = _costs(r_new)
-            better = cost_new < cost[s]
-            take = better[finite]
-            moved = s[better]
-            drop = (cost[moved] - cost_new[better]) / cost[moved]
-            t[moved], r[moved], cost[moved] = trial[take], r_new[take], cost_new[better]
-            terms[moved] = terms_new[take]
-            lam[moved] = np.maximum(lam[moved] / 10.0, 1e-15)
-            stop(moved[drop < COST_REL_TOL], _COST)
-            accepted[search[better]] = True
-            lam[s[~better]] *= 10.0
-            search = search[~better]
-            search = search[lam[idx[search]] <= LAMBDA_MAX]
-        # No step improves even under maximal damping: decrease is 0 < tol.
-        stop(idx[~accepted], _COST)
-    return t, cost, iters, reason
+        damping = [max(jtj[i][i], 1e-12) for i in range(len(t))]
+        neg_jtr = [-g for g in jtr]
+        while lam <= LAMBDA_MAX:
+            normal = [[v + lam * damping[i] if i == j else v
+                       for j, v in enumerate(row)] for i, row in enumerate(jtj)]
+            step = _solve(normal, neg_jtr)
+            if step is not None and all(map(isfinite, step)):
+                trial = [a + b for a, b in zip(t, step)]
+                cost_new, r_new, terms_new = _evaluate(model, cols, y, trial)
+                if cost_new < cost:
+                    drop = (cost - cost_new) / cost
+                    t, cost, r, terms = trial, cost_new, r_new, terms_new
+                    lam = max(lam / 10.0, 1e-15)
+                    if drop < COST_REL_TOL:
+                        return t, cost, iteration, _COST
+                    break
+            lam *= 10.0
+        else:
+            # No step improves even under maximal damping: decrease is 0 < tol.
+            return t, cost, iteration, _COST
+    return t, cost, opts.max_iters, _MAX_ITERS
 
 
 def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
                   opts: Optional[FitOptions] = None):
-    """Fit model parameters by damped Gauss-Newton over a multistart grid.
+    """Fit model parameters by variable projection and a damped Gauss-Newton polish.
 
-    Minimizes sum((model(x_i; theta) - y_i)^2) in raw target space. Every
-    start in the grid is descended independently, all in one batch; the
-    lowest final cost wins, ties going to the earliest grid index.
+    Minimizes sum((model(x_i; theta) - y_i)^2) in raw target space. One
+    descent runs from each local minimum of the profile grid, or from each
+    row of opts.multistart_grid when given; the lowest final cost wins,
+    ties going to the earliest start.
 
     Args:
         model: a PowerLaw, one of LAWS.
@@ -247,47 +317,49 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
         ConvergenceReport for the winning start.
 
     Raises:
-        DataError: length mismatch, under-determined system, or every
-            start failing to produce a finite cost.
+        DataError: length mismatch, under-determined system, a malformed
+            explicit start, or every start failing to produce a finite cost.
+        NumericError: no profile cell has all coefficients positive.
     """
     if opts is None:
         opts = FitOptions()
-    y_arr = np.asarray(y, dtype=float)
-    if len(x) != y_arr.size:
-        raise DataError(f"{len(x)} inputs vs {y_arr.size} targets")
-    if not np.all(np.isfinite(y_arr)):
+    y = [float(v) for v in y]
+    if len(x) != len(y):
+        raise DataError(f"{len(x)} inputs vs {len(y)} targets")
+    if not all(map(isfinite, y)):
         raise DataError("targets must be finite")
     n_params = len(model.param_names)
-    if y_arr.size < n_params + 1:
+    if len(y) < n_params + 1:
         raise DataError(
-            f"under-determined: {y_arr.size} points for {n_params} parameters "
+            f"under-determined: {len(y)} points for {n_params} parameters "
             f"(need at least {n_params + 1})"
         )
-    xp = _prepare(model, x)
-    starts = opts.multistart_grid
-    if starts is None:
-        starts = _default_starts(model, xp, y_arr)
-    if len(starts) == 0:
-        raise DataError("multistart grid is empty")
-    for index, t0 in enumerate(starts):
-        if np.shape(t0) != (n_params,):
-            raise DataError(
-                f"start {index} has shape {np.shape(t0)}, expected ({n_params},)"
-            )
+    cols = _prepare(model, x)
+    if opts.multistart_grid is None:
+        starts = _profile(model, cols, y)
+    else:
+        starts = [(index, [float(v) for v in t0])
+                  for index, t0 in enumerate(opts.multistart_grid)]
+        if not starts:
+            raise DataError("multistart grid is empty")
+        for index, t0 in starts:
+            if len(t0) != n_params:
+                raise DataError(
+                    f"start {index} has shape ({len(t0)},), expected ({n_params},)")
 
-    t, cost, iters, reason = _descend(model, xp, y_arr,
-                                      np.array(starts, dtype=float), opts)
-    if not np.isfinite(cost).any():
+    runs = [(*_descend(model, cols, y, t0, opts), index) for index, t0 in starts]
+    # min keeps the first of equal costs, so ties go to the earliest start.
+    t, cost, iterations, reason, index = min(runs, key=lambda run: run[1])
+    if cost == inf:
         raise DataError("no multistart run produced a finite cost")
-    best = int(np.argmin(cost))   # the first of equal minima
     report = ConvergenceReport(
-        converged=bool(reason[best] in (_GRADIENT, _COST)),
-        iterations=int(iters[best]),
-        stop_reason=STOP_REASONS[reason[best]],
-        start_index=best,
+        converged=reason in (_GRADIENT, _COST),
+        iterations=iterations,
+        stop_reason=STOP_REASONS[reason],
+        start_index=index,
         n_starts=len(starts),
     )
-    return _decode(t[best]), sqrt(cost[best]), report
+    return _decode(t), sqrt(cost), report
 
 
 def fit_law(table: ObservationTable, model: PowerLaw,
@@ -301,6 +373,7 @@ def fit_law(table: ObservationTable, model: PowerLaw,
     Raises:
         DataError: mixed datasets, the wrong number of models for the law,
             or too few points.
+        NumericError: no law with positive coefficients fits the series.
     """
     if len(table.datasets) != 1:
         raise DataError(
@@ -313,17 +386,17 @@ def fit_law(table: ObservationTable, model: PowerLaw,
         raise DataError(f"{model.name} law needs at least 2 distinct models; "
                         "fit the dim law to one")
     x = [(row.embed_dim, row.n_params / MILLION)[:model.n_terms] for row in table]
-    y = np.asarray([row.entropy for row in table], dtype=float)
+    y = [row.entropy for row in table]
     params, residual_norm, report = least_squares(model, x, y, opts)
     params = params[:-1] + (max(0.0, params[-1]),)
     predictions = _values(model, params, _prepare(model, x))
     warnings = []
     if not report.converged:
         warnings.append(f"fit did not converge: {report.stop_reason}")
-    if params[-1] > float(np.min(y)):
+    if params[-1] > min(y):
         warnings.append("delta exceeds the smallest observed entropy")
     return LawFit(model, params,
-                  r2=r_squared(predictions.tolist(), y.tolist()),
+                  r2=r_squared(predictions, y),
                   residual_norm=residual_norm,
                   n_points=len(x),
                   converged=report.converged,

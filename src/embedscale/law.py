@@ -4,8 +4,8 @@ Both laws are one model over K inputs, L(x) = sum_k c_k / x_k^e_k + delta:
 K = 1 for the dimension-only law, L(D) = A / D^alpha + delta, and K = 2
 for the joint law, L(D, N) = A / D^alpha + B / (N/1e6)^beta + delta. They
 share one record, LawFit, and one evaluator, predict; LAWS looks a law up
-by the name its reports carry. No numpy is imported here, so planning and
-prediction start without it; embedscale.fit holds the engine that fits.
+by the name its reports carry. Only math is used here; embedscale.fit
+holds the engine that fits.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ class LawFit:
     params follows model.param_names, and each parameter also reads by
     name (fit.alpha, fit.b_coeff). The joint law's b_coeff is calibrated
     against parameter counts in millions; predict does the division.
+    start_index (multistart_index in reports) names the start the fit
+    descended from: a flat profile-grid cell or a row of an explicit grid.
     """
 
     model: PowerLaw

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, log, log1p, nextafter
+from sys import float_info
 from typing import Optional, Sequence
 
 from .core import DataError
@@ -24,6 +25,13 @@ from .law import JOINT_LAW, MILLION, LawFit, predict
 
 REGIMES = ("exhaustive", "ann")
 _MAX_BISECTIONS = 1100
+
+
+def _check_double(name: str, value) -> None:
+    """Reject a count past the largest double, which no FLOPs double can hold."""
+    if value > float_info.max:
+        raise DataError(f"{name} must not exceed the largest double "
+                        f"{float_info.max!r}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,10 @@ class BudgetSpec:
             raise DataError(f"corpus_size must be >= 2, got {self.corpus_size}")
         if self.regime not in REGIMES:
             raise DataError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        # The ann regime takes only log(M), which is exact for any integer.
+        _check_double("query_tokens", self.query_tokens)
+        if self.regime == "exhaustive":
+            _check_double("corpus_size", self.corpus_size)
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,7 @@ def flops_encode(n_params: float, tokens: int) -> float:
         raise DataError(f"n_params must be positive, got {n_params}")
     if tokens < 1:
         raise DataError(f"tokens must be >= 1, got {tokens}")
+    _check_double("tokens", tokens)
     return 2.0 * n_params * tokens
 
 
@@ -97,7 +110,9 @@ def flops_score(corpus_size: int, dim: float, regime: str = "exhaustive") -> flo
         raise DataError(f"corpus_size must be >= 2, got {corpus_size}")
     if not dim > 0:
         raise DataError(f"dim must be positive, got {dim}")
+    _check_double("dim", dim)
     if regime == "exhaustive":
+        _check_double("corpus_size", corpus_size)
         return 2.0 * corpus_size * dim
     if regime == "ann":
         return 2.0 * dim * log(corpus_size)

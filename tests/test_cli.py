@@ -5,7 +5,9 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -397,6 +399,136 @@ class TestPlan:
         [alloc] = report["allocations"]
         delta = fit_from_report(json.loads(path.read_text())).delta
         assert alloc["predicted_entropy"] == pytest.approx(delta, rel=1e-12)
+
+
+BIG = 10 ** 400
+COUNTS = st.one_of(st.integers(-2, 10 ** 9), st.integers(1, 10 ** 500))
+
+
+def run_quietly(argv):
+    """main(argv) with stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestPlanProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tokens=COUNTS, corpus=COUNTS,
+           curve=st.none() | st.lists(COUNTS, min_size=1, max_size=3),
+           budget=st.sampled_from(["1e9", "3.162e10", "1e300"]),
+           regime=st.sampled_from(["exhaustive", "ann"]))
+    @example(tokens=BIG, corpus=1000, curve=None, budget="1e9", regime="exhaustive")
+    @example(tokens=32, corpus=1000, curve=[BIG], budget="1e9", regime="exhaustive")
+    @example(tokens=32, corpus=BIG, curve=None, budget="1e9", regime="exhaustive")
+    @example(tokens=32, corpus=BIG, curve=[64], budget="1e9", regime="ann")
+    def test_integer_flags_end_in_a_documented_code(self, data_dir, tokens,
+                                                    corpus, curve, budget,
+                                                    regime):
+        argv = ["plan", str(data_dir / "fit_report_bert_trecdl.json"),
+                "--budget", budget, "--tokens", str(tokens),
+                "--corpus", str(corpus), "--regime", regime]
+        if curve:
+            argv += ["--curve", *map(str, curve)]
+        with tempfile.TemporaryDirectory() as out:
+            code, _, err = run_quietly(argv + ["--output-dir", out])
+            assert code in (0, 2, 3) and "Traceback" not in err
+            assert (code == 0) == (Path(out, "plan_report.json").exists())
+        if tokens == BIG or (corpus == BIG and regime == "exhaustive"):
+            assert code == 2
+
+
+def observation_csv(rising=False):
+    """Two models over seven dimensions on a joint law, or entropy rising
+    linearly in dimension from 0.10 to 0.16 (the degrading case)."""
+    lines = ["model_name,n_params,embed_dim,dataset,entropy"]
+    for name, n_params in (("m1", 4.39e6), ("m2", 1.1e8)):
+        for i, d in enumerate((32, 64, 128, 256, 512, 1024, 2048)):
+            y = (0.10 + 0.01 * i if rising
+                 else 80.0 / d ** 1.3 + 2.0 / (n_params / 1e6) ** 0.8 + 0.05)
+            lines.append(f"{name},{n_params!r},{d},ms,{y!r}")
+    return lines
+
+
+CSV_FIELDS = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "inf", "1e400", "0", "-1", "5e-324",
+                     "1e308", str(BIG), "1" * 5000, "m1", "m2", "ms", "x"]))
+
+
+@st.composite
+def mutated_observations(draw):
+    """A fittable observation CSV, or a rising one, with a few edits."""
+    lines = observation_csv(rising=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(1, len(lines) - 1))
+        op = draw(st.sampled_from(["field", "delete", "duplicate", "scale"]))
+        fields = lines[i].split(",")
+        if op == "field":
+            fields[draw(st.integers(0, 4))] = draw(CSV_FIELDS)
+            lines[i] = ",".join(fields)
+        elif op == "delete" and len(lines) > 2:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "scale":
+            factor = draw(st.floats(1e-6, 1e6))
+            lines[i] = ",".join(fields[:4] + [repr(float(fields[4]) * factor)])
+    return "\n".join(lines) + "\n"
+
+
+def assert_finite_artifacts(out):
+    report = Path(out, "fit_report.json").read_text()
+    assert "NaN" not in report and "Infinity" not in report
+    json.loads(report)
+    for line in Path(out, "fit_curve.dat").read_text().splitlines():
+        if line and not line.startswith("#"):
+            assert all(math.isfinite(float(tok)) for tok in line.split()), line
+
+
+class TestFitProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(text=mutated_observations(), law=st.sampled_from(["dim", "joint"]))
+    @example(text="\n".join(observation_csv()) + "\n", law="joint")
+    @example(text="\n".join(observation_csv(rising=True)) + "\n", law="dim")
+    def test_fit_ends_in_a_documented_code(self, text, law):
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out, "obs.csv")
+            path.write_text(text)
+            argv = ["fit", str(path), "--law", law,
+                    "--output-dir", str(Path(out, "fit"))]
+            if law == "dim":
+                argv += ["--model", "m1"]
+            code, _, err = run_quietly(argv)
+            assert code in (0, 2, 3) and "Traceback" not in err
+            if code == 0:
+                assert_finite_artifacts(Path(out, "fit"))
+            else:
+                assert not Path(out, "fit").exists()
+
+    def test_rising_series_is_numeric_error(self, tmp_path, capsys):
+        # The earlier engine returned a flat fit at the mean here, with
+        # residual norm 0.0529150262212918; no law with a positive
+        # coefficient fits a series that rises with dimension.
+        path = tmp_path / "rising.csv"
+        path.write_text("\n".join(observation_csv(rising=True)) + "\n")
+        code, _, err = run(["fit", str(path), "--law", "dim", "--model", "m1",
+                            "--output-dir", str(tmp_path / "fit")], capsys)
+        assert code == 3
+        assert "positive coefficients" in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_dimension_past_the_doubles_is_data_error(self, tmp_path, capsys):
+        lines = observation_csv()
+        lines[3] = f"m1,4390000.0,{BIG},ms,0.3"
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["fit", str(path), "--law", "dim", "--model", "m1",
+                            "--output-dir", str(tmp_path / "fit")], capsys)
+        assert code == 2
+        assert "line 4" in err and "largest double" in err
 
 
 class TestSweepDims:

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 from pathlib import Path
 
@@ -11,19 +13,23 @@ from embedscale import (DIM_LAW, JOINT_LAW, DataError, FitOptions, LawFit,
                         filter_by, fit_from_report, fit_law, fit_to_report,
                         least_squares, parse_observations, predict,
                         r_squared)
-from embedscale.fit import (COST_REL_TOL, DELTA_EPS, LAMBDA_INIT, LAMBDA_MAX,
-                            STOP_REASONS, _decode, _default_starts, _descend,
-                            _jacobian, _prepare, _residuals, _terms, _values)
+from embedscale.fit import (COST_REL_TOL, DELTA_EPS, EXPONENT_RANGE,
+                            GRID_POINTS, LAMBDA_INIT, LAMBDA_MAX, STOP_REASONS,
+                            _decode, _descend, _prepare, _profile, _values)
 
+DATA = Path(__file__).parent / "data"
 DIMS = (32, 64, 128, 256, 512, 1024, 2048)
-FIXTURES = sorted(p.name for p in (Path(__file__).parent / "data").glob("obs_*.csv"))
+FIXTURES = sorted(p.name for p in DATA.glob("obs_*.csv"))
 CONVERGED = ("gradient below tolerance", "cost decrease below tolerance")
+# SSE and parameters of every fixture fit (the joint law and each model's
+# dimension law) from the earlier engine, which descended from all 27
+# (dimension law) or 243 (joint law) starts of multistart_grid below.
+PINNED = json.loads((DATA / "pinned_fits.json").read_text())
 
 
 # ---------------------------------------------------------------------------
-# reference: the serial engine that the batched descent replaced, one start
-# at a time, over either the batched model at a batch of one start (the same
-# arithmetic as the engine) or the per-law formulas of the serial engine.
+# reference: the earlier serial engine, one start at a time, over numpy
+# formulas of the law in log-space parameters.
 
 
 def reference_lm(residual, jacobian, t0, opts):
@@ -77,55 +83,64 @@ def reference_lm(residual, jacobian, t0, opts):
     return t, cost, opts.max_iters, False, "max_iters reached"
 
 
-def batch_of_one(model, xp, y):
-    return (lambda t: _residuals(*_terms(model, t[None], xp), y)[0],
-            lambda t: _jacobian(*_terms(model, t[None], xp), np.log(xp))[0])
-
-
-def serial_formulas(model, xp, y):
-    """The serial engine's residual and Jacobian, scalar exponents included."""
+def serial_formulas(model, cols, y):
+    """Residual and Jacobian of the law at log-space t, with numpy."""
     k = model.n_terms
+    x, y = np.array(cols), np.array(y)
+
+    def terms(t):
+        natural = np.exp(t)
+        return natural, natural[:k, None] * x ** -natural[k:2 * k, None]
 
     def residual(t):
-        params = [float(np.exp(v)) for v in t]
-        params[-1] -= DELTA_EPS
-        return _values(model, params, xp) - y
+        natural, power_terms = terms(t)
+        return power_terms.sum(axis=0) + (natural[-1] - DELTA_EPS) - y
 
     def jacobian(t):
-        natural = [np.exp(v) for v in t]
-        terms = [natural[i] * xk ** (-natural[k + i]) for i, xk in enumerate(xp)]
-        slopes = [-term * np.log(xk) * natural[k + i]
-                  for i, (term, xk) in enumerate(zip(terms, xp))]
-        return np.column_stack(terms + slopes + [np.full(xp.shape[1], natural[-1])])
+        natural, power_terms = terms(t)
+        slopes = -power_terms * np.log(x) * natural[k:2 * k, None]
+        return np.column_stack([*power_terms, *slopes,
+                                np.full(y.size, natural[-1])])
     return residual, jacobian
 
 
-def reference_runs(make, model, xp, y, starts, opts):
-    residual, jacobian = make(model, xp, y)
-    return [reference_lm(residual, jacobian, t0, opts) for t0 in starts]
+def multistart_grid(model, cols, y):
+    """The earlier engine's 3^(2K+1) log-space starts, one row per start.
+
+    Each c_k is scaled so that c_k / x_k has the data's magnitude at the
+    geometric mean of x_k; exponents take 0.5, 1 and 2; delta takes 0,
+    half and 0.99 of the smallest target.
+    """
+    axes = []
+    for xk in cols:
+        base = max(float(np.mean(y)) * float(np.exp(np.mean(np.log(xk)))), 1e-12)
+        axes.append(np.log([0.1 * base, base, 10.0 * base]))
+    axes += [np.log([0.5, 1.0, 2.0])] * model.n_terms
+    axes.append(np.log(np.array([0.0, min(y) / 2.0, 0.99 * min(y)]) + DELTA_EPS))
+    return [list(map(float, start)) for start in itertools.product(*axes)]
+
+
+def descend(model, cols, y, t0, opts=None):
+    """The engine's descent from one start: (t, cost, iterations, reason)."""
+    t, cost, iterations, reason = _descend(model, cols, y, t0,
+                                           opts or FitOptions())
+    return t, cost, iterations, STOP_REASONS[reason]
 
 
 def fixture_laws(name):
-    """(label, model, prepared x, y) for the joint law and each model's dim law."""
-    table = parse_observations((Path(__file__).parent / "data" / name).read_text())
-    x = [(row.embed_dim, row.n_params / 1e6) for row in table]
-    cases = [("joint", JOINT_LAW, _prepare(JOINT_LAW, x), table)]
+    """(label, model, table) for the joint law and each model's dim law."""
+    table = parse_observations((DATA / name).read_text())
+    cases = [("joint", JOINT_LAW, table)]
     for model_name in table.model_names:
-        series = filter_by(table, model_name=model_name, dataset=table.datasets[0])
-        cases.append((model_name, DIM_LAW,
-                      _prepare(DIM_LAW, [row.embed_dim for row in series]), series))
-    return [(label, model, xp, np.array([row.entropy for row in rows]))
-            for label, model, xp, rows in cases]
+        cases.append((model_name, DIM_LAW, filter_by(
+            table, model_name=model_name, dataset=table.datasets[0])))
+    return cases
 
 
-def assert_same_descents(batched, reference):
-    t, cost, iters, reason = batched
-    for s, (ref_t, ref_cost, ref_iters, ref_converged, ref_reason) in enumerate(reference):
-        assert STOP_REASONS[reason[s]] == ref_reason, s
-        assert iters[s] == ref_iters, s
-        assert (ref_reason in CONVERGED) == ref_converged, s
-        assert cost[s] == ref_cost, s
-        np.testing.assert_array_equal(t[s], ref_t, err_msg=f"start {s}")
+def law_inputs(model, table):
+    """Prepared input columns and targets of a table for a law."""
+    x = [(row.embed_dim, row.n_params / 1e6)[:model.n_terms] for row in table]
+    return _prepare(model, x), [row.entropy for row in table]
 
 
 def dim_table(a, alpha, delta, dims=DIMS, noise=None):
@@ -168,16 +183,16 @@ class TestDimRecovery:
         assert second.delta == pytest.approx(first.delta, rel=1e-6)
 
     def test_beats_every_default_start(self):
-        # The winning fit may never be worse than any untouched start.
+        # The winning fit may never be worse than any start of the earlier
+        # engine's grid, untouched.
         noise = 1.0 + 0.05 * np.random.default_rng(11).standard_normal(len(DIMS))
         table = dim_table(50.0, 1.2, 0.05, noise=noise)
         fit = fit_law(table, DIM_LAW)
-        d = np.asarray([row.embed_dim for row in table], dtype=float)
-        y = np.asarray([row.entropy for row in table])
+        cols, y = law_inputs(DIM_LAW, table)
         fitted_cost = fit.residual_norm ** 2
-        for t0 in _default_starts(DIM_LAW, d, y):
-            params = _decode(np.asarray(t0, dtype=float))
-            start_cost = float(np.sum((_values(DIM_LAW, params, d) - y) ** 2))
+        for t0 in multistart_grid(DIM_LAW, cols, y):
+            predictions = _values(DIM_LAW, _decode(t0), cols)
+            start_cost = math.fsum((p - v) ** 2 for p, v in zip(predictions, y))
             assert fitted_cost <= start_cost + 1e-12
 
     def test_alternative_parameterization_identity(self):
@@ -461,128 +476,109 @@ class TestReportRoundTrip:
         assert isinstance(fit, LawFit)
 
 
-class TestBatchedEngine:
+class TestPolish:
     @pytest.mark.parametrize("fixture", FIXTURES)
-    def test_every_start_descends_as_it_would_alone(self, fixture):
+    def test_descends_as_reference(self, fixture):
+        # From the profile's starts and the earlier engine's grid (every
+        # ninth joint-law start), the descent stops for the reference's
+        # reason at its cost. A stop on a relative cost drop below 1e-12 may
+        # come up to two iterations apart: the two implementations' costs
+        # differ in the 15th digit, which can flip that comparison.
         opts = FitOptions()
-        for label, model, xp, y in fixture_laws(fixture):
-            starts = _default_starts(model, xp, y)
-            batched = _descend(model, xp, y, starts, opts)
-            assert_same_descents(
-                batched, reference_runs(batch_of_one, model, xp, y, starts, opts))
-
-    @pytest.mark.parametrize("fixture", FIXTURES)
-    def test_fits_agree_with_serial_engine(self, fixture):
-        # The serial formulas take x ** -1.0 as a reciprocal, the batched
-        # power does not, so starts at a unit exponent may differ in the
-        # last bits; every start still stops the same way at the same cost.
-        opts = FitOptions()
-        for label, model, xp, y in fixture_laws(fixture):
-            starts = _default_starts(model, xp, y)
-            serial = reference_runs(serial_formulas, model, xp, y, starts, opts)
-            _, cost, iters, reason = _descend(model, xp, y, starts, opts)
-            for s, (_, ref_cost, ref_iters, _, ref_reason) in enumerate(serial):
-                assert (STOP_REASONS[reason[s]], iters[s]) == (ref_reason, ref_iters)
-                assert cost[s] == pytest.approx(ref_cost, rel=1e-12, abs=0)
-
-            old = min(range(len(serial)), key=lambda s: serial[s][1])
-            old_params = _decode(serial[old][0])
-            params, norm, report = least_squares(model, xp.T, y, opts)
-            assert report.n_starts == len(starts)
-            assert report.iterations == serial[report.start_index][2]
-            assert report.stop_reason == serial[report.start_index][4]
-            if report.start_index == old:
-                assert params == pytest.approx(old_params, rel=1e-9), label
-            else:
-                assert norm ** 2 <= serial[old][1] * (1 + 1e-12), label
-                assert params == pytest.approx(old_params, rel=1e-6), label
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), joint=st.booleans())
-    def test_seeded_laws_descend_as_alone(self, seed, joint):
-        rng = np.random.default_rng(seed)
-        d = np.array(DIMS, dtype=float)
-        a, alpha = rng.uniform(1, 200), rng.uniform(0.3, 2.5)
-        delta = rng.uniform(0, 0.3)
-        if joint:
-            model = JOINT_LAW
-            nm = np.array([5.0, 40.0, 300.0])
-            xp = np.array([np.tile(d, 3), np.repeat(nm, d.size)])
-            b, beta = rng.uniform(0.1, 10), rng.uniform(0.3, 2.0)
-            y = a * xp[0] ** -alpha + b * xp[1] ** -beta + delta
-        else:
-            model = DIM_LAW
-            xp = d[None]
-            y = a * d ** -alpha + delta
-        y = y * (1 + 0.01 * rng.standard_normal(y.size))
-        starts = _default_starts(model, xp, y)
-        if joint:
-            starts = starts[np.sort(rng.choice(len(starts), 24, replace=False))]
-        opts = FitOptions()
-        assert_same_descents(_descend(model, xp, y, starts, opts),
-                             reference_runs(batch_of_one, model, xp, y, starts, opts))
+        for label, model, table in fixture_laws(fixture):
+            cols, y = law_inputs(model, table)
+            residual, jacobian = serial_formulas(model, cols, y)
+            profile = [t0 for _, t0 in _profile(model, cols, y)]
+            grid = multistart_grid(model, cols, y)[::9 if model is JOINT_LAW else 1]
+            for t0 in profile + grid:
+                _, cost, iters, reason = descend(model, cols, y, t0, opts)
+                _, ref_cost, ref_iters, _, ref_reason = reference_lm(
+                    residual, jacobian, t0, opts)
+                assert reason == ref_reason, (label, t0)
+                if reason == "cost decrease below tolerance":
+                    assert abs(iters - ref_iters) <= 2, (label, t0)
+                else:
+                    assert iters == ref_iters, (label, t0)
+                if reason in CONVERGED:
+                    assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0)
 
     def test_non_finite_jacobian_leaves_other_starts_alone(self, bert_trec_table):
         series = filter_by(bert_trec_table, model_name="BERT-L12-H128-A2",
                            dataset="trecdl")
-        xp = _prepare(DIM_LAW, [row.embed_dim for row in series])
-        y = np.array([row.entropy for row in series])
-        starts = _default_starts(DIM_LAW, xp, y)
+        cols, y = law_inputs(DIM_LAW, series)
+        starts = multistart_grid(DIM_LAW, cols, y)
         # Start 7 leaves finite territory in its third iteration.
-        grid = starts[[11, 7, 3]]
-        opts = FitOptions()
-        t, cost, iters, reason = _descend(DIM_LAW, xp, y, grid, opts)
-        assert STOP_REASONS[reason[1]] == "non-finite jacobian"
-        assert iters[1] == 3 and np.isfinite(cost[1])
-        for s in (0, 2):
-            alone = _descend(DIM_LAW, xp, y, grid[s:s + 1], opts)
-            assert STOP_REASONS[reason[s]] in CONVERGED
-            assert (cost[s], iters[s], reason[s]) == (alone[1][0], alone[2][0],
-                                                     alone[3][0])
-            np.testing.assert_array_equal(t[s], alone[0][0])
-        _, _, report = least_squares(DIM_LAW, xp[0], y,
-                                     FitOptions(multistart_grid=tuple(grid)))
-        assert report.start_index == int(np.argmin(cost))
+        grid = [starts[11], starts[7], starts[3]]
+        runs = [descend(DIM_LAW, cols, y, t0) for t0 in grid]
+        assert runs[1][3] == "non-finite jacobian"
+        assert runs[1][2] == 3 and math.isfinite(runs[1][1])
+        assert runs[0][3] in CONVERGED and runs[2][3] in CONVERGED
+        _, norm, report = least_squares(DIM_LAW, cols[0], y,
+                                        FitOptions(multistart_grid=tuple(grid)))
+        best = min(range(3), key=lambda s: runs[s][1])
+        assert report.start_index == best and report.n_starts == 3
+        assert norm == math.sqrt(runs[best][1])
         assert report.converged
 
     def test_tied_best_cost_goes_to_earliest_start(self):
         table = dim_table(50.0, 1.2, 0.05,
                           noise=1.0 + 0.03 * np.random.default_rng(2).standard_normal(7))
-        x = [row.embed_dim for row in table]
-        y = [row.entropy for row in table]
+        cols, y = law_inputs(DIM_LAW, table)
         good = (math.log(40.0), math.log(1.0), math.log(0.04 + DELTA_EPS))
         worse = (math.log(1e6), math.log(3.0), math.log(1e-9))
         overflowing = (800.0, 0.0, 0.0)
         grid = (overflowing, worse, good, worse, good)
         opts = FitOptions(max_iters=5, multistart_grid=grid)
-        t, cost, iters, reason = _descend(DIM_LAW, _prepare(DIM_LAW, x),
-                                          np.array(y), np.array(grid), opts)
-        assert STOP_REASONS[reason[0]] == "non-finite start" and cost[0] == np.inf
-        assert cost[2] == cost[4] < cost[1]
-        _, norm, report = least_squares(DIM_LAW, x, y, opts)
+        runs = [descend(DIM_LAW, cols, y, t0, opts) for t0 in grid]
+        assert runs[0][3] == "non-finite start" and runs[0][1] == math.inf
+        assert runs[2][1] == runs[4][1] < runs[1][1]
+        _, norm, report = least_squares(DIM_LAW, cols[0], y, opts)
         assert report.start_index == 2
-        assert norm == math.sqrt(cost[2])
+        assert norm == math.sqrt(runs[2][1])
 
     def test_max_iters_is_counted_per_start(self):
         noise = 1.0 + 0.01 * np.random.default_rng(3).standard_normal(len(DIMS))
         table = dim_table(100.0, 1.5, 0.1, noise=noise)
-        xp = _prepare(DIM_LAW, [row.embed_dim for row in table])
-        y = np.array([row.entropy for row in table])
+        cols, y = law_inputs(DIM_LAW, table)
         near = (math.log(100.0), math.log(1.5), math.log(0.1 + DELTA_EPS))
         far = (math.log(1e6), math.log(3.0), math.log(1e-9))
-        grid = np.array([far, near])
-        free = _descend(DIM_LAW, xp, y, grid, FitOptions())
-        cap = int(free[2][1]) + 2
-        assert free[2][0] > cap
-        opts = FitOptions(max_iters=cap)
-        t, cost, iters, reason = _descend(DIM_LAW, xp, y, grid, opts)
-        assert (iters[0], STOP_REASONS[reason[0]]) == (cap, "max_iters reached")
-        assert (iters[1], reason[1]) == (free[2][1], free[3][1])
-        np.testing.assert_array_equal(t[1], free[0][1])
-        capped_far = _descend(DIM_LAW, xp, y, grid[:1], opts)
-        np.testing.assert_array_equal(t[0], capped_far[0][0])
-        _, _, report = least_squares(DIM_LAW, xp[0], y,
-                                     FitOptions(max_iters=cap,
-                                                multistart_grid=tuple(grid)))
+        free_far, free_near = (descend(DIM_LAW, cols, y, t0) for t0 in (far, near))
+        cap = free_near[2] + 2
+        assert free_far[2] > cap
+        opts = FitOptions(max_iters=cap, multistart_grid=(far, near))
+        capped = descend(DIM_LAW, cols, y, far, opts)
+        assert capped[2:] == (cap, "max_iters reached")
+        assert descend(DIM_LAW, cols, y, near, opts) == free_near
+        _, _, report = least_squares(DIM_LAW, cols[0], y, opts)
         assert report.start_index == 1
-        assert report.iterations == free[2][1] and report.converged
+        assert report.iterations == free_near[2] and report.converged
+
+    def test_negative_floor_is_profiled_at_delta_zero(self):
+        # The law's exponent sits on a profile grid point and its floor is
+        # below 0, so that cell's free delta is negative; it is solved again
+        # at delta = 0, so every start keeps delta >= 0 and the fit ends at
+        # that bound.
+        (lo, hi), points = EXPONENT_RANGE, GRID_POINTS[1]
+        table = dim_table(100.0, lo * (hi / lo) ** (49 / (points - 1)), -0.0005)
+        cols, y = law_inputs(DIM_LAW, table)
+        assert all(_decode(t0)[-1] >= 0.0 for _, t0 in _profile(DIM_LAW, cols, y))
+        fit = fit_law(table, DIM_LAW)
+        assert fit.delta == pytest.approx(0.0, abs=1e-8)
+        assert fit.converged and fit.r2 > 0.99
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_no_worse_than_multistart_engine(self, fixture):
+        # One polish per fit. The SSE may not exceed the earlier engine's;
+        # the parameters match it unless the SSE is lower by more than 1e-12.
+        stem = Path(fixture).stem
+        for label, model, table in fixture_laws(fixture):
+            pinned = PINNED[f"{stem}/{label}"]
+            fit = fit_law(table, model)
+            sse = fit.residual_norm ** 2
+            assert sse <= pinned["sse"] * (1 + 1e-12), label
+            if sse >= pinned["sse"] * (1 - 1e-12):
+                assert fit.params == pytest.approx(pinned["params"], rel=1e-6), label
+            cols, y = law_inputs(model, table)
+            assert least_squares(model, list(zip(*cols)), y)[2].n_starts == 1

@@ -1,4 +1,4 @@
-"""predict, plan, sweep-dims and --version run without numpy; fit and eval-ce load it."""
+"""fit, predict, plan, sweep-dims and --version run without numpy; eval-ce loads it."""
 
 import contextlib
 import io
@@ -57,6 +57,11 @@ def test_numpy_free_commands_match_a_normal_run(data_dir, tmp_path):
 
     def commands(out):
         return [
+            ["fit", str(data_dir / "obs_bert_msmarco.csv"), "--law", "dim",
+             "--model", "BERT-L8-H512-A8", "--dataset", "msmarco",
+             "--output-dir", str(out / "fit-dim")],
+            ["fit", str(data_dir / "obs_ettin_msmarco.csv"), "--law", "joint",
+             "--output-dir", str(out / "fit-joint")],
             ["plan", joint, "--budget", "1e9", "3.162e10", "--tokens", "32",
              "--corpus", "100000", "--curve", "32", "256", "4096",
              "--output-dir", str(out / "exhaustive")],
@@ -77,21 +82,22 @@ def test_numpy_free_commands_match_a_normal_run(data_dir, tmp_path):
     normal = [run_in_process(argv) for argv in commands(tmp_path / "normal")]
     assert json.loads(blocked.stdout) == {"runs": normal, "unlisted": []}
     assert all(code == 0 for code, _ in normal)
-    for regime in ("exhaustive", "ann"):
-        expected = artifacts(tmp_path / "normal" / regime)
-        assert "plan_curve_01.dat" in expected
-        assert artifacts(tmp_path / "blocked" / regime) == expected
+    for name, written in (("exhaustive", "plan_curve_01.dat"),
+                          ("ann", "plan_curve_01.dat"),
+                          ("fit-dim", "fit_curve.dat"),
+                          ("fit-joint", "fit_curve.dat")):
+        expected = artifacts(tmp_path / "normal" / name)
+        assert written in expected
+        assert artifacts(tmp_path / "blocked" / name) == expected
 
 
-def test_fit_and_eval_ce_load_numpy(data_dir, tmp_path):
-    for argv in (["fit", str(data_dir / "obs_ettin_msmarco.csv"), "--law", "joint"],
-                 ["eval-ce", str(data_dir / "scores_small.jsonl")]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "embedscale", *argv,
-             "--output-dir", str(tmp_path)], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-    assert {p.name for p in tmp_path.iterdir()} == {
-        "fit_report.json", "fit_curve.dat", "eval_ce_report.json"}
+def test_eval_ce_runs_in_a_normal_process(data_dir, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "embedscale", "eval-ce",
+         str(data_dir / "scores_small.jsonl"), "--output-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"eval_ce_report.json"}
 
 
 def test_every_public_name_resolves_and_is_listed():
