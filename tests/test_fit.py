@@ -476,31 +476,83 @@ class TestReportRoundTrip:
         assert isinstance(fit, LawFit)
 
 
+def assert_same_descent(run, ref, where):
+    """The engine's descent stops for the reference's reason at its cost.
+
+    A stop on a relative cost drop below 1e-12 may come up to two iterations
+    apart: the two implementations' costs differ in the 15th digit, which
+    can flip that comparison.
+    """
+    _, cost, iters, reason = run
+    _, ref_cost, ref_iters, _, ref_reason = ref
+    assert reason == ref_reason, where
+    if reason == "cost decrease below tolerance":
+        assert abs(iters - ref_iters) <= 2, where
+    else:
+        assert iters == ref_iters, where
+    if reason in CONVERGED:
+        assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0)
+
+
 class TestPolish:
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_descends_as_reference(self, fixture):
-        # From the profile's starts and the earlier engine's grid (every
-        # ninth joint-law start), the descent stops for the reference's
-        # reason at its cost. A stop on a relative cost drop below 1e-12 may
-        # come up to two iterations apart: the two implementations' costs
-        # differ in the 15th digit, which can flip that comparison.
+        # From each of the profile's starts.
         opts = FitOptions()
         for label, model, table in fixture_laws(fixture):
             cols, y = law_inputs(model, table)
             residual, jacobian = serial_formulas(model, cols, y)
-            profile = [t0 for _, t0 in _profile(model, cols, y)]
+            for _, t0 in _profile(model, cols, y):
+                assert_same_descent(descend(model, cols, y, t0, opts),
+                                    reference_lm(residual, jacobian, t0, opts),
+                                    (label, t0))
+
+    def test_negative_floor_is_profiled_at_delta_zero(self):
+        # The law's exponent sits on a profile grid point and its floor is
+        # below 0, so that cell's free delta is negative; it is solved again
+        # at delta = 0, so every start keeps delta >= 0 and the fit ends at
+        # that bound.
+        (lo, hi), points = EXPONENT_RANGE, GRID_POINTS[1]
+        table = dim_table(100.0, lo * (hi / lo) ** (49 / (points - 1)), -0.0005)
+        cols, y = law_inputs(DIM_LAW, table)
+        assert all(_decode(t0)[-1] >= 0.0 for _, t0 in _profile(DIM_LAW, cols, y))
+        fit = fit_law(table, DIM_LAW)
+        assert fit.delta == pytest.approx(0.0, abs=1e-8)
+        assert fit.converged and fit.r2 > 0.99
+
+
+class TestBatchedEngine:
+    """An explicit FitOptions.multistart_grid: each start descends on its own."""
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_fits_agree_with_serial_engine(self, fixture):
+        # The earlier engine's grid (every ninth joint-law start): every
+        # start descends as the serial reference does, and the fit keeps the
+        # best of them.
+        opts = FitOptions()
+        for label, model, table in fixture_laws(fixture):
+            cols, y = law_inputs(model, table)
+            residual, jacobian = serial_formulas(model, cols, y)
             grid = multistart_grid(model, cols, y)[::9 if model is JOINT_LAW else 1]
-            for t0 in profile + grid:
-                _, cost, iters, reason = descend(model, cols, y, t0, opts)
-                _, ref_cost, ref_iters, _, ref_reason = reference_lm(
-                    residual, jacobian, t0, opts)
-                assert reason == ref_reason, (label, t0)
-                if reason == "cost decrease below tolerance":
-                    assert abs(iters - ref_iters) <= 2, (label, t0)
-                else:
-                    assert iters == ref_iters, (label, t0)
-                if reason in CONVERGED:
-                    assert cost == pytest.approx(ref_cost, rel=1e-12, abs=0)
+            serial = [reference_lm(residual, jacobian, t0, opts) for t0 in grid]
+            runs = [descend(model, cols, y, t0, opts) for t0 in grid]
+            for t0, run, ref in zip(grid, runs, serial):
+                assert_same_descent(run, ref, (label, t0))
+
+            old = min(range(len(serial)), key=lambda s: serial[s][1])
+            old_params = _decode(serial[old][0])
+            params, norm, report = least_squares(
+                model, list(zip(*cols)), y,
+                FitOptions(multistart_grid=tuple(map(tuple, grid))))
+            assert report.n_starts == len(grid)
+            winner = runs[report.start_index]
+            assert (report.iterations, report.stop_reason) == winner[2:]
+            assert norm == math.sqrt(winner[1])
+            if report.start_index == old:
+                assert params == pytest.approx(old_params, rel=1e-9), label
+            else:
+                assert norm ** 2 <= serial[old][1] * (1 + 1e-12), label
+                assert params == pytest.approx(old_params, rel=1e-6), label
 
     def test_non_finite_jacobian_leaves_other_starts_alone(self, bert_trec_table):
         series = filter_by(bert_trec_table, model_name="BERT-L12-H128-A2",
@@ -552,19 +604,6 @@ class TestPolish:
         _, _, report = least_squares(DIM_LAW, cols[0], y, opts)
         assert report.start_index == 1
         assert report.iterations == free_near[2] and report.converged
-
-    def test_negative_floor_is_profiled_at_delta_zero(self):
-        # The law's exponent sits on a profile grid point and its floor is
-        # below 0, so that cell's free delta is negative; it is solved again
-        # at delta = 0, so every start keeps delta >= 0 and the fit ends at
-        # that bound.
-        (lo, hi), points = EXPONENT_RANGE, GRID_POINTS[1]
-        table = dim_table(100.0, lo * (hi / lo) ** (49 / (points - 1)), -0.0005)
-        cols, y = law_inputs(DIM_LAW, table)
-        assert all(_decode(t0)[-1] >= 0.0 for _, t0 in _profile(DIM_LAW, cols, y))
-        fit = fit_law(table, DIM_LAW)
-        assert fit.delta == pytest.approx(0.0, abs=1e-8)
-        assert fit.converged and fit.r2 > 0.99
 
 
 class TestPinnedFits:
