@@ -15,8 +15,8 @@ from .plan import (AllocationResult, BudgetCurve, BudgetSpec,
                    allocation_from_gamma, budget_curve, flops_encode,
                    flops_score, optimal_allocation, round_dim, round_params)
 
-# The numpy modules load on first use of one of their names (PEP 562), so
-# fitting, planning and prediction start without numpy.
+# These modules load on first use of one of their names (PEP 562): embed
+# imports numpy, and the commands other than eval-ce need not import metrics.
 _LAZY = {
     "metrics": ("BatchQueryScores", "EvalConfig", "QueryScoreRecord",
                 "TeacherMargin", "combined_loss", "contrastive_entropy_dataset",

@@ -6,9 +6,9 @@ files reference that report by name. Writes go through a temp file and
 os.replace, so a failed run leaves nothing partial behind. Identical
 inputs produce byte-identical outputs regardless of output directory.
 Both laws go through the same commands: --law names one of law.LAWS, and
-predict and plan read either law's report through one reader. Only
-eval-ce loads numpy (through metrics), when it runs, so fit, predict,
-plan, sweep-dims and --version start without numpy.
+predict and plan read either law's report through one reader. No command
+loads numpy. eval-ce imports the metrics module when it runs, so the other
+commands do not pay to import it.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -23,7 +23,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from fractions import Fraction
-from math import fsum, log10
+from math import log10
 
 from . import __version__
 from .core import (DataError, NumericError, SweepConfig, expand_sweep,
@@ -107,7 +107,7 @@ def _fmt(value: float) -> str:
 
 def cmd_eval_ce(args) -> int:
     from .metrics import (EvalConfig, contrastive_entropy_records,
-                          parse_score_records)
+                          mean_entropy, parse_score_records)
     cfg = EvalConfig(temperature=args.tau)
     text = _read_text(args.scores)
     records = parse_score_records(text)
@@ -117,7 +117,7 @@ def cmd_eval_ce(args) -> int:
     per_query = [{"query_id": rec.query_id, "entropy": value}
                  for rec, value in zip(records, entropies)]
     # The formula of contrastive_entropy_dataset, without scoring again.
-    dataset_entropy = fsum(entropies) / len(entropies)
+    dataset_entropy = mean_entropy(entropies)
     report = {
         "dataset_entropy": dataset_entropy,
         "n_queries": len(records),

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .core import DataError, NumericError, ObservationTable
-from .law import MILLION, LawFit, PowerLaw, r_squared
+from .law import MILLION, LawFit, PowerLaw, r_squared, total_variance
 
 DELTA_EPS = 1e-9         # offset inside log(delta + eps); keeps delta=0 reachable
 COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
@@ -372,7 +372,7 @@ def fit_law(table: ObservationTable, model: PowerLaw,
 
     Raises:
         DataError: mixed datasets, the wrong number of models for the law,
-            or too few points.
+            all-identical entropies, or too few points.
         NumericError: no law with positive coefficients fits the series.
     """
     if len(table.datasets) != 1:
@@ -387,6 +387,8 @@ def fit_law(table: ObservationTable, model: PowerLaw,
                         "fit the dim law to one")
     x = [(row.embed_dim, row.n_params / MILLION)[:model.n_terms] for row in table]
     y = [row.entropy for row in table]
+    # r_squared would reject a constant series only after the whole fit.
+    total_variance(y)
     params, residual_norm, report = least_squares(model, x, y, opts)
     params = params[:-1] + (max(0.0, params[-1]),)
     predictions = _values(model, params, _prepare(model, x))

@@ -135,12 +135,25 @@ def r_squared(predictions: Sequence[float], targets: Sequence[float]) -> float:
             f"predictions ({len(predictions)}) and targets ({len(targets)}) "
             "must be equal-length and nonempty"
         )
-    mean = fsum(targets) / len(targets)
-    ss_tot = fsum((t - mean) ** 2 for t in targets)
+    ss_res = fsum((p - t) ** 2 for p, t in zip(predictions, targets))
+    return 1.0 - ss_res / total_variance(targets)
+
+
+def total_variance(targets: Sequence[float]) -> float:
+    """Sum of squared deviations of nonempty targets from their mean, inf
+    when it exceeds a double.
+
+    Raises:
+        DataError: all-identical targets (zero total variance).
+    """
+    try:
+        mean = fsum(targets) / len(targets)
+        ss_tot = fsum((t - mean) ** 2 for t in targets)
+    except OverflowError:
+        return inf
     if ss_tot == 0.0:
         raise DataError("zero total variance: targets are all identical")
-    ss_res = fsum((p - t) ** 2 for p, t in zip(predictions, targets))
-    return 1.0 - ss_res / ss_tot
+    return ss_tot
 
 
 def fit_to_report(fit: LawFit, opts=None) -> dict:

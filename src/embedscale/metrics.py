@@ -1,14 +1,15 @@
 """Contrastive-entropy evaluation, training losses, and ranking metrics.
 
 The entropy kernel is the negative log softmax probability of the relevant
-score among itself and a set of negative scores. One batched kernel,
-contrastive_entropy_records, serves evaluation and training alike: it lays
-the score rows of many records out in one float64 array, a fixed number of
-scores at a time, and takes their max-shifted exponentials with numpy.
+score among itself and a set of negative scores. One kernel,
+contrastive_entropy_records, serves evaluation and training alike: it
+exponentiates each record's max-shifted negatives once and scores every
+positive of the record against them, with math only. Only
+sample_negatives loads numpy, when it is called.
 
 Determinism notes, relied on by the reproducibility contract:
   - Sums over scores and over queries use math.fsum (exactly rounded), so
-    a value does not depend on how records are grouped into kernel chunks.
+    a value does not depend on the order or grouping of records.
   - Negative sampling runs a partial Fisher-Yates shuffle driven by a
     PCG64 generator (numpy.random.Generator); the seed is the only state.
 """
@@ -17,17 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, islice
-from math import exp, fsum, inf, isfinite
+from itertools import chain, repeat
+from math import exp, fsum, inf, isfinite, log, log1p
+from operator import sub, truediv
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import DataError, NumericError
-
-# Scores per kernel pass. Bounds the kernel's working set, which would
-# otherwise grow with the whole score file.
-KERNEL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,73 +121,57 @@ def contrastive_entropy_records(records: Sequence[QueryScoreRecord],
     """Per-query entropy of each record, in record order.
 
     A query's entropy is the mean, over its positives, of the entropy of
-    that positive against all of the query's negatives. Scores are divided
-    by tau (when given) once. Each score row is shifted by its maximum
-    before exponentiation, so large scores cannot overflow. Row sums and
-    the means over positives use math.fsum. Records are scored in chunks of
-    at most KERNEL_CHUNK scores (a larger record is a chunk of its own), and
-    a value does not depend on the chunking.
+    that positive against all of the query's negatives. Each record's
+    negatives are divided by tau (when given), shifted by their maximum and
+    exponentiated once, whatever the number of positives; each positive
+    then costs one exp and one log. A positive at or below the top negative
+    scores (top - positive) + log(z), z being the sum of every term; one
+    above it scores log1p of the negatives' mass relative to it, so tiny
+    entropies keep their relative precision. Sums use math.fsum, and a
+    value does not depend on the other records.
 
     Raises:
         DataError: a record without negatives, or tau not in (0, inf).
         NumericError: a scaled score or an entropy is not finite.
     """
     _check_temperature(tau)
-    out: list[float] = []
-    chunk: list[QueryScoreRecord] = []
-    size = 0
+    t = tau or 1.0
+    out = []
     for rec in records:
-        if not rec.negatives:
+        negatives = rec.negatives
+        if not negatives:
             raise DataError(f"query {rec.query_id!r}: negatives must be nonempty")
-        cost = len(rec.positives) * (len(rec.negatives) + 1)
-        if chunk and size + cost > KERNEL_CHUNK:
-            out += _entropy_chunk(chunk, tau)
-            chunk, size = [], 0
-        chunk.append(rec)
-        size += cost
-    if chunk:
-        out += _entropy_chunk(chunk, tau)
+        # Division by t > 0 is monotone: these are the scaled extremes.
+        top = max(negatives) / t
+        bottom = min(negatives) / t
+        positives = [p / t for p in rec.positives]
+        if not (isfinite(top) and isfinite(bottom) and all(map(isfinite, positives))):
+            raise NumericError(f"scores scaled by temperature {tau} are not finite")
+        terms = list(map(exp, map(sub, map(truediv, negatives, repeat(t)),
+                                  repeat(top))))
+        # z + rest is the terms' sum to about twice double precision.
+        z = fsum(terms)
+        rest = fsum(chain(terms, (-z,)))
+        rows = [(top - s) + log(fsum((exp(s - top), z, rest))) if s <= top
+                else log1p(exp(top - s) * z) for s in positives]
+        out.append(mean_entropy(rows))
     return out
 
 
-def _entropy_chunk(records: list[QueryScoreRecord],
-                   tau: Optional[float]) -> list[float]:
-    n_pos = np.array([len(r.positives) for r in records], dtype=np.int64)
-    n_neg = np.array([len(r.negatives) for r in records], dtype=np.int64)
-    rows = int(n_pos.sum())
-    # scores[:rows] holds every positive, scores[rows:] every negative.
-    scores = np.fromiter(
-        chain(chain.from_iterable(r.positives for r in records),
-              chain.from_iterable(r.negatives for r in records)),
-        np.float64, count=rows + int(n_neg.sum()))
-    with np.errstate(over="ignore", under="ignore"):
-        if tau is not None:
-            scores /= tau
-        if not np.isfinite(scores).all():
-            raise NumericError(f"scores scaled by temperature {tau} are not finite")
-        # Row r is [positive r, negatives of its record]; gather every row
-        # into one flat array of `width`-long rows starting at `starts`.
-        record_of_row = np.repeat(np.arange(len(records)), n_pos)
-        width = n_neg[record_of_row] + 1
-        starts = np.cumsum(width) - width
-        neg_start = np.cumsum(n_neg) - n_neg + rows
-        index = np.repeat(neg_start[record_of_row] - 1 - starts, width)
-        index += np.arange(index.size)
-        index[starts] = np.arange(rows)
-        flat = scores[index]
-        peak = np.maximum.reduceat(flat, starts)
-        flat -= np.repeat(peak, width)
-        np.exp(flat, out=flat)
-        terms = iter(flat.tolist())
-        z = np.array([fsum(islice(terms, w)) for w in width.tolist()])
-        # (peak - positive) first: exact whenever the positive is the max
-        # score, so tiny entropies are not absorbed into ulp(peak).
-        row_entropy = (peak - scores[:rows]) + np.log(z)
-        if not np.isfinite(row_entropy).all():
-            raise NumericError("contrastive entropy is not finite: the scaled "
-                               "scores span more than a double can hold")
-    entropies = iter(row_entropy.tolist())
-    return [fsum(islice(entropies, p)) / p for p in n_pos.tolist()]
+def mean_entropy(values: Sequence[float]) -> float:
+    """fsum(values) / len(values) over nonempty, nonnegative entropies.
+
+    Raises:
+        NumericError: an entropy is infinite, or their sum overflows.
+    """
+    try:
+        mean = fsum(values) / len(values)
+    except OverflowError:
+        mean = inf
+    if not isfinite(mean):
+        raise NumericError("contrastive entropy is not finite: the scaled "
+                           "scores span more than a double can hold")
+    return mean
 
 
 def contrastive_entropy_single(positive: float, negatives: Sequence[float],
@@ -232,10 +212,11 @@ def contrastive_entropy_dataset(records: Sequence[QueryScoreRecord],
 
     Raises:
         DataError: empty record list.
+        NumericError: an entropy, or the sum of the entropies, is not finite.
     """
     if not records:
         raise DataError("no query records")
-    return fsum(contrastive_entropy_records(records, cfg.temperature)) / len(records)
+    return mean_entropy(contrastive_entropy_records(records, cfg.temperature))
 
 
 def sample_negatives(corpus_ids: Sequence[str], positive_ids: set,
@@ -258,6 +239,8 @@ def sample_negatives(corpus_ids: Sequence[str], positive_ids: set,
             f"need {k} negatives but only {len(pool)} eligible ids "
             f"(corpus {len(corpus_ids)}, positives excluded {len(corpus_ids) - len(pool)})"
         )
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     # One draw for all k swaps; below 2^32 it is the stream of k scalar draws.
     offsets = rng.integers(0, len(pool) - np.arange(k)).tolist()

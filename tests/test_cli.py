@@ -474,8 +474,12 @@ def mutated_observations(draw):
         elif op == "duplicate":
             lines.insert(i, lines[i])
         elif op == "scale":
+            try:
+                entropy = float(fields[4])
+            except (IndexError, ValueError):
+                continue  # an earlier "field" edit left it unparsable
             factor = draw(st.floats(1e-6, 1e6))
-            lines[i] = ",".join(fields[:4] + [repr(float(fields[4]) * factor)])
+            lines[i] = ",".join(fields[:4] + [repr(entropy * factor)])
     return "\n".join(lines) + "\n"
 
 
@@ -529,6 +533,86 @@ class TestFitProperties:
                             "--output-dir", str(tmp_path / "fit")], capsys)
         assert code == 2
         assert "line 4" in err and "largest double" in err
+
+
+SCORES = st.floats(min_value=-60, max_value=60).map(repr)
+ODD_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers().map(str),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                     str(BIG), "1" * 5000, "8e307", "-8e307",
+                     "1.7976931348623157e308", "5e-324", "-0", "true", "false",
+                     "null", '"0.5"', "[]", "{}", "[0.5]"]))
+ODD_VALUES = st.sampled_from(['"q"', '""', "7", "null", "true", "{}", "[[0.5]]",
+                              "[" * 5000 + "]" * 5000])
+TAUS = st.one_of(
+    st.none(),
+    st.floats(min_value=1e-6, max_value=1e6).map(repr),
+    st.sampled_from(["5e-324", "1e-310", "1e-300", "1e300",
+                     "1.7976931348623157e308", "1e400", "inf", "-inf", "nan",
+                     "0", "-0", "-1"]))
+
+
+@st.composite
+def mutated_score_lines(draw):
+    """eval-ce JSONL of one to four records, with a few edits."""
+    keys = ("query_id", "positives", "negatives")
+    records = [{"query_id": f'"q{i}"',
+                "positives": draw(st.lists(SCORES, min_size=1, max_size=3)),
+                "negatives": draw(st.lists(SCORES, min_size=1, max_size=6))}
+               for i in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        rec = draw(st.sampled_from(records))
+        key = draw(st.sampled_from(keys))
+        op = draw(st.sampled_from(["score", "empty", "value", "delete"]))
+        if op == "score" and isinstance(rec.get(key), list) and rec[key]:
+            rec[key][draw(st.integers(0, len(rec[key]) - 1))] = draw(ODD_SCORES)
+        elif op == "empty" and key != "query_id":
+            rec[key] = []
+        elif op == "value":
+            rec[key] = draw(ODD_VALUES)
+        elif op == "delete":
+            rec.pop(key, None)
+    lines = ["{" + ", ".join(
+        f'"{k}": ' + (v if isinstance(v, str) else "[" + ", ".join(v) + "]")
+        for k, v in rec.items()) + "}" for rec in records]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["", "not json", "[0.5]", '"q"', "{", "[" * 5000])))
+    return "\n".join(lines) + "\n"
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} in a report")
+
+
+class TestEvalCeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(text=mutated_score_lines(), tau=TAUS)
+    # Per-positive, then per-query entropies whose sum overflows a double.
+    @example(text='{"query_id": "a", "positives": [-8e307, -8e307], '
+                  '"negatives": [8e307]}\n', tau=None)
+    @example(text='{"query_id": "a", "positives": [-8e307], "negatives": [8e307]}\n'
+                  '{"query_id": "b", "positives": [-8e307], "negatives": [8e307]}\n',
+             tau=None)
+    @example(text='{"query_id": "a", "positives": [0.5], "negatives": [0.1]}\n',
+             tau="5e-324")
+    def test_eval_ce_ends_in_a_documented_code(self, text, tau):
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out, "scores.jsonl")
+            path.write_text(text)
+            argv = ["eval-ce", str(path), "--output-dir", str(Path(out, "eval"))]
+            if tau is not None:
+                argv.append(f"--tau={tau}")
+            code, stdout, err = run_quietly(argv)
+            assert code in (0, 2, 3) and "Traceback" not in err
+            if code == 0:
+                report = Path(out, "eval", "eval_ce_report.json").read_text()
+                obj = json.loads(report, parse_constant=reject_constant)
+                assert float(stdout) == obj["dataset_entropy"]
+                assert obj["n_queries"] == len(obj["per_query"]) > 0
+            else:
+                assert stdout == "" and not Path(out, "eval").exists()
 
 
 class TestSweepDims:

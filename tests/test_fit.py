@@ -16,6 +16,7 @@ from embedscale import (DIM_LAW, JOINT_LAW, DataError, FitOptions, LawFit,
 from embedscale.fit import (COST_REL_TOL, DELTA_EPS, EXPONENT_RANGE,
                             GRID_POINTS, LAMBDA_INIT, LAMBDA_MAX, STOP_REASONS,
                             _decode, _descend, _prepare, _profile, _values)
+from embedscale.law import total_variance
 
 DATA = Path(__file__).parent / "data"
 DIMS = (32, 64, 128, 256, 512, 1024, 2048)
@@ -239,6 +240,20 @@ class TestTableGuards:
         with pytest.raises(DataError, match="under-determined"):
             fit_law(ObservationTable(rows), JOINT_LAW)
 
+    @pytest.mark.parametrize("law, table", [
+        (DIM_LAW, dim_table(0.0, 1.0, 0.2)),
+        (JOINT_LAW, joint_table(0.0, 0.0, 1.0, 1.0, 0.2)),
+    ], ids=["dim", "joint"])
+    def test_constant_series_fails_before_any_descent(self, law, table,
+                                                      monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the engine ran on a constant series")
+
+        monkeypatch.setattr("embedscale.fit._profile", no_fit)
+        monkeypatch.setattr("embedscale.fit._descend", no_fit)
+        with pytest.raises(DataError, match="zero total variance"):
+            fit_law(table, law)
+
     def test_dim_law_rejects_mixed_models(self, bert_ms_table):
         with pytest.raises(DataError, match="mixed models"):
             fit_law(bert_ms_table, DIM_LAW)
@@ -360,6 +375,11 @@ class TestRSquared:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             r_squared([1.0], [1.0, 2.0])
+
+    def test_variance_past_the_doubles_is_not_zero(self):
+        # fit_law checks the variance before fitting: squared deviations
+        # that overflow must not raise there.
+        assert total_variance([0.2, 1e308, 1.5e308]) == math.inf
 
 
 class TestEngine:

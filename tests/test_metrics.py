@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedscale import (BatchQueryScores, DataError, EvalConfig,
@@ -13,7 +13,6 @@ from embedscale import (BatchQueryScores, DataError, EvalConfig,
                         contrastive_entropy_single, contrastive_loss_grad,
                         margin_mse, margin_mse_grad, parse_score_records,
                         recall_at_k, rr_at_k, sample_negatives)
-from embedscale.metrics import KERNEL_CHUNK
 
 # ---------------------------------------------------------------------------
 # oracle: the same entropy evaluated in 50-digit decimal arithmetic
@@ -89,6 +88,27 @@ class TestEntropySingle:
         value = contrastive_entropy_single(0.0, negatives)
         expected = oracle_entropy(0.0, negatives)
         assert abs(value - expected) <= 2 * math.ulp(expected)
+
+    @given(gap=st.floats(min_value=10, max_value=60),
+           negs=st.lists(st.floats(min_value=-5, max_value=0), min_size=1,
+                         max_size=32))
+    @example(gap=20.0, negs=[0.0])
+    def test_tiny_entropy_keeps_relative_precision(self, gap, negs):
+        # The entropy is about e^-gap. log(z) with z = 1 + e^-gap loses all
+        # but ulp(1) / e^-gap of it; log1p of the negatives' mass does not.
+        value = contrastive_entropy_single(max(negs) + gap, negs)
+        assert value == pytest.approx(oracle_entropy(max(negs) + gap, negs),
+                                      rel=1e-12, abs=0)
+
+    def test_tiny_entropy_of_a_generated_record(self):
+        rng = np.random.default_rng(8000)
+        negs = rng.normal(0.0, 1.0, 32).tolist()
+        rec = QueryScoreRecord("q8000", (max(negs) + 22.0, max(negs) + 21.0),
+                               tuple(negs))
+        [value] = contrastive_entropy_records([rec])
+        expected = math.fsum(oracle_entropy(p, negs) for p in rec.positives) / 2
+        assert value < 1e-8
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_huge_scores_do_not_overflow(self):
         value = contrastive_entropy_single(5000.0, [4999.0, 4998.0])
@@ -234,14 +254,14 @@ class TestEntropyRecords:
             assert value == pytest.approx(reference_query_entropy(rec, tau),
                                           rel=1e-12, abs=5e-14)
 
-    def test_chunk_boundaries_do_not_change_values(self):
+    def test_one_call_equals_record_by_record(self):
+        # Records of a few thousand scores, one past 2^16, and many small.
         rng = np.random.default_rng(3)
-        shapes = [(2, 5000)] * 10 + [(1, KERNEL_CHUNK + 10)] + [(3, 700)] * 60
+        shapes = [(2, 5000)] * 10 + [(1, 2 ** 16 + 10)] + [(3, 700)] * 60
         records = [QueryScoreRecord(f"q{i}",
                                     tuple(rng.normal(0.5, 0.1, p).tolist()),
                                     tuple(rng.normal(0.3, 0.1, n).tolist()))
                    for i, (p, n) in enumerate(shapes)]
-        assert sum(p * (n + 1) for p, n in shapes) > 3 * KERNEL_CHUNK
         one_call = contrastive_entropy_records(records, 0.05)
         one_by_one = [contrastive_entropy_records([r], 0.05)[0]
                       for r in records]

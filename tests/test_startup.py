@@ -1,4 +1,5 @@
-"""fit, predict, plan, sweep-dims and --version run without numpy; eval-ce loads it."""
+"""Every command runs without numpy: eval-ce, fit, predict, plan, sweep-dims
+and --version."""
 
 import contextlib
 import io
@@ -71,6 +72,8 @@ def test_numpy_free_commands_match_a_normal_run(data_dir, tmp_path):
             ["predict", str(dim_dir / "fit_report.json"), "--dim", "768"],
             ["predict", joint, "--dim", "512", "--params", "109482240"],
             ["sweep-dims", "--hidden", "512", "--multipliers", "1/4", "1", "16"],
+            ["eval-ce", str(data_dir / "scores_small.jsonl"), "--tau", "0.05",
+             "--output-dir", str(out / "eval")],
             ["--version"],
         ]
 
@@ -82,22 +85,14 @@ def test_numpy_free_commands_match_a_normal_run(data_dir, tmp_path):
     normal = [run_in_process(argv) for argv in commands(tmp_path / "normal")]
     assert json.loads(blocked.stdout) == {"runs": normal, "unlisted": []}
     assert all(code == 0 for code, _ in normal)
-    for name, written in (("exhaustive", "plan_curve_01.dat"),
+    for name, written in (("eval", "eval_ce_report.json"),
+                          ("exhaustive", "plan_curve_01.dat"),
                           ("ann", "plan_curve_01.dat"),
                           ("fit-dim", "fit_curve.dat"),
                           ("fit-joint", "fit_curve.dat")):
         expected = artifacts(tmp_path / "normal" / name)
         assert written in expected
         assert artifacts(tmp_path / "blocked" / name) == expected
-
-
-def test_eval_ce_runs_in_a_normal_process(data_dir, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "embedscale", "eval-ce",
-         str(data_dir / "scores_small.jsonl"), "--output-dir", str(tmp_path)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert {p.name for p in tmp_path.iterdir()} == {"eval_ce_report.json"}
 
 
 def test_every_public_name_resolves_and_is_listed():
