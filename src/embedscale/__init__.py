@@ -8,7 +8,7 @@ from importlib import import_module
 from .core import (DataError, NumericError, Observation, ObservationTable,
                    SweepConfig, expand_sweep, filter_by, parse_observations,
                    serialize_observations)
-from .fit import ConvergenceReport, FitOptions, fit_law, least_squares
+from .fit import ConvergenceReport, fit_law, least_squares
 from .law import (DIM_LAW, JOINT_LAW, LAWS, LawFit, fit_from_report,
                   fit_to_report, predict, r_squared)
 from .plan import (AllocationResult, BudgetCurve, BudgetSpec,
@@ -34,7 +34,7 @@ __all__ = [
     "DataError", "NumericError", "Observation", "ObservationTable",
     "SweepConfig", "expand_sweep", "filter_by", "parse_observations",
     "serialize_observations",
-    "ConvergenceReport", "FitOptions", "fit_law", "least_squares",
+    "ConvergenceReport", "fit_law", "least_squares",
     "DIM_LAW", "JOINT_LAW", "LAWS", "LawFit", "fit_from_report",
     "fit_to_report", "predict", "r_squared",
     "AllocationResult", "BudgetCurve", "BudgetSpec", "allocation_from_gamma",

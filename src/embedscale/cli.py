@@ -28,7 +28,7 @@ from math import log10
 from . import __version__
 from .core import (DataError, NumericError, SweepConfig, expand_sweep,
                    filter_by, parse_observations)
-from .fit import FitOptions, fit_law
+from .fit import GRADIENT_TOLERANCE, MAX_ITERS, fit_law
 from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
 from .plan import BudgetSpec, budget_curve, optimal_allocation
 
@@ -177,9 +177,11 @@ def _curve_blocks(fit, table) -> list[str]:
 
 def cmd_fit(args) -> int:
     table = _resolve_table(args.observations, args.model, args.dataset)
-    opts = FitOptions()
-    fit = fit_law(table, LAWS[args.law], opts)
-    report = fit_to_report(fit, opts)
+    fit = fit_law(table, LAWS[args.law])
+    report = fit_to_report(fit)
+    report["options"] = {"max_iters": MAX_ITERS,
+                         "gradient_tolerance": GRADIENT_TOLERANCE,
+                         "n_starts": None}
     report["manifest"] = _manifest("fit", [args.observations], {
         "law": args.law, "model": args.model, "dataset": args.dataset})
     header = [

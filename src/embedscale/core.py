@@ -190,10 +190,7 @@ def parse_observations(text) -> ObservationTable:
 
     if not rows:
         raise DataError("empty table")
-    try:
-        return ObservationTable(tuple(rows))
-    except DataError as exc:
-        raise DataError(str(exc)) from None
+    return ObservationTable(tuple(rows))
 
 
 def serialize_observations(table: ObservationTable) -> str:

@@ -165,7 +165,8 @@ def load_matrix(path: str) -> EmbeddingMatrix:
 
     Raises:
         DataError: malformed line (with line number), inconsistent row
-            widths, empty file, or sidecar mismatch.
+            widths, empty file, or a sidecar that is not a JSON object
+            or does not match.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -200,8 +201,11 @@ def load_matrix(path: str) -> EmbeddingMatrix:
         with open(sidecar, "r", encoding="utf-8") as fh:
             try:
                 meta = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DataError(f"{sidecar}: invalid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"{sidecar}: expected a JSON object, "
+                            f"got {type(meta).__name__}")
         if meta.get("rows") != matrix.rows or meta.get("dim") != matrix.dim:
             raise DataError(
                 f"{sidecar}: declares rows={meta.get('rows')} dim={meta.get('dim')}, "
@@ -210,13 +214,13 @@ def load_matrix(path: str) -> EmbeddingMatrix:
     return matrix
 
 
-def save_matrix(matrix: EmbeddingMatrix, path: str, sidecar: bool = True):
-    """Write the line-oriented matrix format; repr floats round-trip exactly."""
+def save_matrix(matrix: EmbeddingMatrix, path: str):
+    """Write the line-oriented matrix format, and its `<path>.json` sidecar;
+    repr floats round-trip exactly."""
     ids = matrix.ids or tuple(str(i) for i in range(matrix.rows))
     with open(path, "w", encoding="utf-8") as fh:
         for rid, row in zip(ids, matrix.data):
             fh.write(rid + " " + " ".join(repr(float(v)) for v in row) + "\n")
-    if sidecar:
-        with open(path + ".json", "w", encoding="utf-8") as fh:
-            json.dump({"rows": matrix.rows, "dim": matrix.dim}, fh)
-            fh.write("\n")
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump({"rows": matrix.rows, "dim": matrix.dim}, fh)
+        fh.write("\n")

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 from itertools import product
 from math import exp, inf, isfinite, log, sqrt
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import DataError, NumericError, ObservationTable
 from .law import MILLION, LawFit, PowerLaw, r_squared, total_variance
 
 DELTA_EPS = 1e-9         # offset inside log(delta + eps); keeps delta=0 reachable
 COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
+GRADIENT_TOLERANCE = 1e-12   # largest |gradient| entry below this counts as converged
+MAX_ITERS = 500          # descent iterations per start
 LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
 EXPONENT_RANGE = (0.05, 4.0)
@@ -40,28 +42,12 @@ _NONFINITE_START, _NONFINITE_JACOBIAN, _GRADIENT, _COST, _MAX_ITERS = range(5)
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """Engine knobs. multistart_grid entries are log-space parameter vectors
-    that replace the profile grid's starts."""
-
-    max_iters: int = 500
-    gradient_tolerance: float = 1e-12
-    multistart_grid: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.gradient_tolerance > 0:
-            raise DataError("gradient_tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     """How the winning descent stopped.
 
     start_index is the start it descended from: a flat index into the
-    profile grid (first exponent axis slowest), or a row of an explicit
-    multistart_grid. n_starts counts the descents run.
+    profile grid (first exponent axis slowest). n_starts counts the
+    descents run.
     """
 
     converged: bool
@@ -240,14 +226,14 @@ def _evaluate(model: PowerLaw, cols, y, t):
     return (cost, r, terms) if isfinite(cost) else (inf, None, None)
 
 
-def _descend(model: PowerLaw, cols, y, t0, opts: FitOptions):
+def _descend(model: PowerLaw, cols, y, t0):
     """One damped Gauss-Newton descent from log-space t0.
 
     Levenberg-Marquardt rules: Marquardt diagonal damping, lambda x10 on a
     rejected, singular or non-finite step (up to LAMBDA_MAX) and /10
     (floored at 1e-15) on an accepted one, and a stop on a small gradient,
     a relative cost drop below COST_REL_TOL, no acceptable step, or
-    max_iters.
+    MAX_ITERS.
 
     Returns:
         (t, cost, iterations, reason): the final log-space vector, its cost
@@ -261,7 +247,7 @@ def _descend(model: PowerLaw, cols, y, t0, opts: FitOptions):
     if r is None:
         return t, inf, 0, _NONFINITE_START
     lam = LAMBDA_INIT
-    for iteration in range(1, opts.max_iters + 1):
+    for iteration in range(1, MAX_ITERS + 1):
         natural = [_exp(v) for v in t]
         jac = terms + [[-term * lx * e for term, lx in zip(tk, lxs)]
                        for tk, lxs, e in zip(terms, log_x, natural[k:2 * k])]
@@ -269,7 +255,7 @@ def _descend(model: PowerLaw, cols, y, t0, opts: FitOptions):
         if not all(isfinite(v) for col in jac for v in col):
             return t, cost, iteration, _NONFINITE_JACOBIAN
         jtr = [_dot(col, r) for col in jac]
-        if max(abs(2.0 * g) for g in jtr) < opts.gradient_tolerance:
+        if max(abs(2.0 * g) for g in jtr) < GRADIENT_TOLERANCE:
             return t, cost, iteration, _GRADIENT
         jtj = [[_dot(a, b) for b in jac] for a in jac]
         # Marquardt scaling: damp each parameter relative to its own curvature.
@@ -293,23 +279,20 @@ def _descend(model: PowerLaw, cols, y, t0, opts: FitOptions):
         else:
             # No step improves even under maximal damping: decrease is 0 < tol.
             return t, cost, iteration, _COST
-    return t, cost, opts.max_iters, _MAX_ITERS
+    return t, cost, MAX_ITERS, _MAX_ITERS
 
 
-def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
-                  opts: Optional[FitOptions] = None):
+def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
     """Fit model parameters by variable projection and a damped Gauss-Newton polish.
 
     Minimizes sum((model(x_i; theta) - y_i)^2) in raw target space. One
-    descent runs from each local minimum of the profile grid, or from each
-    row of opts.multistart_grid when given; the lowest final cost wins,
-    ties going to the earliest start.
+    descent runs from each local minimum of the profile grid; the lowest
+    final cost wins, ties going to the earliest start.
 
     Args:
         model: a PowerLaw, one of LAWS.
         x: model inputs, one entry per target.
         y: observed targets.
-        opts: engine options; defaults to FitOptions().
 
     Returns:
         (parameters, residual_norm, report): natural-space parameter tuple
@@ -317,12 +300,10 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
         ConvergenceReport for the winning start.
 
     Raises:
-        DataError: length mismatch, under-determined system, a malformed
-            explicit start, or every start failing to produce a finite cost.
+        DataError: length mismatch, under-determined system, or every
+            start failing to produce a finite cost.
         NumericError: no profile cell has all coefficients positive.
     """
-    if opts is None:
-        opts = FitOptions()
     y = [float(v) for v in y]
     if len(x) != len(y):
         raise DataError(f"{len(x)} inputs vs {len(y)} targets")
@@ -335,19 +316,8 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
             f"(need at least {n_params + 1})"
         )
     cols = _prepare(model, x)
-    if opts.multistart_grid is None:
-        starts = _profile(model, cols, y)
-    else:
-        starts = [(index, [float(v) for v in t0])
-                  for index, t0 in enumerate(opts.multistart_grid)]
-        if not starts:
-            raise DataError("multistart grid is empty")
-        for index, t0 in starts:
-            if len(t0) != n_params:
-                raise DataError(
-                    f"start {index} has shape ({len(t0)},), expected ({n_params},)")
-
-    runs = [(*_descend(model, cols, y, t0, opts), index) for index, t0 in starts]
+    starts = _profile(model, cols, y)
+    runs = [(*_descend(model, cols, y, t0), index) for index, t0 in starts]
     # min keeps the first of equal costs, so ties go to the earliest start.
     t, cost, iterations, reason, index = min(runs, key=lambda run: run[1])
     if cost == inf:
@@ -362,8 +332,7 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float],
     return _decode(t), sqrt(cost), report
 
 
-def fit_law(table: ObservationTable, model: PowerLaw,
-            opts: Optional[FitOptions] = None) -> LawFit:
+def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
     """Fit a law to one dataset's observations.
 
     The dimension law (K = 1) takes exactly one model's series; the joint
@@ -389,7 +358,7 @@ def fit_law(table: ObservationTable, model: PowerLaw,
     y = [row.entropy for row in table]
     # r_squared would reject a constant series only after the whole fit.
     total_variance(y)
-    params, residual_norm, report = least_squares(model, x, y, opts)
+    params, residual_norm, report = least_squares(model, x, y)
     params = params[:-1] + (max(0.0, params[-1]),)
     predictions = _values(model, params, _prepare(model, x))
     warnings = []

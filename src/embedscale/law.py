@@ -50,7 +50,7 @@ class LawFit:
     name (fit.alpha, fit.b_coeff). The joint law's b_coeff is calibrated
     against parameter counts in millions; predict does the division.
     start_index (multistart_index in reports) names the start the fit
-    descended from: a flat profile-grid cell or a row of an explicit grid.
+    descended from: a flat profile-grid cell.
     """
 
     model: PowerLaw
@@ -156,8 +156,8 @@ def total_variance(targets: Sequence[float]) -> float:
     return ss_tot
 
 
-def fit_to_report(fit: LawFit, opts=None) -> dict:
-    """Serialize a fit, and the FitOptions opts if given, to report JSON."""
+def fit_to_report(fit: LawFit) -> dict:
+    """Serialize a fit to report JSON."""
     parameters = dict(zip(fit.model.param_names, fit.params))
     if fit.model is JOINT_LAW:
         parameters["param_unit"] = "millions"
@@ -171,13 +171,6 @@ def fit_to_report(fit: LawFit, opts=None) -> dict:
         "multistart_index": fit.start_index,
         "warnings": list(fit.warnings),
     }
-    if opts is not None:
-        report["options"] = {
-            "max_iters": opts.max_iters,
-            "gradient_tolerance": opts.gradient_tolerance,
-            "n_starts": None if opts.multistart_grid is None
-            else len(opts.multistart_grid),
-        }
     return report
 
 

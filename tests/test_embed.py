@@ -262,3 +262,17 @@ class TestMatrixFiles:
         (tmp_path / "vecs.txt.json").write_text(
             json.dumps({"rows": 1, "dim": 2}))
         assert load_matrix(str(path)).dim == 2
+
+    @pytest.mark.parametrize("sidecar", [
+        "[1, 2]", '"x"', "5", "null", "[" * 100_000, "{", b"\xff"],
+        ids=["list", "string", "number", "null", "deep", "truncated", "utf8"])
+    def test_malformed_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1.0 2.0\n")
+        meta = tmp_path / "vecs.txt.json"
+        if isinstance(sidecar, bytes):
+            meta.write_bytes(sidecar)
+        else:
+            meta.write_text(sidecar)
+        with pytest.raises(DataError, match="vecs.txt.json"):
+            load_matrix(str(path))

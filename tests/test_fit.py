@@ -8,14 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from embedscale import (DIM_LAW, JOINT_LAW, DataError, FitOptions, LawFit,
+from embedscale import (DIM_LAW, JOINT_LAW, DataError, LawFit,
                         NumericError, Observation, ObservationTable,
                         filter_by, fit_from_report, fit_law, fit_to_report,
                         least_squares, parse_observations, predict,
                         r_squared)
 from embedscale.fit import (COST_REL_TOL, DELTA_EPS, EXPONENT_RANGE,
-                            GRID_POINTS, LAMBDA_INIT, LAMBDA_MAX, STOP_REASONS,
-                            _decode, _descend, _prepare, _profile, _values)
+                            GRADIENT_TOLERANCE, GRID_POINTS, LAMBDA_INIT,
+                            LAMBDA_MAX, MAX_ITERS, STOP_REASONS, _decode,
+                            _descend, _prepare, _profile, _values)
 from embedscale.law import total_variance
 
 DATA = Path(__file__).parent / "data"
@@ -33,7 +34,7 @@ PINNED = json.loads((DATA / "pinned_fits.json").read_text())
 # formulas of the law in log-space parameters.
 
 
-def reference_lm(residual, jacobian, t0, opts):
+def reference_lm(residual, jacobian, t0, max_iters=MAX_ITERS):
     """One damped Gauss-Newton descent from t0; returns (t, cost, iters, converged, reason)."""
     def cost_at(t):
         with np.errstate(all="ignore"):
@@ -48,13 +49,13 @@ def reference_lm(residual, jacobian, t0, opts):
     if r is None:
         return t, np.inf, 0, False, "non-finite start"
     lam = LAMBDA_INIT
-    for iteration in range(1, opts.max_iters + 1):
+    for iteration in range(1, max_iters + 1):
         with np.errstate(all="ignore"):
             jac = jacobian(t)
         if not np.all(np.isfinite(jac)):
             return t, cost, iteration, False, "non-finite jacobian"
         grad = 2.0 * (jac.T @ r)
-        if float(np.max(np.abs(grad))) < opts.gradient_tolerance:
+        if float(np.max(np.abs(grad))) < GRADIENT_TOLERANCE:
             return t, cost, iteration, True, "gradient below tolerance"
         jtj = jac.T @ jac
         damping = np.maximum(np.diag(jtj), 1e-12)
@@ -81,7 +82,7 @@ def reference_lm(residual, jacobian, t0, opts):
             lam *= 10.0
         if not accepted:
             return t, cost, iteration, True, "cost decrease below tolerance"
-    return t, cost, opts.max_iters, False, "max_iters reached"
+    return t, cost, max_iters, False, "max_iters reached"
 
 
 def serial_formulas(model, cols, y):
@@ -121,11 +122,17 @@ def multistart_grid(model, cols, y):
     return [list(map(float, start)) for start in itertools.product(*axes)]
 
 
-def descend(model, cols, y, t0, opts=None):
+def descend(model, cols, y, t0):
     """The engine's descent from one start: (t, cost, iterations, reason)."""
-    t, cost, iterations, reason = _descend(model, cols, y, t0,
-                                           opts or FitOptions())
+    t, cost, iterations, reason = _descend(model, cols, y, t0)
     return t, cost, iterations, STOP_REASONS[reason]
+
+
+def use_starts(monkeypatch, grid):
+    """Make least_squares descend from each row of grid, in order, instead
+    of from the profile's starts."""
+    monkeypatch.setattr("embedscale.fit._profile",
+                        lambda *a: [(i, list(t0)) for i, t0 in enumerate(grid)])
 
 
 def fixture_laws(name):
@@ -383,42 +390,28 @@ class TestRSquared:
 
 
 class TestEngine:
-    def test_custom_grid_single_start(self):
+    def test_custom_grid_single_start(self, monkeypatch):
         table = dim_table(100.0, 1.5, 0.1)
         x = [row.embed_dim for row in table]
         y = [row.entropy for row in table]
         start = (math.log(50.0), math.log(1.0), math.log(0.2 + 1e-9))
-        opts = FitOptions(multistart_grid=(start,))
-        params, residual_norm, report = least_squares(DIM_LAW, x, y, opts)
+        use_starts(monkeypatch, (start,))
+        params, residual_norm, report = least_squares(DIM_LAW, x, y)
         assert report.n_starts == 1
         assert params[0] == pytest.approx(100.0, rel=1e-5)
         assert residual_norm < 1e-7
-
-    def test_empty_grid(self):
-        table = dim_table(100.0, 1.5, 0.1)
-        x = [row.embed_dim for row in table]
-        y = [row.entropy for row in table]
-        with pytest.raises(DataError, match="empty"):
-            least_squares(DIM_LAW, x, y, FitOptions(multistart_grid=()))
-
-    def test_bad_start_shape(self):
-        table = dim_table(100.0, 1.5, 0.1)
-        x = [row.embed_dim for row in table]
-        y = [row.entropy for row in table]
-        with pytest.raises(DataError, match="shape"):
-            least_squares(DIM_LAW, x, y,
-                          FitOptions(multistart_grid=((0.0, 0.0),)))
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             least_squares(DIM_LAW, [32, 64], [0.5, 0.4, 0.3])
 
-    def test_iteration_cap_flags_non_convergence(self):
+    def test_iteration_cap_flags_non_convergence(self, monkeypatch):
         noise = 1.0 + 0.01 * np.random.default_rng(3).standard_normal(len(DIMS))
         table = dim_table(100.0, 1.5, 0.1, noise=noise)
         far = (math.log(1e6), math.log(3.0), math.log(1e-9))
-        opts = FitOptions(max_iters=3, multistart_grid=(far,))
-        fit = fit_law(table, DIM_LAW, opts)
+        use_starts(monkeypatch, (far,))
+        monkeypatch.setattr("embedscale.fit.MAX_ITERS", 3)
+        fit = fit_law(table, DIM_LAW)
         assert not fit.converged
         assert any("did not converge" in w for w in fit.warnings)
 
@@ -466,13 +459,6 @@ class TestReportRoundTrip:
         restored = fit_from_report(fit_to_report(fit))
         assert restored == fit
 
-    def test_options_echoed(self):
-        opts = FitOptions(max_iters=200)
-        report = fit_to_report(
-            fit_law(dim_table(100.0, 1.5, 0.1), DIM_LAW, opts), opts)
-        assert report["options"]["max_iters"] == 200
-        assert report["law"] == "dim"
-
     def test_fixture_report_loads(self, bert_trec_joint_fit):
         assert bert_trec_joint_fit.model is JOINT_LAW
         assert (fit_to_report(bert_trec_joint_fit)["parameters"]["param_unit"]
@@ -518,13 +504,12 @@ class TestPolish:
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_descends_as_reference(self, fixture):
         # From each of the profile's starts.
-        opts = FitOptions()
         for label, model, table in fixture_laws(fixture):
             cols, y = law_inputs(model, table)
             residual, jacobian = serial_formulas(model, cols, y)
             for _, t0 in _profile(model, cols, y):
-                assert_same_descent(descend(model, cols, y, t0, opts),
-                                    reference_lm(residual, jacobian, t0, opts),
+                assert_same_descent(descend(model, cols, y, t0),
+                                    reference_lm(residual, jacobian, t0),
                                     (label, t0))
 
     def test_negative_floor_is_profiled_at_delta_zero(self):
@@ -542,28 +527,26 @@ class TestPolish:
 
 
 class TestBatchedEngine:
-    """An explicit FitOptions.multistart_grid: each start descends on its own."""
+    """Explicit starts in place of the profile's: each descends on its own."""
 
     @pytest.mark.parametrize("fixture", FIXTURES)
-    def test_fits_agree_with_serial_engine(self, fixture):
+    def test_fits_agree_with_serial_engine(self, fixture, monkeypatch):
         # The earlier engine's grid (every ninth joint-law start): every
         # start descends as the serial reference does, and the fit keeps the
         # best of them.
-        opts = FitOptions()
         for label, model, table in fixture_laws(fixture):
             cols, y = law_inputs(model, table)
             residual, jacobian = serial_formulas(model, cols, y)
             grid = multistart_grid(model, cols, y)[::9 if model is JOINT_LAW else 1]
-            serial = [reference_lm(residual, jacobian, t0, opts) for t0 in grid]
-            runs = [descend(model, cols, y, t0, opts) for t0 in grid]
+            serial = [reference_lm(residual, jacobian, t0) for t0 in grid]
+            runs = [descend(model, cols, y, t0) for t0 in grid]
             for t0, run, ref in zip(grid, runs, serial):
                 assert_same_descent(run, ref, (label, t0))
 
             old = min(range(len(serial)), key=lambda s: serial[s][1])
             old_params = _decode(serial[old][0])
-            params, norm, report = least_squares(
-                model, list(zip(*cols)), y,
-                FitOptions(multistart_grid=tuple(map(tuple, grid))))
+            use_starts(monkeypatch, grid)
+            params, norm, report = least_squares(model, list(zip(*cols)), y)
             assert report.n_starts == len(grid)
             winner = runs[report.start_index]
             assert (report.iterations, report.stop_reason) == winner[2:]
@@ -574,7 +557,8 @@ class TestBatchedEngine:
                 assert norm ** 2 <= serial[old][1] * (1 + 1e-12), label
                 assert params == pytest.approx(old_params, rel=1e-6), label
 
-    def test_non_finite_jacobian_leaves_other_starts_alone(self, bert_trec_table):
+    def test_non_finite_jacobian_leaves_other_starts_alone(self, bert_trec_table,
+                                                           monkeypatch):
         series = filter_by(bert_trec_table, model_name="BERT-L12-H128-A2",
                            dataset="trecdl")
         cols, y = law_inputs(DIM_LAW, series)
@@ -585,14 +569,14 @@ class TestBatchedEngine:
         assert runs[1][3] == "non-finite jacobian"
         assert runs[1][2] == 3 and math.isfinite(runs[1][1])
         assert runs[0][3] in CONVERGED and runs[2][3] in CONVERGED
-        _, norm, report = least_squares(DIM_LAW, cols[0], y,
-                                        FitOptions(multistart_grid=tuple(grid)))
+        use_starts(monkeypatch, grid)
+        _, norm, report = least_squares(DIM_LAW, cols[0], y)
         best = min(range(3), key=lambda s: runs[s][1])
         assert report.start_index == best and report.n_starts == 3
         assert norm == math.sqrt(runs[best][1])
         assert report.converged
 
-    def test_tied_best_cost_goes_to_earliest_start(self):
+    def test_tied_best_cost_goes_to_earliest_start(self, monkeypatch):
         table = dim_table(50.0, 1.2, 0.05,
                           noise=1.0 + 0.03 * np.random.default_rng(2).standard_normal(7))
         cols, y = law_inputs(DIM_LAW, table)
@@ -600,15 +584,16 @@ class TestBatchedEngine:
         worse = (math.log(1e6), math.log(3.0), math.log(1e-9))
         overflowing = (800.0, 0.0, 0.0)
         grid = (overflowing, worse, good, worse, good)
-        opts = FitOptions(max_iters=5, multistart_grid=grid)
-        runs = [descend(DIM_LAW, cols, y, t0, opts) for t0 in grid]
+        use_starts(monkeypatch, grid)
+        monkeypatch.setattr("embedscale.fit.MAX_ITERS", 5)
+        runs = [descend(DIM_LAW, cols, y, t0) for t0 in grid]
         assert runs[0][3] == "non-finite start" and runs[0][1] == math.inf
         assert runs[2][1] == runs[4][1] < runs[1][1]
-        _, norm, report = least_squares(DIM_LAW, cols[0], y, opts)
+        _, norm, report = least_squares(DIM_LAW, cols[0], y)
         assert report.start_index == 2
         assert norm == math.sqrt(runs[2][1])
 
-    def test_max_iters_is_counted_per_start(self):
+    def test_max_iters_is_counted_per_start(self, monkeypatch):
         noise = 1.0 + 0.01 * np.random.default_rng(3).standard_normal(len(DIMS))
         table = dim_table(100.0, 1.5, 0.1, noise=noise)
         cols, y = law_inputs(DIM_LAW, table)
@@ -617,11 +602,12 @@ class TestBatchedEngine:
         free_far, free_near = (descend(DIM_LAW, cols, y, t0) for t0 in (far, near))
         cap = free_near[2] + 2
         assert free_far[2] > cap
-        opts = FitOptions(max_iters=cap, multistart_grid=(far, near))
-        capped = descend(DIM_LAW, cols, y, far, opts)
+        use_starts(monkeypatch, (far, near))
+        monkeypatch.setattr("embedscale.fit.MAX_ITERS", cap)
+        capped = descend(DIM_LAW, cols, y, far)
         assert capped[2:] == (cap, "max_iters reached")
-        assert descend(DIM_LAW, cols, y, near, opts) == free_near
-        _, _, report = least_squares(DIM_LAW, cols[0], y, opts)
+        assert descend(DIM_LAW, cols, y, near) == free_near
+        _, _, report = least_squares(DIM_LAW, cols[0], y)
         assert report.start_index == 1
         assert report.iterations == free_near[2] and report.converged
 
