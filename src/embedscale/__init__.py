@@ -1,23 +1,25 @@
 """Scaling-law fitting, contrastive-entropy evaluation, and FLOPs-budgeted
-capacity planning for dense retrieval embeddings."""
+capacity planning for dense retrieval embeddings.
+
+Every submodule loads on first use of one of its names (PEP 562), so a
+command pays only for the modules it runs: the CLI's eval-ce alone loads
+metrics, fit alone loads fit and plan alone loads plan, and nothing the
+CLI runs loads embed, which imports numpy.
+"""
 
 __version__ = "0.1.0"
 
 from importlib import import_module
 
-from .core import (DataError, NumericError, Observation, ObservationTable,
-                   SweepConfig, expand_sweep, filter_by, parse_observations,
-                   serialize_observations)
-from .fit import ConvergenceReport, fit_law, least_squares
-from .law import (DIM_LAW, JOINT_LAW, LAWS, LawFit, fit_from_report,
-                  fit_to_report, predict, r_squared)
-from .plan import (AllocationResult, BudgetCurve, BudgetSpec,
-                   allocation_from_gamma, budget_curve, flops_encode,
-                   flops_score, optimal_allocation, round_dim, round_params)
-
-# These modules load on first use of one of their names (PEP 562): embed
-# imports numpy, and the commands other than eval-ce need not import metrics.
 _LAZY = {
+    "core": ("DataError", "NumericError", "Observation", "ObservationTable",
+             "SweepConfig", "expand_sweep", "filter_by", "parse_observations"),
+    "fit": ("ConvergenceReport", "fit_law", "least_squares"),
+    "law": ("DIM_LAW", "JOINT_LAW", "LAWS", "LawFit", "fit_from_report",
+            "fit_to_report", "predict", "r_squared"),
+    "plan": ("AllocationResult", "BudgetCurve", "BudgetSpec",
+             "allocation_from_gamma", "budget_curve", "flops_encode",
+             "flops_score", "optimal_allocation", "round_dim", "round_params"),
     "metrics": ("BatchQueryScores", "EvalConfig", "QueryScoreRecord",
                 "TeacherMargin", "combined_loss", "contrastive_entropy_dataset",
                 "contrastive_entropy_query", "contrastive_entropy_records",
@@ -29,19 +31,7 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "DataError", "NumericError", "Observation", "ObservationTable",
-    "SweepConfig", "expand_sweep", "filter_by", "parse_observations",
-    "serialize_observations",
-    "ConvergenceReport", "fit_law", "least_squares",
-    "DIM_LAW", "JOINT_LAW", "LAWS", "LawFit", "fit_from_report",
-    "fit_to_report", "predict", "r_squared",
-    "AllocationResult", "BudgetCurve", "BudgetSpec", "allocation_from_gamma",
-    "budget_curve", "flops_encode", "flops_score", "optimal_allocation",
-    "round_dim", "round_params",
-    *_HOME,
-]
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name):

@@ -6,9 +6,13 @@ files reference that report by name. Writes go through a temp file and
 os.replace, so a failed run leaves nothing partial behind. Identical
 inputs produce byte-identical outputs regardless of output directory.
 Both laws go through the same commands: --law names one of law.LAWS, and
-predict and plan read either law's report through one reader. No command
-loads numpy. eval-ce imports the metrics module when it runs, so the other
-commands do not pay to import it.
+predict and plan read either law's report through one reader.
+
+Each command imports only what it runs. Every command loads core and law;
+eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
+plan, each from inside its command function. hashlib loads only to hash a
+manifest's inputs and fractions only for sweep-dims. No command loads
+numpy.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -16,21 +20,16 @@ Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
-from fractions import Fraction
 from math import log10
 
 from . import __version__
 from .core import (DataError, NumericError, SweepConfig, expand_sweep,
                    filter_by, parse_observations)
-from .fit import GRADIENT_TOLERANCE, MAX_ITERS, fit_law
 from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
-from .plan import BudgetSpec, budget_curve, optimal_allocation
 
 CURVE_SAMPLES = 100
 
@@ -47,7 +46,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -60,6 +60,7 @@ def _read_text(path: str) -> str:
 
 
 def _sha256(path: str) -> str:
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -176,6 +177,7 @@ def _curve_blocks(fit, table) -> list[str]:
 
 
 def cmd_fit(args) -> int:
+    from .fit import GRADIENT_TOLERANCE, MAX_ITERS, fit_law
     table = _resolve_table(args.observations, args.model, args.dataset)
     fit = fit_law(table, LAWS[args.law])
     report = fit_to_report(fit)
@@ -215,6 +217,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from .plan import BudgetSpec, budget_curve, optimal_allocation
     fit = _read_fit(args.fit_report)
     if fit.model is not JOINT_LAW:
         raise DataError("plan requires a joint-law fit report")
@@ -226,7 +229,8 @@ def cmd_plan(args) -> int:
         alloc = optimal_allocation(fit, spec)
         allocations.append({"budget": budget, "regime": args.regime,
                             "corpus_size": args.corpus,
-                            "query_tokens": args.tokens, **asdict(alloc)})
+                            "query_tokens": args.tokens,
+                            **{name: getattr(alloc, name) for name in alloc._fields}})
         if args.curve:
             curves.append((budget, budget_curve(fit, spec, args.curve)))
     report = {

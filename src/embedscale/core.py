@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isfinite
-from numbers import Rational
 from sys import float_info
 
 CSV_HEADER = ("model_name", "n_params", "embed_dim", "dataset", "entropy")
@@ -27,7 +24,63 @@ class NumericError(ArithmeticError):
     """A numeric routine produced no usable result."""
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Make cls a frozen value record over its annotated fields, in order.
+
+    __init__ takes the fields by position or by keyword; a class attribute
+    named for a field is its default. __post_init__, when defined, runs
+    once the fields are set, and may reset one with object.__setattr__.
+    Assigning or deleting an attribute raises AttributeError. ==, hash and
+    repr go by the field values, and _fields names the fields. This stands
+    in for the standard library's record decorator, whose import (with
+    inspect) costs a command more than most of them spend on their work.
+    """
+    names = tuple(vars(cls).get("__annotations__", ()))
+    defaults = tuple(vars(cls)[name] for name in names if name in vars(cls))
+    if any(name not in vars(cls) for name in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with")
+    # A generated __init__ per class: each field goes straight into the
+    # instance dict, past the __setattr__ that blocks assignment.
+    source = (f"def __init__(self, {', '.join(names)}):\n"
+              "    _record_dict = self.__dict__\n"
+              + "".join(f"    _record_dict[{name!r}] = {name}\n" for name in names)
+              + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""))
+    namespace = {}
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = defaults or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls._fields = names
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
+    return cls
+
+
+def _record_values(rec) -> tuple:
+    return tuple(getattr(rec, name) for name in rec._fields)
+
+
+def _frozen(rec, name, *value):
+    raise AttributeError(f"{type(rec).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def _record_eq(rec, other):
+    if other.__class__ is not rec.__class__:
+        return NotImplemented
+    return _record_values(rec) == _record_values(other)
+
+
+def _record_hash(rec) -> int:
+    return hash(_record_values(rec))
+
+
+def _record_repr(rec) -> str:
+    fields = ", ".join(f"{name}={getattr(rec, name)!r}" for name in rec._fields)
+    return f"{type(rec).__qualname__}({fields})"
+
+
+@record
 class Observation:
     """One measured (model, embedding dimension, dataset) -> entropy point."""
 
@@ -58,7 +111,7 @@ class Observation:
         return (self.model_name, self.embed_dim, self.dataset)
 
 
-@dataclass(frozen=True)
+@record
 class ObservationTable:
     """Ordered, validated collection of observations.
 
@@ -105,12 +158,12 @@ class ObservationTable:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class SweepConfig:
     """Embedding-dimension sweep: multiples of an encoder's native hidden size."""
 
     base_hidden: int
-    multipliers: tuple = field(default=(Fraction(1, 4), Fraction(1, 2), 1, 2, 4, 8, 16))
+    multipliers: tuple
 
     def __post_init__(self):
         if self.base_hidden < 1:
@@ -193,19 +246,6 @@ def parse_observations(text) -> ObservationTable:
     return ObservationTable(tuple(rows))
 
 
-def serialize_observations(table: ObservationTable) -> str:
-    """Render a table back to CSV with round-trip-exact numeric formatting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in table:
-        writer.writerow(
-            [row.model_name, repr(row.n_params), row.embed_dim, row.dataset,
-             repr(row.entropy)]
-        )
-    return out.getvalue()
-
-
 def filter_by(table: ObservationTable, model_name: str | None = None,
               dataset: str = "") -> ObservationTable:
     """Select the rows of one dataset (and optionally one model), preserving order.
@@ -239,6 +279,7 @@ def expand_sweep(cfg: SweepConfig) -> list[int]:
     Raises:
         DataError: if any phi * d falls below 1.
     """
+    from numbers import Rational    # here, not at the top: only sweep-dims needs it
     dims = set()
     for phi in cfg.multipliers:
         value = phi * cfg.base_hidden

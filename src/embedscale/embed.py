@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DataError, NumericError
+from .core import DataError, NumericError, record
 
 ZERO_NORM_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingMatrix:
     """Row-major real matrix of token states or final embeddings."""
 
@@ -56,7 +55,7 @@ class EmbeddingMatrix:
                    tuple(ids) if ids is not None else None)
 
 
-@dataclass(frozen=True)
+@record
 class Projection:
     """Affine map h' = W h + b taking hidden size d down (or up) to size m."""
 
@@ -161,15 +160,19 @@ def load_matrix(path: str) -> EmbeddingMatrix:
     """Read a matrix file: one `id v1 v2 ... vd` line per row.
 
     Blank lines and `#` comments are skipped. When `<path>.json` exists it
-    must contain {"rows": n, "dim": d} matching the parsed content.
+    must contain {"rows": n, "dim": d}, JSON integers matching the parsed
+    content.
 
     Raises:
-        DataError: malformed line (with line number), inconsistent row
-            widths, empty file, or a sidecar that is not a JSON object
-            or does not match.
+        DataError: a file that is not UTF-8, malformed line (with line
+            number), inconsistent row widths, empty file, or a sidecar
+            that is not a JSON object or does not match.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     ids = []
     rows = []
     dim = None
@@ -206,7 +209,10 @@ def load_matrix(path: str) -> EmbeddingMatrix:
         if not isinstance(meta, dict):
             raise DataError(f"{sidecar}: expected a JSON object, "
                             f"got {type(meta).__name__}")
-        if meta.get("rows") != matrix.rows or meta.get("dim") != matrix.dim:
+        declared = (meta.get("rows"), meta.get("dim"))
+        # Types are compared too, since true == 1 and 2.0 == 2.
+        if (tuple(map(type, declared)) != (int, int)
+                or declared != (matrix.rows, matrix.dim)):
             raise DataError(
                 f"{sidecar}: declares rows={meta.get('rows')} dim={meta.get('dim')}, "
                 f"file has rows={matrix.rows} dim={matrix.dim}"

@@ -16,13 +16,12 @@ polished cost wins. Repeated fits are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import exp, inf, isfinite, log, sqrt
 from operator import mul
 from typing import Sequence
 
-from .core import DataError, NumericError, ObservationTable
+from .core import DataError, NumericError, ObservationTable, record
 from .law import MILLION, LawFit, PowerLaw, r_squared, total_variance
 
 DELTA_EPS = 1e-9         # offset inside log(delta + eps); keeps delta=0 reachable
@@ -41,7 +40,7 @@ STOP_REASONS = ("non-finite start", "non-finite jacobian",
 _NONFINITE_START, _NONFINITE_JACOBIAN, _GRADIENT, _COST, _MAX_ITERS = range(5)
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceReport:
     """How the winning descent stopped.
 

@@ -10,17 +10,16 @@ holds the engine that fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, fsum, inf, isfinite, log
 from sys import float_info
 from typing import Sequence
 
-from .core import DataError, NumericError
+from .core import DataError, NumericError, record
 
 MILLION = 1e6
 
 
-@dataclass(frozen=True)
+@record
 class PowerLaw:
     """L(x) = sum_k c_k * x_k^(-e_k) + delta over K inputs.
 
@@ -42,7 +41,7 @@ JOINT_LAW = PowerLaw("joint", ("a_coeff", "b_coeff", "alpha", "beta", "delta"))
 LAWS = {law.name: law for law in (DIM_LAW, JOINT_LAW)}
 
 
-@dataclass(frozen=True)
+@record
 class LawFit:
     """A fitted law: its model, natural parameters and diagnostics.
 
@@ -107,14 +106,15 @@ def predict(fit: LawFit, d, n_params=None) -> float:
     (not millions); the dimension law ignores it.
 
     Raises:
-        DataError: d or a needed n_params not positive.
+        DataError: d not positive, or a needed n_params not positive and
+            finite (at infinity the law is only its limit).
         NumericError: the value is not finite, even in log space.
     """
     if not d > 0:
         raise DataError(f"dimension must be positive, got {d}")
     k = fit.model.n_terms
-    if k > 1 and (n_params is None or not n_params > 0):
-        raise DataError(f"n_params must be positive, got {n_params}")
+    if k > 1 and (n_params is None or not 0 < n_params < inf):
+        raise DataError(f"n_params must be positive and finite, got {n_params}")
     inputs = ((d, 1.0), (n_params, MILLION))[:k]
     value = sum(_term(c, x, scale, e) for c, (x, scale), e
                 in zip(fit.params[:k], inputs, fit.params[k:2 * k])) + fit.params[-1]

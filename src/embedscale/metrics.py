@@ -17,16 +17,15 @@ Determinism notes, relied on by the reproducibility contract:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import exp, fsum, inf, isfinite, log, log1p
 from operator import sub, truediv
 from typing import Optional, Sequence
 
-from .core import DataError, NumericError
+from .core import DataError, NumericError, record
 
 
-@dataclass(frozen=True)
+@record
 class QueryScoreRecord:
     """Similarity scores for one query: positives and sampled negatives."""
 
@@ -47,7 +46,7 @@ class QueryScoreRecord:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class EvalConfig:
     """Evaluation protocol knobs: the temperature scores are divided by."""
 
@@ -57,7 +56,7 @@ class EvalConfig:
         _check_temperature(self.temperature)
 
 
-@dataclass(frozen=True)
+@record
 class TeacherMargin:
     """Teacher scores for one (query, hard negative) pair."""
 
@@ -73,7 +72,7 @@ class TeacherMargin:
         return self.s_teacher_pos - self.s_teacher_neg
 
 
-@dataclass(frozen=True)
+@record
 class BatchQueryScores:
     """Student scores for one query inside a training batch.
 

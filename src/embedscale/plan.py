@@ -15,12 +15,11 @@ feasible interval where D >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite, log, log1p, nextafter
 from sys import float_info
 from typing import Optional, Sequence
 
-from .core import DataError
+from .core import DataError, record
 from .law import JOINT_LAW, MILLION, LawFit, predict
 
 REGIMES = ("exhaustive", "ann")
@@ -34,7 +33,7 @@ def _check_double(name: str, value) -> None:
                         f"{float_info.max!r}")
 
 
-@dataclass(frozen=True)
+@record
 class BudgetSpec:
     """Per-query FLOPs budget and the retrieval workload it must cover."""
 
@@ -58,7 +57,7 @@ class BudgetSpec:
             _check_double("corpus_size", self.corpus_size)
 
 
-@dataclass(frozen=True)
+@record
 class AllocationResult:
     """Optimal split of one budget.
 
@@ -86,7 +85,7 @@ class AllocationResult:
             raise DataError("n_hat and d_hat must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class BudgetCurve:
     """Entropy-vs-dimension curve at a fixed budget; skipped dims were infeasible."""
 

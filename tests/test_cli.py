@@ -240,6 +240,15 @@ class TestPredict:
         assert float(out) == pytest.approx(fit.delta + fit.b_coeff / 100 ** fit.beta,
                                            rel=1e-15)
 
+    @pytest.mark.parametrize("params", ["inf", "1e400"])
+    def test_infinite_params_is_data_error(self, data_dir, capsys, params):
+        # At N = inf the law is only its limit, delta + A / D^alpha.
+        code, out, err = run(["predict",
+                              str(data_dir / "fit_report_bert_trecdl.json"),
+                              "--dim", "512", "--params", params], capsys)
+        assert (code, out) == (2, "")
+        assert "n_params must be positive and finite" in err
+
     def test_dim_lower_bound(self, data_dir, capsys):
         code, _, err = run(["predict",
                             str(data_dir / "fit_report_bert_trecdl.json"),
@@ -263,6 +272,7 @@ class TestPredictProperties:
            params=st.floats(min_value=0.0, exclude_min=True))
     @example(dim=10 ** 300, params=1e8)
     @example(dim=1, params=5e-324)
+    @example(dim=512, params=math.inf)
     def test_exit_code_follows_exact_value(self, data_dir, dim, params):
         path = data_dir / "fit_report_bert_trecdl.json"
         out, err = io.StringIO(), io.StringIO()

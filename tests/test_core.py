@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from embedscale import (DataError, Observation, ObservationTable, SweepConfig,
-                        expand_sweep, filter_by, parse_observations,
-                        serialize_observations)
+from embedscale import (DIM_LAW, DataError, LawFit, Observation, ObservationTable,
+                        SweepConfig, expand_sweep, filter_by, parse_observations)
+from embedscale.core import record
 
 HEADER = "model_name,n_params,embed_dim,dataset,entropy"
 
@@ -57,9 +57,49 @@ class TestParse:
         assert len(ettin_ms_table) == 42
         assert len(ettin_ms_table.model_names) == 6
 
-    def test_round_trip_exact(self, bert_ms_table):
-        again = parse_observations(serialize_observations(bert_ms_table))
-        assert again.rows == bert_ms_table.rows
+
+class TestRecord:
+    def test_positional_keyword_and_default_construction(self):
+        fit = LawFit(DIM_LAW, (1.0, 0.5, 0.1), 0.9, residual_norm=0.2, n_points=7)
+        assert (fit.converged, fit.start_index, fit.warnings) == (True, 0, ())
+        assert fit == LawFit(model=DIM_LAW, params=(1.0, 0.5, 0.1), r2=0.9,
+                             residual_norm=0.2, n_points=7, converged=True)
+        assert fit.alpha == 0.5
+        with pytest.raises(TypeError):
+            LawFit(DIM_LAW, (1.0, 0.5, 0.1), 0.9)
+
+    def test_post_init_validates(self):
+        with pytest.raises(DataError, match="delta"):
+            LawFit(DIM_LAW, (1.0, 0.5, -0.1), 0.9, 0.2, 7)
+
+    def test_frozen(self):
+        row = Observation("m", 1e6, 32, "ms", 0.5)
+        with pytest.raises(AttributeError):
+            row.entropy = 0.4
+        with pytest.raises(AttributeError):
+            del row.entropy
+        with pytest.raises(AttributeError):
+            row.extra = 1
+        assert row.entropy == 0.5
+
+    def test_value_semantics(self):
+        row = Observation("m", 1e6, 32, "ms", 0.5)
+        same = Observation("m", 1e6, 32, "ms", 0.5)
+        assert row == same and hash(row) == hash(same) and row is not same
+        assert row != Observation("m", 1e6, 32, "ms", 0.4)
+        assert row != ("m", 1e6, 32, "ms", 0.5) and not isinstance(row, tuple)
+        assert len({row, same}) == 1
+        assert repr(row) == ("Observation(model_name='m', n_params=1000000.0, "
+                             "embed_dim=32, dataset='ms', entropy=0.5)")
+        assert Observation._fields == ("model_name", "n_params", "embed_dim",
+                                       "dataset", "entropy")
+
+    def test_default_before_required_field_rejected(self):
+        with pytest.raises(TypeError, match="without a default"):
+            @record
+            class Bad:
+                a: int = 0
+                b: int
 
 
 class TestValidation:

@@ -256,6 +256,23 @@ class TestMatrixFiles:
         with pytest.raises(DataError, match="declares"):
             load_matrix(str(path))
 
+    @pytest.mark.parametrize("meta", [{"rows": True, "dim": 2.0},
+                                      {"rows": True, "dim": 2},
+                                      {"rows": 1, "dim": 2.0}],
+                             ids=["bool-float", "bool", "float"])
+    def test_sidecar_counts_must_be_json_integers(self, tmp_path, meta):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1.0 2.0\n")
+        (tmp_path / "vecs.txt.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match="vecs.txt.json: declares"):
+            load_matrix(str(path))
+
+    def test_non_utf8_matrix_is_data_error(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"a 1.0 \xff\n")
+        with pytest.raises(DataError, match="vecs.txt: not UTF-8"):
+            load_matrix(str(path))
+
     def test_sidecar_match(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0 2.0\n")

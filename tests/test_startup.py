@@ -1,11 +1,13 @@
 """Every command runs without numpy: eval-ce, fit, predict, plan, sweep-dims
-and --version."""
+and --version. Each imports only the modules it runs."""
 
 import contextlib
 import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 import embedscale
 from embedscale.cli import main
@@ -100,3 +102,62 @@ def test_every_public_name_resolves_and_is_listed():
     for name in embedscale.__all__:
         assert getattr(embedscale, name) is not None
         assert name in listed
+
+
+# Runs the argv in argv[1] through main in a fresh interpreter and prints
+# its exit code and the modules it left imported, as JSON.
+MODULES_RUNNER = """
+import contextlib, io, json, sys
+from embedscale.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+# Modules a command loads only when it needs them: dataclasses and inspect
+# (importing them costs more than most commands' work; none needs them),
+# numpy (only embed, which no command runs) and fractions (sweep-dims).
+ON_DEMAND = {"dataclasses", "inspect", "numpy", "fractions"}
+EVERY_COMMAND = {"embedscale", "embedscale.cli", "embedscale.core", "embedscale.law"}
+
+# Each command's own modules: those of ON_DEMAND and those beyond EVERY_COMMAND.
+OWN_MODULES = {
+    "--version": set(),
+    "fit-dim": {"embedscale.fit"},
+    "fit-joint": {"embedscale.fit"},
+    "plan": {"embedscale.plan"},
+    "predict": set(),
+    "sweep-dims": {"fractions"},
+    "eval-ce": {"embedscale.metrics"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_MODULES))
+def test_each_command_imports_only_what_it_runs(data_dir, tmp_path, command):
+    joint, out = str(data_dir / "fit_report_bert_trecdl.json"), str(tmp_path)
+    argv = {
+        "--version": ["--version"],
+        "fit-dim": ["fit", str(data_dir / "obs_bert_msmarco.csv"), "--law", "dim",
+                    "--model", "BERT-L8-H512-A8", "--dataset", "msmarco",
+                    "--output-dir", out],
+        "fit-joint": ["fit", str(data_dir / "obs_ettin_msmarco.csv"), "--law",
+                      "joint", "--output-dir", out],
+        "plan": ["plan", joint, "--budget", "1e9", "--tokens", "32", "--corpus",
+                 "100000", "--curve", "32", "256", "--output-dir", out],
+        "predict": ["predict", joint, "--dim", "512", "--params", "109482240"],
+        "sweep-dims": ["sweep-dims", "--hidden", "512", "--multipliers", "1/4", "16"],
+        "eval-ce": ["eval-ce", str(data_dir / "scores_small.jsonl"), "--tau", "0.05",
+                    "--output-dir", out],
+    }[command]
+    proc = subprocess.run([sys.executable, "-c", MODULES_RUNNER, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    modules, own = set(result["modules"]), OWN_MODULES[command]
+    assert modules & ON_DEMAND == own & ON_DEMAND
+    assert {m for m in modules if m.startswith("embedscale")} == (
+        EVERY_COMMAND | {m for m in own if m.startswith("embedscale")})
