@@ -28,7 +28,7 @@ from math import log10
 
 from . import __version__
 from .core import (DataError, NumericError, SweepConfig, expand_sweep,
-                   filter_by, parse_observations)
+                   filter_by, parse_observations, read_lines)
 from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
 
 CURVE_SAMPLES = 100
@@ -55,8 +55,7 @@ def _fraction(text: str):
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    return "".join(read_lines(path))
 
 
 def _sha256(path: str) -> str:
@@ -108,20 +107,27 @@ def _fmt(value: float) -> str:
 
 def cmd_eval_ce(args) -> int:
     from .metrics import (EvalConfig, contrastive_entropy_records,
-                          mean_entropy, parse_score_records)
+                          iter_score_records, mean_entropy)
     cfg = EvalConfig(temperature=args.tau)
-    text = _read_text(args.scores)
-    records = parse_score_records(text)
-    if not records:
+    query_ids = []
+
+    def kept_ids(records):
+        # Each record is parsed, scored and dropped in turn; only its id stays.
+        for rec in records:
+            query_ids.append(rec.query_id)
+            yield rec
+
+    entropies = contrastive_entropy_records(
+        kept_ids(iter_score_records(read_lines(args.scores))), cfg.temperature)
+    if not query_ids:
         raise DataError(f"{args.scores}: no query records")
-    entropies = contrastive_entropy_records(records, cfg.temperature)
-    per_query = [{"query_id": rec.query_id, "entropy": value}
-                 for rec, value in zip(records, entropies)]
+    per_query = [{"query_id": qid, "entropy": value}
+                 for qid, value in zip(query_ids, entropies)]
     # The formula of contrastive_entropy_dataset, without scoring again.
     dataset_entropy = mean_entropy(entropies)
     report = {
         "dataset_entropy": dataset_entropy,
-        "n_queries": len(records),
+        "n_queries": len(query_ids),
         "per_query": per_query,
         "temperature": args.tau,
         "manifest": _manifest("eval-ce", [args.scores], {"tau": args.tau}),

@@ -24,6 +24,28 @@ class NumericError(ArithmeticError):
     """A numeric routine produced no usable result."""
 
 
+def read_lines(path: str):
+    """Yield the lines of a UTF-8 text file one at a time, as open() splits them.
+
+    A line ends at \\n, \\r\\n or \\r, and keeps its end, read as \\n.
+
+    Raises:
+        DataError: a line that is not UTF-8, named with the path and its
+            line number.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # Undecodable bytes arrive as lone surrogates, so an ASCII line
+            # needs no check; any other line is decoded again, strictly.
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}: not UTF-8 text: "
+                                    f"line {lineno}: {exc}") from None
+            yield line
+
+
 def record(cls):
     """Make cls a frozen value record over its annotated fields, in order.
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DataError, NumericError, record
+from .core import DataError, NumericError, read_lines, record
 
 ZERO_NORM_EPS = 1e-12
 
@@ -168,36 +169,30 @@ def load_matrix(path: str) -> EmbeddingMatrix:
             number), inconsistent row widths, empty file, or a sidecar
             that is not a JSON object or does not match.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     ids = []
-    rows = []
+    values = array("d")     # every row's values, one flat buffer of doubles
     dim = None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = stripped.split()
         if len(parts) < 2:
             raise DataError(f"{path}:{lineno}: expected `id v1 ... vd`")
         try:
-            values = [float(tok) for tok in parts[1:]]
+            row = list(map(float, parts[1:]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
         if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
+            dim = len(row)
+        elif len(row) != dim:
             raise DataError(
-                f"{path}:{lineno}: row has {len(values)} values, expected {dim}"
+                f"{path}:{lineno}: row has {len(row)} values, expected {dim}"
             )
         ids.append(parts[0])
-        rows.append(values)
+        values.fromlist(row)
     if dim is None:
         raise DataError(f"{path}: no matrix rows")
-    matrix = EmbeddingMatrix(len(rows), dim, np.asarray(rows), tuple(ids))
+    matrix = EmbeddingMatrix(len(ids), dim, np.frombuffer(values), tuple(ids))
 
     sidecar = path + ".json"
     if os.path.exists(sidecar):

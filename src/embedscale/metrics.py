@@ -16,11 +16,12 @@ Determinism notes, relied on by the reproducibility contract:
 
 from __future__ import annotations
 
+import io
 import json
 from itertools import chain, repeat
 from math import exp, fsum, inf, isfinite, log, log1p
 from operator import sub, truediv
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import DataError, NumericError, record
 
@@ -72,32 +73,6 @@ class TeacherMargin:
         return self.s_teacher_pos - self.s_teacher_neg
 
 
-@record
-class BatchQueryScores:
-    """Student scores for one query inside a training batch.
-
-    hard_negatives are the query's own mined negatives; teacher holds one
-    margin per hard negative when distillation targets exist;
-    in_batch_negatives are scores against the other in-batch passages
-    appropriate to the recipe in use.
-    """
-
-    positive: float
-    hard_negatives: tuple[float, ...] = ()
-    teacher: Optional[tuple[TeacherMargin, ...]] = None
-    in_batch_negatives: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        for v in (self.positive, *self.hard_negatives, *self.in_batch_negatives):
-            if not isfinite(v):
-                raise DataError("batch scores must be finite")
-        if self.teacher is not None and len(self.teacher) != len(self.hard_negatives):
-            raise DataError(
-                f"teacher margins ({len(self.teacher)}) must align with "
-                f"hard negatives ({len(self.hard_negatives)})"
-            )
-
-
 def _check_temperature(tau: Optional[float]):
     if tau is not None and not 0 < tau < inf:
         raise DataError(f"temperature must be positive and finite, got {tau}")
@@ -115,9 +90,12 @@ def _check_scores(positive: float, negatives: Sequence[float],
     _check_temperature(tau)
 
 
-def contrastive_entropy_records(records: Sequence[QueryScoreRecord],
+def contrastive_entropy_records(records: Iterable[QueryScoreRecord],
                                 tau: Optional[float] = None) -> list[float]:
     """Per-query entropy of each record, in record order.
+
+    records may be any iterable, a generator included: it is read once,
+    one record at a time, and no record is kept once it is scored.
 
     A query's entropy is the mean, over its positives, of the entropy of
     that positive against all of the query's negatives. Each record's
@@ -198,11 +176,6 @@ def contrastive_entropy_single(positive: float, negatives: Sequence[float],
     _check_scores(positive, negatives, tau)
     record = QueryScoreRecord("single", (positive,), tuple(negatives))
     return contrastive_entropy_records([record], tau)[0]
-
-
-def contrastive_entropy_query(rec: QueryScoreRecord, cfg: EvalConfig) -> float:
-    """Mean entropy over a query's positives, each scored against the same negatives."""
-    return contrastive_entropy_records([rec], cfg.temperature)[0]
 
 
 def contrastive_entropy_dataset(records: Sequence[QueryScoreRecord],
@@ -297,51 +270,6 @@ def margin_mse_grad(student_pos: float, student_neg: float,
     return 2.0 * e, -2.0 * e
 
 
-def combined_loss(batch: Sequence[BatchQueryScores], recipe: str,
-                  tau: Optional[float] = None) -> float:
-    """Batch training loss under one of the two published recipes.
-
-    recipe="bert": mean MarginMSE over every (query, hard negative) pair in
-    the batch, plus the mean contrastive loss whose negatives are the
-    in_batch_negatives field alone (other queries' positives).
-
-    recipe="ettin": mean contrastive loss only, with each query's negatives
-    being its hard_negatives plus in_batch_negatives (every in-batch passage
-    except its own positive); tau is required.
-
-    Raises:
-        DataError: empty batch, unknown recipe, bert without aligned teacher
-            margins or without any (query, hard negative) pair, ettin
-            without tau, or a query with no negatives at all.
-    """
-    if not batch:
-        raise DataError("empty batch")
-    if recipe == "ettin":
-        if tau is None:
-            raise DataError("ettin recipe requires a temperature")
-        per_query = [
-            contrastive_entropy_single(
-                q.positive, list(q.hard_negatives) + list(q.in_batch_negatives),
-                tau)
-            for q in batch
-        ]
-        return fsum(per_query) / len(per_query)
-    if recipe == "bert":
-        pair_losses = []
-        for q in batch:
-            if q.hard_negatives and q.teacher is None:
-                raise DataError("bert recipe requires teacher margins")
-            for hn, tm in zip(q.hard_negatives, q.teacher or ()):
-                pair_losses.append(margin_mse(q.positive, hn, tm))
-        if not pair_losses:
-            raise DataError("bert recipe requires at least one (query, hard negative) pair")
-        mm = fsum(pair_losses) / len(pair_losses)
-        ct = [contrastive_entropy_single(q.positive, q.in_batch_negatives, tau)
-              for q in batch]
-        return mm + fsum(ct) / len(ct)
-    raise DataError(f"unknown recipe {recipe!r}")
-
-
 def rr_at_k(ranked_ids: Sequence[str], relevant_ids: set, k: int) -> float:
     """Reciprocal rank of the first relevant id within the top k, else 0.
 
@@ -373,19 +301,18 @@ def recall_at_k(ranked_ids: Sequence[str], relevant_ids: set, k: int) -> float:
 _NUMBER = {int, float}
 
 
-def parse_score_records(text: str) -> list[QueryScoreRecord]:
-    """Parse QueryScoreRecord JSONL: one object per line, blank lines skipped.
+def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
+    """Parse QueryScoreRecord JSONL one line at a time; blank lines skipped.
 
     Each object needs "query_id" (string), "positives" (nonempty list of
     finite numbers), "negatives" (list of finite numbers, possibly empty
-    for ranking-only records).
+    for ranking-only records). Line numbers count the items of lines from 1.
 
     Raises:
         DataError: malformed JSON or invalid record, reported with its
-            line number.
+            line number, when the generator reaches that line.
     """
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -414,7 +341,16 @@ def parse_score_records(text: str) -> list[QueryScoreRecord]:
                 raise DataError(f"line {lineno}: {key} holds an integer "
                                 "too large for a double") from None
         try:
-            records.append(QueryScoreRecord(query_id=qid, **scores))
+            rec = QueryScoreRecord(query_id=qid, **scores)
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-    return records
+        yield rec
+
+
+def parse_score_records(text: str) -> list[QueryScoreRecord]:
+    """Every record of QueryScoreRecord JSONL text, as iter_score_records reads it.
+
+    A line ends only at \\n, \\r\\n or \\r, as in a file read by eval-ce, so a
+    U+2028 or U+0085 inside a JSON string stays part of its line.
+    """
+    return list(iter_score_records(io.StringIO(text, newline=None)))

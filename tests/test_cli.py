@@ -3,10 +3,12 @@ import hashlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import tempfile
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,79 @@ class TestEvalCe:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "line 2" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separator_inside_a_string_is_kept(self, tmp_path, capsys,
+                                                    separator):
+        # ensure_ascii=False writes the separator as the raw character.
+        qid = f"a{separator}b"
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps({"query_id": qid, "positives": [1.0],
+                                    "negatives": [0.0]}, ensure_ascii=False)
+                        + "\n", encoding="utf-8")
+        code, _, err = run(["eval-ce", str(path),
+                            "--output-dir", str(tmp_path / "out")], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads((tmp_path / "out" / "eval_ce_report.json").read_text())
+        assert report["per_query"][0]["query_id"] == qid
+
+    def test_first_faulty_record_in_file_order_decides(self, tmp_path, capsys):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"query_id": "a", "positives": [1], "negatives": []}\n'
+                        '{"query_id": "b", "positives": [1], "negatives": [0]}\n'
+                        "not json\n")
+        code, out, err = run(["eval-ce", str(path),
+                              "--output-dir", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert "query 'a': negatives must be nonempty" in err
+        assert "line 3" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        import tracemalloc
+
+        import embedscale.metrics  # noqa: F401  loaded before tracing starts
+        rng = random.Random(5)
+        path = tmp_path / "scores.jsonl"
+        write_jsonl(path, ({"query_id": f"q{i}", "positives": [rng.gauss(0.5, 0.1)],
+                            "negatives": [rng.gauss(0.3, 0.1) for _ in range(512)]}
+                           for i in range(300)))
+        size = path.stat().st_size
+        assert size > 2_000_000
+        tracemalloc.start()
+        try:
+            code = main(["eval-ce", str(path), "--output-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # Reading the whole file held about 3.6 times its size.
+        assert peak < size / 2
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("argv", [
+        ["eval-ce", "scores_small.jsonl"],
+        ["fit", "obs_bert_trecdl.csv", "--law", "joint"],
+        ["plan", "fit_report_bert_trecdl.json", "--budget", "1e9",
+         "--tokens", "32", "--corpus", "100000"],
+        ["predict", "fit_report_bert_trecdl.json", "--dim", "128",
+         "--params", "1e8"],
+    ], ids=lambda argv: argv[0])
+    def test_names_the_file_and_line(self, data_dir, tmp_path, capsys, argv):
+        command, source, *flags = argv
+        lines = (data_dir / source).read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        path = tmp_path / source
+        path.write_bytes(b"\n".join(lines))
+        argv = [command, str(path), *flags]
+        if command != "predict":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"{path}: not UTF-8 text: line 2: " in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 
@@ -650,6 +725,49 @@ class TestSweepDims:
                             "--multipliers", "1/4"], capsys)
         assert code == 2
         assert "< 1" in err
+
+
+ODD_NUMBERS = ["0", "-1", "-0", "nan", "inf", "1e400", "1e-400", "9" * 400,
+               "9" * 5000, "1/0", "1/" + "9" * 5000, "0.5", "x/y", ""]
+HIDDEN_SIZES = st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
+                         st.sampled_from(ODD_NUMBERS))
+MULTIPLIERS = st.lists(st.one_of(
+    st.fractions(min_value=-4, max_value=64).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(ODD_NUMBERS)), max_size=4)
+
+
+def fraction_or_none(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class TestSweepDimsProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(hidden=HIDDEN_SIZES, multipliers=MULTIPLIERS)
+    @example(hidden="9" * 5000, multipliers=["1"])
+    @example(hidden="512", multipliers=["1e400"])
+    @example(hidden="1" + "0" * 4000, multipliers=["1e400"])
+    def test_sweep_dims_ends_in_a_documented_code(self, hidden, multipliers):
+        argv = ["sweep-dims", "--hidden", hidden, "--multipliers", *multipliers]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:    # argparse's usage errors
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code != 0:
+            assert out == ""
+            return
+        phis = [fraction_or_none(m) for m in multipliers]
+        assert None not in phis
+        expected = sorted({round(phi * int(hidden)) for phi in phis})
+        assert out == " ".join(map(str, expected)) + "\n"
+        assert expected[0] >= 1
 
 
 class TestDeterminism:

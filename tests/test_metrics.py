@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from embedscale import (BatchQueryScores, DataError, EvalConfig,
-                        NumericError, QueryScoreRecord, TeacherMargin,
-                        combined_loss, contrastive_entropy_dataset,
-                        contrastive_entropy_query, contrastive_entropy_records,
-                        contrastive_entropy_single, contrastive_loss_grad,
-                        margin_mse, margin_mse_grad, parse_score_records,
-                        recall_at_k, rr_at_k, sample_negatives)
+from embedscale import (DataError, EvalConfig, NumericError, QueryScoreRecord,
+                        TeacherMargin, contrastive_entropy_dataset,
+                        contrastive_entropy_records, contrastive_entropy_single,
+                        contrastive_loss_grad, iter_score_records, margin_mse,
+                        margin_mse_grad, parse_score_records, recall_at_k,
+                        rr_at_k, sample_negatives)
 
 # ---------------------------------------------------------------------------
 # oracle: the same entropy evaluated in 50-digit decimal arithmetic
@@ -181,41 +180,39 @@ class TestEntropySingle:
             assert contrastive_entropy_single(pos, negs + [0.0]) > base
 
 
+def query_entropy(rec, tau=None):
+    return contrastive_entropy_records([rec], tau)[0]
+
+
 class TestEntropyAggregation:
     def test_one_positive_reduces_to_single(self):
         rec = QueryScoreRecord("q", (1.2,), (0.3, -0.1))
-        cfg = EvalConfig()
-        assert contrastive_entropy_query(rec, cfg) == \
-            contrastive_entropy_single(1.2, [0.3, -0.1])
+        assert query_entropy(rec) == contrastive_entropy_single(1.2, [0.3, -0.1])
 
     def test_identical_positives_change_nothing(self):
-        cfg = EvalConfig()
-        one = contrastive_entropy_query(QueryScoreRecord("q", (1.0,), (0.0,)), cfg)
-        two = contrastive_entropy_query(
-            QueryScoreRecord("q", (1.0, 1.0), (0.0,)), cfg)
+        one = query_entropy(QueryScoreRecord("q", (1.0,), (0.0,)))
+        two = query_entropy(QueryScoreRecord("q", (1.0, 1.0), (0.0,)))
         assert one == two
 
     def test_two_positive_hand_case(self):
         # mean of -log sigmoid(1) and -log sigmoid(0)
         rec = QueryScoreRecord("q", (1.0, 0.0), (0.0,))
-        value = contrastive_entropy_query(rec, EvalConfig())
+        value = query_entropy(rec)
         expected = (math.log(1 + math.exp(-1)) + math.log(2)) / 2
         assert value == pytest.approx(expected, rel=1e-14)
         assert value == pytest.approx((0.313262 + 0.693147) / 2, abs=1e-6)
 
     def test_dataset_single_record_identity(self):
         rec = QueryScoreRecord("q", (1.0,), (0.0, 0.5))
-        cfg = EvalConfig(temperature=0.02)
-        assert contrastive_entropy_dataset([rec], cfg) == \
-            contrastive_entropy_query(rec, cfg)
+        assert contrastive_entropy_dataset([rec], EvalConfig(temperature=0.02)) == \
+            query_entropy(rec, 0.02)
 
     def test_dataset_two_records_average(self):
-        cfg = EvalConfig()
         r1 = QueryScoreRecord("a", (1.0,), (0.0,))
         r2 = QueryScoreRecord("b", (0.5,), (0.25, 0.75))
-        a = contrastive_entropy_query(r1, cfg)
-        b = contrastive_entropy_query(r2, cfg)
-        assert contrastive_entropy_dataset([r1, r2], cfg) == \
+        a = query_entropy(r1)
+        b = query_entropy(r2)
+        assert contrastive_entropy_dataset([r1, r2], EvalConfig()) == \
             pytest.approx((a + b) / 2, rel=1e-15)
 
     def test_dataset_fixture_brute_force(self, data_dir):
@@ -416,83 +413,6 @@ class TestLosses:
             assert abs(g_sn - fd_sn) <= 1e-4 * max(abs(fd_sn), 1e-4)
 
 
-class TestCombinedLoss:
-    def test_ettin_single_query_reduces_to_contrastive(self):
-        q = BatchQueryScores(positive=1.0, hard_negatives=(0.0, 0.5))
-        assert combined_loss([q], "ettin", tau=0.02) == \
-            contrastive_entropy_single(1.0, [0.0, 0.5], tau=0.02)
-
-    def test_ettin_requires_tau(self):
-        q = BatchQueryScores(positive=1.0, hard_negatives=(0.0,))
-        with pytest.raises(DataError, match="temperature"):
-            combined_loss([q], "ettin")
-
-    def test_bert_zero_margin_error_leaves_contrastive(self):
-        q1 = BatchQueryScores(positive=2.0, hard_negatives=(1.0,),
-                              teacher=(TeacherMargin(5.0, 4.0),),
-                              in_batch_negatives=(0.5,))
-        q2 = BatchQueryScores(positive=1.5, hard_negatives=(0.5,),
-                              teacher=(TeacherMargin(3.0, 2.0),),
-                              in_batch_negatives=(0.1,))
-        total = combined_loss([q1, q2], "bert")
-        ct = (contrastive_entropy_single(2.0, [0.5])
-              + contrastive_entropy_single(1.5, [0.1])) / 2
-        assert total == pytest.approx(ct, rel=1e-14)
-
-    def test_bert_two_query_brute_force(self):
-        q1 = BatchQueryScores(positive=2.0, hard_negatives=(1.0, 0.5),
-                              teacher=(TeacherMargin(5.0, 3.0),
-                                       TeacherMargin(4.0, 3.8)),
-                              in_batch_negatives=(0.3,))
-        q2 = BatchQueryScores(positive=1.5, hard_negatives=(0.2,),
-                              teacher=(TeacherMargin(2.0, 1.0),),
-                              in_batch_negatives=(0.8,))
-        total = combined_loss([q1, q2], "bert")
-
-        mm = (((2.0 - 1.0) - 2.0) ** 2
-              + ((2.0 - 0.5) - 0.2) ** 2
-              + ((1.5 - 0.2) - 1.0) ** 2) / 3
-        ct1 = -math.log(math.exp(2.0) / (math.exp(2.0) + math.exp(0.3)))
-        ct2 = -math.log(math.exp(1.5) / (math.exp(1.5) + math.exp(0.8)))
-        assert total == pytest.approx(mm + (ct1 + ct2) / 2, rel=1e-12)
-
-    def test_ettin_two_query_brute_force(self):
-        tau = 0.5
-        q1 = BatchQueryScores(positive=1.0, hard_negatives=(0.2,),
-                              in_batch_negatives=(0.6, -0.4))
-        q2 = BatchQueryScores(positive=0.8, hard_negatives=(),
-                              in_batch_negatives=(0.1, 0.9))
-        total = combined_loss([q1, q2], "ettin", tau=tau)
-        expected = (oracle_entropy(1.0, [0.2, 0.6, -0.4], tau)
-                    + oracle_entropy(0.8, [0.1, 0.9], tau)) / 2
-        assert total == pytest.approx(expected, rel=1e-12)
-
-    def test_bert_missing_teacher(self):
-        q = BatchQueryScores(positive=1.0, hard_negatives=(0.0,),
-                             in_batch_negatives=(0.5,))
-        with pytest.raises(DataError, match="teacher"):
-            combined_loss([q], "bert")
-
-    def test_bert_no_pairs(self):
-        q = BatchQueryScores(positive=1.0, in_batch_negatives=(0.5,))
-        with pytest.raises(DataError, match="pair"):
-            combined_loss([q], "bert")
-
-    def test_misaligned_teacher_rejected(self):
-        with pytest.raises(DataError, match="align"):
-            BatchQueryScores(positive=1.0, hard_negatives=(0.0, 0.1),
-                             teacher=(TeacherMargin(1.0, 0.0),))
-
-    def test_empty_batch(self):
-        with pytest.raises(DataError, match="empty batch"):
-            combined_loss([], "ettin", tau=1.0)
-
-    def test_unknown_recipe(self):
-        q = BatchQueryScores(positive=1.0, hard_negatives=(0.0,))
-        with pytest.raises(DataError, match="recipe"):
-            combined_loss([q], "roberta", tau=1.0)
-
-
 class TestRankingMetrics:
     def test_rr_first_rank(self):
         assert rr_at_k(["d1", "d2"], {"d1"}, 10) == 1.0
@@ -576,6 +496,26 @@ class TestScoreRecordParsing:
     def test_deep_nesting_is_invalid_json(self):
         with pytest.raises(DataError, match="line 1: invalid JSON"):
             parse_score_records("[" * 100_000 + "\n")
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separator_inside_a_string_is_kept(self, separator):
+        records = parse_score_records(f'{{"query_id": "a{separator}b", '
+                                      '"positives": [1], "negatives": [0]}\n')
+        assert [r.query_id for r in records] == [f"a{separator}b"]
+
+    def test_lines_end_as_in_a_text_file(self):
+        rec = '{{"query_id": "{}", "positives": [1], "negatives": [0]}}'.format
+        records = parse_score_records(rec("a") + "\r\n" + rec("b") + "\r" + rec("c"))
+        assert [r.query_id for r in records] == ["a", "b", "c"]
+        # A form feed does not end a line, so two objects share line 2.
+        with pytest.raises(DataError, match="line 2: invalid JSON"):
+            parse_score_records(rec("a") + "\n" + rec("b") + "\x0c" + rec("c") + "\n")
+
+    def test_each_record_arrives_before_the_next_line_is_read(self):
+        def lines():
+            yield '{"query_id": "a", "positives": [1], "negatives": [0]}\n'
+            raise AssertionError("read past the first record")
+        assert next(iter_score_records(lines())).query_id == "a"
 
     def test_config_validation(self):
         with pytest.raises(DataError):
