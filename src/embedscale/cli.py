@@ -54,10 +54,6 @@ def _fraction(text: str):
         raise argparse.ArgumentTypeError(f"invalid multiplier {text!r}: {exc}")
 
 
-def _read_text(path: str) -> str:
-    return "".join(read_lines(path))
-
-
 def _sha256(path: str) -> str:
     import hashlib
     digest = hashlib.sha256()
@@ -106,9 +102,8 @@ def _fmt(value: float) -> str:
 
 
 def cmd_eval_ce(args) -> int:
-    from .metrics import (EvalConfig, contrastive_entropy_records,
-                          iter_score_records, mean_entropy)
-    cfg = EvalConfig(temperature=args.tau)
+    from .metrics import (contrastive_entropy_records, iter_score_records,
+                          mean_entropy)
     query_ids = []
 
     def kept_ids(records):
@@ -117,8 +112,9 @@ def cmd_eval_ce(args) -> int:
             query_ids.append(rec.query_id)
             yield rec
 
+    # The temperature is checked before the first line is read.
     entropies = contrastive_entropy_records(
-        kept_ids(iter_score_records(read_lines(args.scores))), cfg.temperature)
+        kept_ids(iter_score_records(read_lines(args.scores))), args.tau)
     if not query_ids:
         raise DataError(f"{args.scores}: no query records")
     per_query = [{"query_id": qid, "entropy": value}
@@ -138,7 +134,7 @@ def cmd_eval_ce(args) -> int:
 
 
 def _resolve_table(path: str, model: str | None, dataset: str | None):
-    table = parse_observations(_read_text(path))
+    table = parse_observations(read_lines(path))
     if dataset is None:
         if len(table.datasets) > 1:
             raise DataError(
@@ -150,7 +146,7 @@ def _resolve_table(path: str, model: str | None, dataset: str | None):
 
 def _read_fit(path: str):
     try:
-        obj = json.loads(_read_text(path))
+        obj = json.loads("".join(read_lines(path)))
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: not a JSON fit report: {exc}") from None
     return fit_from_report(obj)

@@ -79,7 +79,7 @@ def record(cls):
     return cls
 
 
-def _record_values(rec) -> tuple:
+def _record_tuple(rec) -> tuple:
     return tuple(getattr(rec, name) for name in rec._fields)
 
 
@@ -90,11 +90,11 @@ def _frozen(rec, name, *value):
 def _record_eq(rec, other):
     if other.__class__ is not rec.__class__:
         return NotImplemented
-    return _record_values(rec) == _record_values(other)
+    return _record_tuple(rec) == _record_tuple(other)
 
 
 def _record_hash(rec) -> int:
-    return hash(_record_values(rec))
+    return hash(_record_tuple(rec))
 
 
 def _record_repr(rec) -> str:
@@ -212,7 +212,8 @@ def parse_observations(text) -> ObservationTable:
     as 64-bit floats / integers with no rounding.
 
     Args:
-        text: CSV content as a string or a readable text stream.
+        text: CSV content as a string, or its lines as any iterable
+            (a text stream, read_lines).
 
     Returns:
         A validated ObservationTable with row order preserved.

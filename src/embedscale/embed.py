@@ -21,39 +21,35 @@ ZERO_NORM_EPS = 1e-12
 
 @record
 class EmbeddingMatrix:
-    """Row-major real matrix of token states or final embeddings."""
+    """Row-major real matrix of token states or final embeddings.
 
-    rows: int
-    dim: int
+    data is a 2-d array, one row per vector; rows and dim are its shape.
+    """
+
     data: np.ndarray
     ids: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DataError(f"dim must be >= 1, got {self.dim}")
-        if self.rows < 0:
-            raise DataError(f"rows must be >= 0, got {self.rows}")
         arr = np.asarray(self.data, dtype=float)
-        if arr.size != self.rows * self.dim:
-            raise DataError(
-                f"data has {arr.size} values, expected rows*dim = {self.rows * self.dim}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DataError("matrix entries must be finite")
-        object.__setattr__(self, "data", arr.reshape(self.rows, self.dim))
-        if self.ids is not None and len(self.ids) != self.rows:
-            raise DataError(
-                f"{len(self.ids)} ids for {self.rows} rows"
-            )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]],
-                  ids: Optional[Sequence[str]] = None) -> "EmbeddingMatrix":
-        arr = np.asarray(rows, dtype=float)
         if arr.ndim != 2:
             raise DataError(f"expected a 2-d array of rows, got ndim={arr.ndim}")
-        return cls(arr.shape[0], arr.shape[1], arr,
-                   tuple(ids) if ids is not None else None)
+        if arr.shape[1] < 1:
+            raise DataError(f"dim must be >= 1, got {arr.shape[1]}")
+        if not np.all(np.isfinite(arr)):
+            raise DataError("matrix entries must be finite")
+        object.__setattr__(self, "data", arr)
+        if self.ids is not None:
+            if len(self.ids) != self.rows:
+                raise DataError(f"{len(self.ids)} ids for {self.rows} rows")
+            object.__setattr__(self, "ids", tuple(self.ids))
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[1]
 
 
 @record
@@ -97,7 +93,7 @@ def project(tokens: EmbeddingMatrix, p: Projection) -> EmbeddingMatrix:
             f"token dim {tokens.dim} does not match projection input dim {p.in_dim}"
         )
     out = tokens.data @ p.weight.T + p.bias
-    return EmbeddingMatrix(tokens.rows, p.out_dim, out, tokens.ids)
+    return EmbeddingMatrix(out, tokens.ids)
 
 
 def mean_pool(tokens: EmbeddingMatrix) -> np.ndarray:
@@ -148,7 +144,9 @@ def score_pairs(queries: EmbeddingMatrix, docs: EmbeddingMatrix,
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
-    """Every row of m scaled to unit norm, as l2_normalize does one row."""
+    """Every row of m scaled to unit norm by l2_normalize's rule: reject a
+    norm <= 1e-12, then divide by the norm. The norms are taken row-wise, so
+    a result may differ from l2_normalize's in the last place."""
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     small = ~(norms > ZERO_NORM_EPS)
     if small.any():
@@ -192,7 +190,7 @@ def load_matrix(path: str) -> EmbeddingMatrix:
         values.fromlist(row)
     if dim is None:
         raise DataError(f"{path}: no matrix rows")
-    matrix = EmbeddingMatrix(len(ids), dim, np.frombuffer(values), tuple(ids))
+    matrix = EmbeddingMatrix(np.frombuffer(values).reshape(len(ids), dim), tuple(ids))
 
     sidecar = path + ".json"
     if os.path.exists(sidecar):

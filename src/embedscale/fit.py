@@ -22,7 +22,7 @@ from operator import mul
 from typing import Sequence
 
 from .core import DataError, NumericError, ObservationTable, record
-from .law import MILLION, LawFit, PowerLaw, r_squared, total_variance
+from .law import MILLION, LawFit, PowerLaw, _term, r_squared, total_variance
 
 DELTA_EPS = 1e-9         # offset inside log(delta + eps); keeps delta=0 reachable
 COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
@@ -123,13 +123,6 @@ def _decode(t: Sequence[float]) -> tuple[float, ...]:
     natural = [_exp(v) for v in t]
     natural[-1] -= DELTA_EPS
     return tuple(natural)
-
-
-def _values(model: PowerLaw, params: Sequence[float], cols) -> list[float]:
-    """The law at prepared inputs cols."""
-    k = model.n_terms
-    terms = map(_terms, params[:k], params[k:2 * k], cols)
-    return [sum(parts) + params[-1] for parts in zip(*terms)]
 
 
 def _closed_form(a, b):
@@ -359,7 +352,10 @@ def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
     total_variance(y)
     params, residual_norm, report = least_squares(model, x, y)
     params = params[:-1] + (max(0.0, params[-1]),)
-    predictions = _values(model, params, _prepare(model, x))
+    # The law as predict evaluates it; x holds sizes in millions, so each scale is 1.
+    k = model.n_terms
+    predictions = [sum(map(_term, params[:k], row, (1.0, 1.0), params[k:2 * k]))
+                   + params[-1] for row in x]
     warnings = []
     if not report.converged:
         warnings.append(f"fit did not converge: {report.stop_reason}")

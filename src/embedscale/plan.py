@@ -121,17 +121,13 @@ def flops_score(corpus_size: int, dim: float, regime: str = "exhaustive") -> flo
 def allocation_from_gamma(gamma: float, b: BudgetSpec) -> tuple[float, float]:
     """(N, D) implied by giving fraction gamma of the budget to encoding.
 
-    N = gamma*B/(2T); D = (1-gamma)*B / (2M) exhaustive, or
-    (1-gamma)*B / (2*ln M) under ann. Outputs are real-valued, unrounded.
+    N = gamma*B/(2T); D = (1-gamma)*B / flops_score(M, 1), the price of
+    one dimension in the regime. Outputs are real-valued, unrounded.
     """
     if not 0.0 < gamma < 1.0:
         raise DataError(f"gamma must lie in (0,1), got {gamma}")
     n = gamma * b.total_flops / (2.0 * b.query_tokens)
-    rest = (1.0 - gamma) * b.total_flops
-    if b.regime == "exhaustive":
-        d = rest / (2.0 * b.corpus_size)
-    else:
-        d = rest / (2.0 * log(b.corpus_size))
+    d = (1.0 - gamma) * b.total_flops / flops_score(b.corpus_size, 1.0, b.regime)
     return n, d
 
 

@@ -150,6 +150,26 @@ class TestEvalCe:
         report = json.loads((tmp_path / "out" / "eval_ce_report.json").read_text())
         assert report["per_query"][0]["query_id"] == qid
 
+    @pytest.mark.parametrize("text", ["", "\n", "\n  \n\t\r\n"],
+                             ids=["empty", "one-blank-line", "whitespace-lines"])
+    def test_no_records_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(text.encode())
+        code, out, err = run(["eval-ce", str(path),
+                              "--output-dir", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert "no query records" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path, capsys):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('\n{"query_id": "a", "positives": [1], "negatives": [0]}\n'
+                        '\n  \n{"query_id": "b"}\n')
+        code, out, err = run(["eval-ce", str(path),
+                              "--output-dir", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert "line 5: missing keys" in err
+
     def test_first_faulty_record_in_file_order_decides(self, tmp_path, capsys):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"query_id": "a", "positives": [1], "negatives": []}\n'
@@ -330,6 +350,18 @@ class TestPredict:
                             "--dim", "0", "--params", "1e8"], capsys)
         assert code == 1
         assert ">= 1" in err
+
+    def test_report_outside_the_fit_range_is_data_error(self, data_dir, tmp_path):
+        obj = json.loads((data_dir / "fit_report_bert_trecdl.json").read_text())
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(dict(obj, r2=1.5)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "embedscale", "predict", str(path),
+             "--dim", "512", "--params", "1e8"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert "r2 must be <= 1" in proc.stderr
 
 
 def exact_law(params, d, n_params):
@@ -793,6 +825,18 @@ class TestDeterminism:
         leftovers = [p for p in tmp_path.iterdir()
                      if p.name.startswith(".tmp-")]
         assert leftovers == []
+
+    def test_failed_replace_leaves_nothing(self, data_dir, tmp_path, capsys,
+                                           monkeypatch):
+        def refuse(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr("embedscale.cli.os.replace", refuse)
+        code, out, err = run(["eval-ce", str(data_dir / "scores_small.jsonl"),
+                              "--output-dir", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert "cannot replace" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():

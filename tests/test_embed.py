@@ -32,12 +32,12 @@ def naive_scores(queries, docs):
 
 class TestProject:
     def test_identity(self):
-        tokens = EmbeddingMatrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
+        tokens = EmbeddingMatrix([[1.0, 2.0], [3.0, 4.0]])
         p = Projection(np.eye(2), np.zeros(2))
         assert np.array_equal(project(tokens, p).data, tokens.data)
 
     def test_zero_weight_gives_bias(self):
-        tokens = EmbeddingMatrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        tokens = EmbeddingMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         p = Projection(np.zeros((2, 3)), np.array([7.0, -1.0]))
         out = project(tokens, p)
         assert np.array_equal(out.data, [[7.0, -1.0], [7.0, -1.0]])
@@ -47,7 +47,7 @@ class TestProject:
         data = rng.normal(size=(3, 4))
         weight = rng.normal(size=(2, 4))
         bias = rng.normal(size=2)
-        out = project(EmbeddingMatrix.from_rows(data),
+        out = project(EmbeddingMatrix(data),
                       Projection(weight, bias))
         np.testing.assert_allclose(
             out.data, naive_project(data.tolist(), weight.tolist(),
@@ -55,36 +55,36 @@ class TestProject:
             rtol=1e-12)
 
     def test_shape_mismatch(self):
-        tokens = EmbeddingMatrix.from_rows([[1.0, 2.0]])
+        tokens = EmbeddingMatrix([[1.0, 2.0]])
         p = Projection(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(DataError, match="dim"):
             project(tokens, p)
 
     def test_ids_carried_through(self):
-        tokens = EmbeddingMatrix.from_rows([[1.0, 2.0]], ids=["t0"])
+        tokens = EmbeddingMatrix([[1.0, 2.0]], ids=["t0"])
         out = project(tokens, Projection(np.eye(2), np.zeros(2)))
         assert out.ids == ("t0",)
 
 
 class TestMeanPool:
     def test_single_row(self):
-        tokens = EmbeddingMatrix.from_rows([[1.5, -2.0]])
+        tokens = EmbeddingMatrix([[1.5, -2.0]])
         assert np.array_equal(mean_pool(tokens), [1.5, -2.0])
 
     def test_opposite_rows_cancel(self):
-        tokens = EmbeddingMatrix.from_rows([[1.0, -2.0], [-1.0, 2.0]])
+        tokens = EmbeddingMatrix([[1.0, -2.0], [-1.0, 2.0]])
         assert np.array_equal(mean_pool(tokens), [0.0, 0.0])
 
     def test_matches_columnwise_mean(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(3, 5))
-        pooled = mean_pool(EmbeddingMatrix.from_rows(data))
+        pooled = mean_pool(EmbeddingMatrix(data))
         for col in range(5):
             expected = sum(data[row][col] for row in range(3)) / 3
             assert pooled[col] == pytest.approx(expected, rel=1e-14)
 
     def test_empty_rejected(self):
-        empty = EmbeddingMatrix(0, 3, np.zeros((0, 3)))
+        empty = EmbeddingMatrix(np.zeros((0, 3)))
         with pytest.raises(DataError, match="empty"):
             mean_pool(empty)
 
@@ -114,34 +114,34 @@ class TestNormalize:
 
 class TestScorePairs:
     def test_orthonormal_zero(self):
-        q = EmbeddingMatrix.from_rows([[1.0, 0.0]])
-        d = EmbeddingMatrix.from_rows([[0.0, 1.0]])
+        q = EmbeddingMatrix([[1.0, 0.0]])
+        d = EmbeddingMatrix([[0.0, 1.0]])
         assert score_pairs(q, d)[0, 0] == 0.0
 
     def test_identical_unit_vectors_one(self):
-        q = EmbeddingMatrix.from_rows([[0.6, 0.8]])
+        q = EmbeddingMatrix([[0.6, 0.8]])
         assert score_pairs(q, q)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_random_matches_brute_force(self):
         rng = np.random.default_rng(10)
         qdata = rng.normal(size=(2, 3))
         ddata = rng.normal(size=(2, 3))
-        scores = score_pairs(EmbeddingMatrix.from_rows(qdata),
-                             EmbeddingMatrix.from_rows(ddata))
+        scores = score_pairs(EmbeddingMatrix(qdata),
+                             EmbeddingMatrix(ddata))
         np.testing.assert_allclose(scores,
                                    naive_scores(qdata.tolist(), ddata.tolist()),
                                    rtol=1e-12)
 
     def test_dim_mismatch(self):
-        q = EmbeddingMatrix.from_rows([[1.0, 0.0]])
-        d = EmbeddingMatrix.from_rows([[1.0, 0.0, 0.0]])
+        q = EmbeddingMatrix([[1.0, 0.0]])
+        d = EmbeddingMatrix([[1.0, 0.0, 0.0]])
         with pytest.raises(DataError, match="dim"):
             score_pairs(q, d)
 
     def test_normalized_scores_are_cosines(self):
         rng = np.random.default_rng(11)
-        q = EmbeddingMatrix.from_rows(rng.normal(size=(5, 8)))
-        d = EmbeddingMatrix.from_rows(rng.normal(size=(7, 8)))
+        q = EmbeddingMatrix(rng.normal(size=(5, 8)))
+        d = EmbeddingMatrix(rng.normal(size=(7, 8)))
         scores = score_pairs(q, d, normalize=True)
         assert np.all(scores <= 1.0 + 1e-12)
         assert np.all(scores >= -1.0 - 1e-12)
@@ -151,8 +151,8 @@ class TestScorePairs:
         rng = np.random.default_rng(12)
         qdata = rng.normal(size=(40, 16)) * rng.uniform(1e-6, 1e6, size=(40, 1))
         ddata = rng.normal(size=(60, 16))
-        scores = score_pairs(EmbeddingMatrix.from_rows(qdata),
-                             EmbeddingMatrix.from_rows(ddata), normalize=True)
+        scores = score_pairs(EmbeddingMatrix(qdata),
+                             EmbeddingMatrix(ddata), normalize=True)
         expected = (np.vstack([l2_normalize(row) for row in qdata])
                     @ np.vstack([l2_normalize(row) for row in ddata]).T)
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-15)
@@ -163,23 +163,23 @@ class TestScorePairs:
         rows = rng.normal(size=(30, 8))
         zeroed = rows.copy()
         zeroed[17] = 1e-13
-        good = EmbeddingMatrix.from_rows(rows)
-        bad = EmbeddingMatrix.from_rows(zeroed)
+        good = EmbeddingMatrix(rows)
+        bad = EmbeddingMatrix(zeroed)
         q, d = (bad, good) if side == "queries" else (good, bad)
         with pytest.raises(NumericError, match="near-zero"):
             score_pairs(q, d, normalize=True)
         assert score_pairs(q, d).shape == (30, 30)
 
     def test_normalized_empty_side(self):
-        q = EmbeddingMatrix(0, 3, np.zeros(0))
-        d = EmbeddingMatrix.from_rows([[1.0, 2.0, 2.0]])
+        q = EmbeddingMatrix(np.zeros((0, 3)))
+        d = EmbeddingMatrix([[1.0, 2.0, 2.0]])
         assert score_pairs(q, d, normalize=True).shape == (0, 1)
 
 
 class TestLinearity:
     def test_project_commutes_with_mean_pool(self):
         rng = np.random.default_rng(12)
-        tokens = EmbeddingMatrix.from_rows(rng.normal(size=(6, 4)))
+        tokens = EmbeddingMatrix(rng.normal(size=(6, 4)))
         p = Projection(rng.normal(size=(3, 4)), rng.normal(size=3))
         pooled_then_projected = (p.weight @ mean_pool(tokens)) + p.bias
         projected_then_pooled = mean_pool(project(tokens, p))
@@ -189,24 +189,27 @@ class TestLinearity:
     def test_row_scaling_invariance_after_normalize(self):
         rng = np.random.default_rng(13)
         data = rng.normal(size=(4, 6))
-        base = l2_normalize(mean_pool(EmbeddingMatrix.from_rows(data)))
+        base = l2_normalize(mean_pool(EmbeddingMatrix(data)))
         for c in (0.01, 3.0, 1e6):
-            scaled = l2_normalize(mean_pool(EmbeddingMatrix.from_rows(c * data)))
+            scaled = l2_normalize(mean_pool(EmbeddingMatrix(c * data)))
             np.testing.assert_allclose(scaled, base, atol=1e-10)
 
 
 class TestMatrixValidation:
-    def test_length_mismatch(self):
-        with pytest.raises(DataError, match="rows\\*dim"):
-            EmbeddingMatrix(2, 3, np.zeros(5))
+    @pytest.mark.parametrize("data, message", [
+        (np.zeros(5), "2-d"), (np.zeros((1, 2, 3)), "2-d"), ([], "2-d"),
+        (np.zeros((2, 0)), "dim must be >= 1")], ids=["1-d", "3-d", "empty-list", "no-columns"])
+    def test_bad_shape(self, data, message):
+        with pytest.raises(DataError, match=message):
+            EmbeddingMatrix(data)
 
     def test_non_finite(self):
         with pytest.raises(DataError, match="finite"):
-            EmbeddingMatrix.from_rows([[1.0, float("nan")]])
+            EmbeddingMatrix([[1.0, float("nan")]])
 
     def test_id_count(self):
         with pytest.raises(DataError, match="ids"):
-            EmbeddingMatrix.from_rows([[1.0]], ids=["a", "b"])
+            EmbeddingMatrix([[1.0]], ids=["a", "b"])
 
     def test_projection_shape(self):
         with pytest.raises(DataError, match="bias"):
@@ -216,7 +219,7 @@ class TestMatrixValidation:
 class TestMatrixFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
-        matrix = EmbeddingMatrix.from_rows(rng.normal(size=(3, 4)),
+        matrix = EmbeddingMatrix(rng.normal(size=(3, 4)),
                                            ids=["a", "b", "c"])
         path = str(tmp_path / "vecs.txt")
         save_matrix(matrix, path)
@@ -269,7 +272,7 @@ class TestMatrixFiles:
 
     def test_memory_does_not_grow_with_the_text(self, tmp_path):
         import tracemalloc
-        matrix = EmbeddingMatrix.from_rows(
+        matrix = EmbeddingMatrix(
             np.random.default_rng(3).standard_normal((400, 384)))
         path = tmp_path / "vecs.txt"
         save_matrix(matrix, str(path))

@@ -16,7 +16,7 @@ from embedscale import (DIM_LAW, JOINT_LAW, DataError, LawFit,
 from embedscale.fit import (COST_REL_TOL, DELTA_EPS, EXPONENT_RANGE,
                             GRADIENT_TOLERANCE, GRID_POINTS, LAMBDA_INIT,
                             LAMBDA_MAX, MAX_ITERS, STOP_REASONS, _decode,
-                            _descend, _prepare, _profile, _values)
+                            _descend, _evaluate, _prepare, _profile)
 from embedscale.law import total_variance
 
 DATA = Path(__file__).parent / "data"
@@ -199,8 +199,7 @@ class TestDimRecovery:
         cols, y = law_inputs(DIM_LAW, table)
         fitted_cost = fit.residual_norm ** 2
         for t0 in multistart_grid(DIM_LAW, cols, y):
-            predictions = _values(DIM_LAW, _decode(t0), cols)
-            start_cost = math.fsum((p - v) ** 2 for p, v in zip(predictions, y))
+            start_cost = _evaluate(DIM_LAW, cols, y, t0)[0]
             assert fitted_cost <= start_cost + 1e-12
 
     def test_alternative_parameterization_identity(self):
@@ -405,6 +404,22 @@ class TestEngine:
         with pytest.raises(DataError):
             least_squares(DIM_LAW, [32, 64], [0.5, 0.4, 0.3])
 
+    @pytest.mark.parametrize("model, x, y, message", [
+        (DIM_LAW, [10 ** 400, 64, 128, 256], [0.5, 0.4, 0.3, 0.2],
+         "must not exceed the largest double"),
+        (JOINT_LAW, [32, 64, 128, 256, 512, 1024], [0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
+         "takes 2 input\\(s\\) per target"),
+        (DIM_LAW, [0.5, 64, 128, 256], [0.5, 0.4, 0.3, 0.2], "need dimension >= 1"),
+        (JOINT_LAW, [(32, 0.0)] + [(d, 1.0) for d in (64, 128, 256, 512, 1024)],
+         [0.6, 0.5, 0.4, 0.3, 0.2, 0.1], "need dimension >= 1"),
+        (DIM_LAW, [32, 64, 128, 256], [0.5, math.nan, 0.3, 0.2],
+         "targets must be finite"),
+    ], ids=["input-past-the-doubles", "joint-law-given-scalars", "dimension-below-1",
+            "size-zero", "nan-target"])
+    def test_input_checks(self, model, x, y, message):
+        with pytest.raises(DataError, match=message):
+            least_squares(model, x, y)
+
     def test_iteration_cap_flags_non_convergence(self, monkeypatch):
         noise = 1.0 + 0.01 * np.random.default_rng(3).standard_normal(len(DIMS))
         table = dim_table(100.0, 1.5, 0.1, noise=noise)
@@ -470,6 +485,12 @@ class TestReportRoundTrip:
             fit_from_report({"law": "cubic", "parameters": {}})
         with pytest.raises(DataError):
             fit_from_report({"law": "dim", "parameters": {"a_coeff": 1.0}})
+        report = fit_to_report(DIM_FIT)
+        negative_alpha = dict(report, parameters=dict(report["parameters"], alpha=-1.5))
+        with pytest.raises(DataError, match="must be positive"):
+            fit_from_report(negative_alpha)
+        with pytest.raises(DataError, match="r2 must be <= 1"):
+            fit_from_report(dict(report, r2=1.5))
 
     @settings(max_examples=40, deadline=None)
     @given(obj=st.one_of(JSON_VALUES, mutated_reports()))
