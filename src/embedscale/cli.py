@@ -2,11 +2,13 @@
 
 Every run that writes files embeds a manifest (command, input paths with
 content hashes, echoed options, tool version) in its JSON report; curve
-files reference that report by name. Writes go through a temp file and
-os.replace, so a failed run leaves nothing partial behind. Identical
-inputs produce byte-identical outputs regardless of output directory.
-Both laws go through the same commands: --law names one of law.LAWS, and
-predict and plan read either law's report through one reader.
+files reference that report by name. A command writes all its files at
+once, each through a temp file and os.replace, so a failed run leaves
+nothing behind: no temp file, none of its files, no directory it made.
+Identical inputs produce byte-identical outputs regardless of output
+directory. Both laws go through the same commands: --law names one of
+law.LAWS, and predict and plan read either law's report through one
+reader.
 
 Each command imports only what it runs. Every command loads core and law;
 eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
@@ -75,25 +77,43 @@ def _manifest(command: str, input_paths: list[str], options: dict) -> dict:
     }
 
 
-def _write_atomic(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
+def _write_files(directory: str, files: dict[str, str]):
+    """Write a command's {file name: text} set into directory, all or nothing.
+
+    Every text goes to a temp file before the first os.replace. On a
+    failure the temp files and the files already moved in are removed, and
+    so are the directories this call made.
+    """
+    directory = path = os.path.abspath(directory)
+    made = []      # the directories makedirs will create, innermost first
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-embedscale-")
+    temps, placed = [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for text in files.values():
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-embedscale-")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for tmp, name in zip(temps, files):
+            target = os.path.join(directory, name)
+            os.replace(tmp, target)
+            placed.append(target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for leftover in temps + placed:
+            if os.path.exists(leftover):
+                os.unlink(leftover)
+        for path in made:
+            os.rmdir(path)
         raise
 
 
-def _write_json(path: str, obj: dict):
+def _json(obj: dict) -> str:
     # allow_nan=False: a NaN or infinity fails the run (ValueError, exit 2)
     # instead of landing in a report that strict JSON readers reject.
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n")
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _fmt(value: float) -> str:
@@ -128,7 +148,7 @@ def cmd_eval_ce(args) -> int:
         "temperature": args.tau,
         "manifest": _manifest("eval-ce", [args.scores], {"tau": args.tau}),
     }
-    _write_json(os.path.join(args.output_dir, "eval_ce_report.json"), report)
+    _write_files(args.output_dir, {"eval_ce_report.json": _json(report)})
     print(_fmt(dataset_entropy))
     return 0
 
@@ -194,12 +214,9 @@ def cmd_fit(args) -> int:
         "# columns: dim predicted_entropy",
     ]
     body = "\n\n".join(_curve_blocks(fit, table))
-
-    # All artifacts are built before the first write so a failure cannot
-    # leave a partial run on disk.
-    _write_json(os.path.join(args.output_dir, "fit_report.json"), report)
-    _write_atomic(os.path.join(args.output_dir, "fit_curve.dat"),
-                  "\n".join(header) + "\n" + body + "\n")
+    _write_files(args.output_dir, {
+        "fit_report.json": _json(report),
+        "fit_curve.dat": "\n".join(header) + "\n" + body + "\n"})
 
     params = report["parameters"]
     summary = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items())
@@ -243,8 +260,7 @@ def cmd_plan(args) -> int:
             "corpus": args.corpus, "regime": args.regime,
             "curve": args.curve or []}),
     }
-    _write_json(os.path.join(args.output_dir, "plan_report.json"), report)
-
+    files = {"plan_report.json": _json(report)}
     for index, (budget, curve) in enumerate(curves, start=1):
         lines = [
             "# embedscale budget-curve samples",
@@ -256,10 +272,8 @@ def cmd_plan(args) -> int:
             lines.append("# infeasible dims skipped: "
                          + " ".join(_fmt(d) for d in curve.skipped))
         lines += [f"{_fmt(d)} {_fmt(v)}" for d, v in curve.points]
-        _write_atomic(
-            os.path.join(args.output_dir, f"plan_curve_{index:02d}.dat"),
-            "\n".join(lines) + "\n",
-        )
+        files[f"plan_curve_{index:02d}.dat"] = "\n".join(lines) + "\n"
+    _write_files(args.output_dir, files)
 
     for alloc in allocations:
         print(f"budget={_fmt(alloc['budget'])} "

@@ -53,7 +53,8 @@ def record(cls):
     named for a field is its default. __post_init__, when defined, runs
     once the fields are set, and may reset one with object.__setattr__.
     Assigning or deleting an attribute raises AttributeError. ==, hash and
-    repr go by the field values, and _fields names the fields. This stands
+    repr go by the field values, except that an __eq__ the class body
+    defines stays, with its __hash__; _fields names the fields. This stands
     in for the standard library's record decorator, whose import (with
     inspect) costs a command more than most of them spend on their work.
     """
@@ -75,7 +76,9 @@ def record(cls):
     cls.__init__ = init
     cls._fields = names
     cls.__setattr__ = cls.__delattr__ = _frozen
-    cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
+    if "__eq__" not in vars(cls):
+        cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+    cls.__repr__ = _record_repr
     return cls
 
 

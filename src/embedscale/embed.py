@@ -24,10 +24,12 @@ class EmbeddingMatrix:
     """Row-major real matrix of token states or final embeddings.
 
     data is a 2-d array, one row per vector; rows and dim are its shape.
+    == and hash go by identity, since arrays have no single truth value.
     """
 
     data: np.ndarray
     ids: Optional[tuple[str, ...]] = None
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=float)
@@ -54,10 +56,14 @@ class EmbeddingMatrix:
 
 @record
 class Projection:
-    """Affine map h' = W h + b taking hidden size d down (or up) to size m."""
+    """Affine map h' = W h + b taking hidden size d down (or up) to size m.
+
+    == and hash go by identity, since arrays have no single truth value.
+    """
 
     weight: np.ndarray
     bias: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)

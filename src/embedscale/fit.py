@@ -2,16 +2,16 @@
 
 Residuals are taken in raw entropy space, unweighted. For fixed exponents
 the law sum_k c_k x_k^(-e_k) + delta is linear in (c, delta), so the fit
-is a separable least-squares problem (variable projection). It first
-profiles the exponents: on a geometric grid over EXPONENT_RANGE, each
-cell solves the normal equations for (c, delta) in closed form, keeping
-delta >= 0 and marking cells with a coefficient c_k <= 0 infeasible.
-Every feasible cell whose SSE is a local minimum among its grid
-neighbours then starts one polish: a damped Gauss-Newton
-(Levenberg-Marquardt) descent with an analytic Jacobian on log-space
-vectors t = (log c_1..c_K, log e_1..e_K, log(delta + 1e-9)), so every
-parameter stays positive and delta = 0 stays reachable. The lowest
-polished cost wins. Repeated fits are bit-identical.
+is a separable least-squares problem (variable projection) and only the
+exponents are searched. Each set of exponents is one cell: _cell solves
+the normal equations for (c, delta) in closed form, keeping delta >= 0
+and marking cells with a coefficient c_k <= 0 infeasible. The search
+first profiles a geometric grid of cells over EXPONENT_RANGE. Every
+feasible cell whose SSE is a local minimum among its grid neighbours then
+starts one polish: a damped Gauss-Newton (Levenberg-Marquardt) descent
+over the log-exponents s = log e, which solves each trial cell the same
+way and steps along Kaufman's Jacobian of the projected residuals. The
+lowest polished cost wins. Repeated fits are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Sequence
 from .core import DataError, NumericError, ObservationTable, record
 from .law import MILLION, LawFit, PowerLaw, _term, r_squared, total_variance
 
-DELTA_EPS = 1e-9         # offset inside log(delta + eps); keeps delta=0 reachable
 COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
 GRADIENT_TOLERANCE = 1e-12   # largest |gradient| entry below this counts as converged
 MAX_ITERS = 500          # descent iterations per start
@@ -32,6 +31,8 @@ LAMBDA_INIT = 1e-3
 LAMBDA_MAX = 1e15
 EXPONENT_RANGE = (0.05, 4.0)
 GRID_POINTS = {1: 64, 2: 24}   # profile grid points per exponent axis, by K
+# A polish step that moves a log-exponent further than the grid is wide is rejected.
+MAX_STEP = log(EXPONENT_RANGE[1] / EXPONENT_RANGE[0])
 
 # Why a descent stopped, indexed by the codes _descend returns.
 STOP_REASONS = ("non-finite start", "non-finite jacobian",
@@ -68,31 +69,12 @@ def _exp(v: float) -> float:
         return inf
 
 
-def _terms(c: float, e: float, xs) -> list[float]:
-    """c * x^-e for each x of xs; a power that overflows is inf."""
+def _terms(e: float, xs) -> list[float]:
+    """x^-e for each x of xs: a basis column. A power that overflows is inf."""
     try:
-        return [c * x ** -e for x in xs]
+        return [x ** -e for x in xs]
     except OverflowError:
-        return [c * _exp(-e * log(x)) for x in xs]
-
-
-def _solve(a, b):
-    """x with a x = b, by Gaussian elimination with partial pivoting; None if singular."""
-    n = len(b)
-    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[pivot][col] == 0.0:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        for row in m[col + 1:]:
-            f = row[col] / m[col][col]
-            for j in range(col, n + 1):
-                row[j] -= f * m[col][j]
-    x = [0.0] * n
-    for r in reversed(range(n)):
-        x[r] = (m[r][n] - _dot(m[r][r + 1:n], x[r + 1:])) / m[r][r]
-    return x
+        return [_exp(-e * log(x)) for x in xs]
 
 
 def _prepare(model: PowerLaw, x: Sequence) -> list[list[float]]:
@@ -118,13 +100,6 @@ def _prepare(model: PowerLaw, x: Sequence) -> list[list[float]]:
     return cols
 
 
-def _decode(t: Sequence[float]) -> tuple[float, ...]:
-    """Natural parameters, in param_names order, of one log-space vector."""
-    natural = [_exp(v) for v in t]
-    natural[-1] -= DELTA_EPS
-    return tuple(natural)
-
-
 def _closed_form(a, b):
     """x with a x = b for a 1x1 or 2x2 system, by Cramer's rule; None if singular."""
     if len(b) == 1:
@@ -136,13 +111,47 @@ def _closed_form(a, b):
     return [(s * b[0] - q * b[1]) / det, (p * b[1] - r * b[0]) / det]
 
 
-def _profile(model: PowerLaw, cols, y) -> list[tuple[int, list[float]]]:
-    """(flat cell index, log-space start) of each local minimum of the profile grid.
+def _linear(gram, sums, uvs, n, v_sum, free):
+    """(c, constant, c.rhs) of the least-squares fit of a target v; None if singular.
 
-    Each cell fixes the exponents and solves for (c, delta), centring the
-    normal equations to take delta out; when that delta is negative the
-    cell is solved again with delta = 0. A cell is a local minimum when its
-    SSE, yy - b.c, is finite and no neighbour's (diagonals included) is lower.
+    The fit is sum_k c_k u_k, plus a constant when free (else 0), from the
+    columns' Gram matrix and sums, u_k.v and sum(v). A free constant is
+    taken out by centring the normal equations; rhs is the side solved.
+    """
+    if free:
+        mean = v_sum / n
+        gram = [[g - sa * sb / n for g, sb in zip(row, sums)]
+                for row, sa in zip(gram, sums)]
+        uvs = [uv - s * mean for uv, s in zip(uvs, sums)]
+    c = _closed_form(gram, uvs)
+    if c is None:
+        return None
+    return c, mean - _dot(c, sums) / n if free else 0.0, _dot(c, uvs)
+
+
+def _cell(gram, sums, uys, n, y_sum, yy):
+    """(c, delta, sse, free) of the best law at fixed exponents; None if infeasible.
+
+    The basis columns u_k = x_k^-e_k enter as in _linear. When the free
+    delta is negative the cell is solved again at delta = 0 (free False).
+    A cell is infeasible when its system is singular, a coefficient c_k is
+    not positive or the SSE, taken from the normal equations, is not finite.
+    """
+    fit = _linear(gram, sums, uys, n, y_sum, True)
+    free = fit is not None and fit[1] >= 0
+    if not free:
+        fit = _linear(gram, sums, uys, n, y_sum, False)
+    if fit is None or not all(v > 0 for v in fit[0]):
+        return None
+    sse = (yy - y_sum * (y_sum / n) if free else yy) - fit[2]
+    return (*fit[:2], sse, free) if isfinite(sse) else None
+
+
+def _profile(model: PowerLaw, cols, y) -> list[tuple[int, list[float]]]:
+    """(flat cell index, log-exponent start) of each local minimum of the profile grid.
+
+    Each grid cell is solved by _cell. A cell is a local minimum when it is
+    feasible and no neighbour's (diagonals included) SSE is lower.
 
     Raises:
         NumericError: no cell has all coefficients positive.
@@ -152,19 +161,12 @@ def _profile(model: PowerLaw, cols, y) -> list[tuple[int, list[float]]]:
     points = GRID_POINTS[k]
     exponents = [lo * (hi / lo) ** (i / (points - 1)) for i in range(points)]
     n, y_sum, yy = len(y), sum(y), _dot(y, y)
-    y_mean = y_sum / n
     # Per axis and exponent: the basis column u = x^-e, its sum, u.u and u.y.
-    axes = []
-    for xs in cols:
-        axis = []
-        for e in exponents:
-            u = _terms(1.0, e, xs)
-            axis.append((u, sum(u), _dot(u, u), _dot(u, y)))
-        axes.append(axis)
+    axes = [[(u, sum(u), _dot(u, u), _dot(u, y))
+             for u in (_terms(e, xs) for e in exponents)] for xs in cols]
 
     cells = list(product(range(points), repeat=k))
     sse = {}
-    solved = {}
     for cell in cells:
         us, sums, squares, uys = zip(*(axis[i] for axis, i in zip(axes, cell)))
         # Only the cross products u_a.u_b (a != b) depend on the whole cell.
@@ -172,20 +174,8 @@ def _profile(model: PowerLaw, cols, y) -> list[tuple[int, list[float]]]:
         if k == 2:
             cross = _dot(*us)
             gram = [[squares[0], cross], [cross, squares[1]]]
-        centred = [[g - sa * sb / n for g, sb in zip(row, sums)]
-                   for row, sa in zip(gram, sums)]
-        rhs = [uy - s * y_mean for uy, s in zip(uys, sums)]
-        c = _closed_form(centred, rhs)
-        delta = None if c is None else y_mean - _dot(c, sums) / n
-        if c is not None and delta >= 0:
-            cost = (yy - y_sum * y_mean) - _dot(c, rhs)
-        else:
-            c, delta = _closed_form(gram, uys), 0.0
-            cost = inf if c is None else yy - _dot(c, uys)
-        if c is None or not all(v > 0 for v in c) or not isfinite(cost):
-            cost = inf
-        sse[cell] = cost
-        solved[cell] = (c, delta)
+        solved = _cell(gram, sums, uys, n, y_sum, yy)
+        sse[cell] = inf if solved is None else solved[2]
 
     offsets = [o for o in product((-1, 0, 1), repeat=k) if any(o)]
     starts = []
@@ -195,10 +185,7 @@ def _profile(model: PowerLaw, cols, y) -> list[tuple[int, list[float]]]:
             continue
         neighbours = (tuple(map(sum, zip(cell, o))) for o in offsets)
         if all(cost <= sse.get(other, inf) for other in neighbours):
-            c, delta = solved[cell]
-            t0 = ([log(v) for v in c] + [log(exponents[i]) for i in cell]
-                  + [log(delta + DELTA_EPS)])
-            starts.append((index, t0))
+            starts.append((index, [log(exponents[i]) for i in cell]))
     if not starts:
         raise NumericError(
             f"no {model.name} law with positive coefficients fits: at every "
@@ -207,71 +194,83 @@ def _profile(model: PowerLaw, cols, y) -> list[tuple[int, list[float]]]:
     return starts
 
 
-def _evaluate(model: PowerLaw, cols, y, t):
-    """(cost, residuals, terms) at log-space t; cost inf where not finite."""
-    k = model.n_terms
-    natural = [_exp(v) for v in t]
-    terms = list(map(_terms, natural[:k], natural[k:2 * k], cols))
-    delta = natural[-1] - DELTA_EPS
-    r = [sum(parts) + delta - target for *parts, target in zip(*terms, y)]
-    cost = _dot(r, r)
-    return (cost, r, terms) if isfinite(cost) else (inf, None, None)
+def _descend(model: PowerLaw, cols, y, s0):
+    """One damped Gauss-Newton descent over the log-exponents s, from s0.
 
-
-def _descend(model: PowerLaw, cols, y, t0):
-    """One damped Gauss-Newton descent from log-space t0.
-
-    Levenberg-Marquardt rules: Marquardt diagonal damping, lambda x10 on a
-    rejected, singular or non-finite step (up to LAMBDA_MAX) and /10
-    (floored at 1e-15) on an accepted one, and a stop on a small gradient,
-    a relative cost drop below COST_REL_TOL, no acceptable step, or
-    MAX_ITERS.
+    Each trial s is the cell e = exp(s), solved by _cell, with residuals
+    taken explicitly from its (c, delta); an infeasible cell costs inf.
+    The Jacobian is Kaufman's: column k, the residuals' slope in s_k at
+    fixed (c, delta), -c_k e_k log(x_k) u_k, less its _linear fit on the
+    cell's columns. Levenberg-Marquardt rules: Marquardt diagonal damping,
+    lambda x10 on a rejected, singular or non-finite step or one with an
+    entry past MAX_STEP (up to LAMBDA_MAX) and /10 (floored at 1e-15) on an
+    accepted one, and a stop on a small gradient, a relative cost drop
+    below COST_REL_TOL, no acceptable step, or MAX_ITERS.
 
     Returns:
-        (t, cost, iterations, reason): the final log-space vector, its cost
-        (inf for a non-finite start), the iteration count and an index
-        into STOP_REASONS.
+        (params, cost, iterations, reason): the final cell's natural
+        parameters in param_names order and its cost (None and inf for a
+        non-finite start), the iteration count and an index into STOP_REASONS.
     """
     k = model.n_terms
+    n, y_sum, yy = len(y), sum(y), _dot(y, y)
     log_x = [[log(v) for v in xs] for xs in cols]
-    t = list(t0)
-    cost, r, terms = _evaluate(model, cols, y, t)
-    if r is None:
-        return t, inf, 0, _NONFINITE_START
+
+    def solve(s):
+        """(cost, (params, us, sums, gram, free, residuals)) of the cell at s."""
+        e = [_exp(v) for v in s]
+        us = [_terms(ek, xs) for ek, xs in zip(e, cols)]
+        sums = [sum(u) for u in us]
+        gram = [[_dot(a, b) for b in us] for a in us]
+        solved = _cell(gram, sums, [_dot(u, y) for u in us], n, y_sum, yy)
+        if solved is None:
+            return inf, None
+        c, delta, _, free = solved
+        r = [_dot(c, ui) + delta - target for *ui, target in zip(*us, y)]
+        cost = _dot(r, r)
+        return (cost, ((*c, *e, delta), us, sums, gram, free, r)) if isfinite(cost) \
+            else (inf, None)
+
+    s = list(s0)
+    cost, cell = solve(s)
+    if cell is None:
+        return None, inf, 0, _NONFINITE_START
     lam = LAMBDA_INIT
     for iteration in range(1, MAX_ITERS + 1):
-        natural = [_exp(v) for v in t]
-        jac = terms + [[-term * lx * e for term, lx in zip(tk, lxs)]
-                       for tk, lxs, e in zip(terms, log_x, natural[k:2 * k])]
-        jac.append([natural[-1]] * len(y))
+        params, us, sums, gram, free, r = cell
+        jac = []
+        for ck, ek, lxs, u in zip(params[:k], params[k:2 * k], log_x, us):
+            v = [-ck * ek * lx * uj for lx, uj in zip(lxs, u)]
+            a, a0, _ = _linear(gram, sums, [_dot(w, v) for w in us], n, sum(v), free)
+            jac.append([vj - _dot(a, wj) - a0 for vj, *wj in zip(v, *us)])
         if not all(isfinite(v) for col in jac for v in col):
-            return t, cost, iteration, _NONFINITE_JACOBIAN
+            return params, cost, iteration, _NONFINITE_JACOBIAN
         jtr = [_dot(col, r) for col in jac]
         if max(abs(2.0 * g) for g in jtr) < GRADIENT_TOLERANCE:
-            return t, cost, iteration, _GRADIENT
+            return params, cost, iteration, _GRADIENT
         jtj = [[_dot(a, b) for b in jac] for a in jac]
-        # Marquardt scaling: damp each parameter relative to its own curvature.
-        damping = [max(jtj[i][i], 1e-12) for i in range(len(t))]
+        # Marquardt scaling: damp each exponent relative to its own curvature.
+        damping = [max(jtj[i][i], 1e-12) for i in range(len(s))]
         neg_jtr = [-g for g in jtr]
         while lam <= LAMBDA_MAX:
             normal = [[v + lam * damping[i] if i == j else v
                        for j, v in enumerate(row)] for i, row in enumerate(jtj)]
-            step = _solve(normal, neg_jtr)
-            if step is not None and all(map(isfinite, step)):
-                trial = [a + b for a, b in zip(t, step)]
-                cost_new, r_new, terms_new = _evaluate(model, cols, y, trial)
+            step = _closed_form(normal, neg_jtr)
+            if step is not None and all(abs(v) <= MAX_STEP for v in step):
+                trial = [a + b for a, b in zip(s, step)]
+                cost_new, cell_new = solve(trial)
                 if cost_new < cost:
                     drop = (cost - cost_new) / cost
-                    t, cost, r, terms = trial, cost_new, r_new, terms_new
+                    s, cost, cell = trial, cost_new, cell_new
                     lam = max(lam / 10.0, 1e-15)
                     if drop < COST_REL_TOL:
-                        return t, cost, iteration, _COST
+                        return cell[0], cost, iteration, _COST
                     break
             lam *= 10.0
         else:
             # No step improves even under maximal damping: decrease is 0 < tol.
-            return t, cost, iteration, _COST
-    return t, cost, MAX_ITERS, _MAX_ITERS
+            return params, cost, iteration, _COST
+    return cell[0], cost, MAX_ITERS, _MAX_ITERS
 
 
 def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
@@ -288,8 +287,8 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
 
     Returns:
         (parameters, residual_norm, report): natural-space parameter tuple
-        in model.param_names order, the Euclidean norm sqrt(sum r^2), and a
-        ConvergenceReport for the winning start.
+        in model.param_names order (delta >= 0), the Euclidean norm
+        sqrt(sum r^2) of its residuals, and the winner's ConvergenceReport.
 
     Raises:
         DataError: length mismatch, under-determined system, or every
@@ -309,9 +308,9 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
         )
     cols = _prepare(model, x)
     starts = _profile(model, cols, y)
-    runs = [(*_descend(model, cols, y, t0), index) for index, t0 in starts]
+    runs = [(*_descend(model, cols, y, s0), index) for index, s0 in starts]
     # min keeps the first of equal costs, so ties go to the earliest start.
-    t, cost, iterations, reason, index = min(runs, key=lambda run: run[1])
+    params, cost, iterations, reason, index = min(runs, key=lambda run: run[1])
     if cost == inf:
         raise DataError("no multistart run produced a finite cost")
     report = ConvergenceReport(
@@ -321,7 +320,7 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
         start_index=index,
         n_starts=len(starts),
     )
-    return _decode(t), sqrt(cost), report
+    return params, sqrt(cost), report
 
 
 def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
@@ -329,7 +328,7 @@ def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
 
     The dimension law (K = 1) takes exactly one model's series; the joint
     law (K = 2) takes at least two models, with parameter counts divided by
-    one million before fitting. Delta is clipped at 0.
+    one million before fitting.
 
     Raises:
         DataError: mixed datasets, the wrong number of models for the law,
@@ -351,7 +350,6 @@ def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
     # r_squared would reject a constant series only after the whole fit.
     total_variance(y)
     params, residual_norm, report = least_squares(model, x, y)
-    params = params[:-1] + (max(0.0, params[-1]),)
     # The law as predict evaluates it; x holds sizes in millions, so each scale is 1.
     k = model.n_terms
     predictions = [sum(map(_term, params[:k], row, (1.0, 1.0), params[k:2 * k]))

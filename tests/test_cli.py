@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
                         fit_from_report, parse_score_records, predict)
-from embedscale.cli import _write_json, main
+from embedscale.cli import _json, _write_files, main
 
 
 def run(args, capsys):
@@ -816,7 +817,7 @@ class TestDeterminism:
     def test_non_finite_value_never_written(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError):
-            _write_json(str(path), {"entropy": float("nan")})
+            _write_files(str(tmp_path), {path.name: _json({"entropy": float("nan")})})
         assert list(tmp_path.iterdir()) == []
 
     def test_no_temp_droppings(self, data_dir, tmp_path, capsys):
@@ -828,12 +829,29 @@ class TestDeterminism:
 
     def test_failed_replace_leaves_nothing(self, data_dir, tmp_path, capsys,
                                            monkeypatch):
+        replace = os.replace
+
         def refuse(src, dst):
             raise OSError(f"cannot replace {dst}")
 
         monkeypatch.setattr("embedscale.cli.os.replace", refuse)
-        code, out, err = run(["eval-ce", str(data_dir / "scores_small.jsonl"),
-                              "--output-dir", str(tmp_path)], capsys)
+        for output_dir in (tmp_path, tmp_path / "new" / "dir"):
+            code, out, err = run(["eval-ce", str(data_dir / "scores_small.jsonl"),
+                                  "--output-dir", str(output_dir)], capsys)
+            assert (code, out) == (2, "")
+            assert "cannot replace" in err
+            assert list(tmp_path.iterdir()) == []
+
+        # The report is moved in, then the curve's replace fails: neither stays.
+        def refuse_curve(src, dst):
+            if dst.endswith("fit_curve.dat"):
+                raise OSError(f"cannot replace {dst}")
+            replace(src, dst)
+
+        monkeypatch.setattr("embedscale.cli.os.replace", refuse_curve)
+        code, out, err = run(["fit", str(data_dir / "obs_bert_trecdl.csv"),
+                              "--law", "joint", "--output-dir",
+                              str(tmp_path / "fit")], capsys)
         assert (code, out) == (2, "")
         assert "cannot replace" in err
         assert list(tmp_path.iterdir()) == []

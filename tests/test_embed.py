@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from embedscale import (DataError, EmbeddingMatrix, NumericError, Projection,
-                        l2_normalize, load_matrix, mean_pool, project,
-                        save_matrix, score_pairs)
+from embedscale import (DataError, EmbeddingMatrix, NumericError, Observation,
+                        Projection, l2_normalize, load_matrix, mean_pool,
+                        project, save_matrix, score_pairs)
 
 
 def naive_project(data, weight, bias):
@@ -214,6 +214,18 @@ class TestMatrixValidation:
     def test_projection_shape(self):
         with pytest.raises(DataError, match="bias"):
             Projection(np.zeros((2, 3)), np.zeros(3))
+
+    def test_array_records_compare_by_identity(self):
+        # == and hash never raise on the array fields; scalar records keep
+        # comparing by value.
+        m = EmbeddingMatrix([[1.0, 2.0]])
+        p = Projection(np.eye(2), np.zeros(2))
+        assert m == m and p == p
+        assert not m == EmbeddingMatrix([[1.0, 2.0]])
+        assert p != Projection(np.eye(2), np.zeros(2))
+        assert len({m, m, p, p}) == 2
+        row = Observation("m", 1e6, 32, "ms", 0.5)
+        assert row == Observation("m", 1e6, 32, "ms", 0.5)
 
 
 class TestMatrixFiles:
