@@ -4,7 +4,8 @@ Every run that writes files embeds a manifest (command, input paths with
 content hashes, echoed options, tool version) in its JSON report; curve
 files reference that report by name. A command writes all its files at
 once, each through a temp file and os.replace, so a failed run leaves
-nothing behind: no temp file, none of its files, no directory it made.
+nothing behind: no temp file, no new file, no directory it made, and
+the files of an earlier run in its output directory as they were.
 Identical inputs produce byte-identical outputs regardless of output
 directory. Both laws go through the same commands: --law names one of
 law.LAWS, and predict and plan read either law's report through one
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import tempfile
 from math import log10
@@ -80,9 +82,12 @@ def _manifest(command: str, input_paths: list[str], options: dict) -> dict:
 def _write_files(directory: str, files: dict[str, str]):
     """Write a command's {file name: text} set into directory, all or nothing.
 
-    Every text goes to a temp file before the first os.replace. On a
-    failure the temp files and the files already moved in are removed, and
-    so are the directories this call made.
+    Every text goes to a temp file, and every file it will replace gets a
+    second name (a hard link, or a copy where links are not supported),
+    before the first os.replace. On a failure the files already moved in
+    are put back as they were (or removed, if they are new), the temp
+    files and second names are removed, and so are the directories this
+    call made.
     """
     directory = path = os.path.abspath(directory)
     made = []      # the directories makedirs will create, innermost first
@@ -90,24 +95,37 @@ def _write_files(directory: str, files: dict[str, str]):
         made.append(path)
         path = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
-    temps, placed = [], []
+    targets = [os.path.join(directory, name) for name in files]
+    temps, saved, placed = [], {}, []
     try:
-        for text in files.values():
+        for text, target in zip(files.values(), targets):
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-embedscale-")
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        for tmp, name in zip(temps, files):
-            target = os.path.join(directory, name)
+            if os.path.lexists(target):
+                saved[target] = tmp + ".old"
+                try:
+                    os.link(target, saved[target], follow_symlinks=False)
+                except OSError:
+                    shutil.copy2(target, saved[target], follow_symlinks=False)
+        for tmp, target in zip(temps, targets):
             os.replace(tmp, target)
             placed.append(target)
     except BaseException:
-        for leftover in temps + placed:
-            if os.path.exists(leftover):
+        for target in placed:
+            if target in saved:
+                os.replace(saved.pop(target), target)
+            else:
+                os.unlink(target)
+        for leftover in temps + list(saved.values()):
+            if os.path.lexists(leftover):
                 os.unlink(leftover)
         for path in made:
             os.rmdir(path)
         raise
+    for old in saved.values():
+        os.unlink(old)
 
 
 def _json(obj: dict) -> str:

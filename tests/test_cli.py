@@ -849,12 +849,27 @@ class TestDeterminism:
             replace(src, dst)
 
         monkeypatch.setattr("embedscale.cli.os.replace", refuse_curve)
-        code, out, err = run(["fit", str(data_dir / "obs_bert_trecdl.csv"),
-                              "--law", "joint", "--output-dir",
-                              str(tmp_path / "fit")], capsys)
+        fit = ["fit", str(data_dir / "obs_bert_trecdl.csv"), "--law", "joint",
+               "--output-dir"]
+        code, out, err = run(fit + [str(tmp_path / "fit")], capsys)
         assert (code, out) == (2, "")
         assert "cannot replace" in err
         assert list(tmp_path.iterdir()) == []
+
+        # Into a directory holding an earlier run's files, kept by hard link
+        # and then by copy: both stay as they were.
+        def no_links(src, dst, **kwargs):
+            raise OSError("hard links not supported")
+
+        earlier = {"fit_report.json": "earlier report\n", "fit_curve.dat": "earlier curve\n"}
+        for name, text in earlier.items():
+            (tmp_path / name).write_text(text)
+        for _ in range(2):
+            code, out, err = run(fit + [str(tmp_path)], capsys)
+            assert (code, out) == (2, "")
+            assert "cannot replace" in err
+            assert {p.name: p.read_text() for p in tmp_path.iterdir()} == earlier
+            monkeypatch.setattr("embedscale.cli.os.link", no_links)
 
 
 def test_module_entry_point():
