@@ -13,7 +13,7 @@ from importlib import import_module
 
 _LAZY = {
     "core": ("DataError", "NumericError", "Observation", "ObservationTable",
-             "SweepConfig", "expand_sweep", "filter_by", "parse_observations"),
+             "expand_sweep", "filter_by", "parse_observations"),
     "fit": ("ConvergenceReport", "fit_law", "least_squares"),
     "law": ("DIM_LAW", "JOINT_LAW", "LAWS", "LawFit", "fit_from_report",
             "fit_to_report", "predict", "r_squared"),

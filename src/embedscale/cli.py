@@ -14,8 +14,8 @@ reader.
 Each command imports only what it runs. Every command loads core and law;
 eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
 plan, each from inside its command function. hashlib loads only to hash a
-manifest's inputs and fractions only for sweep-dims. No command loads
-numpy.
+manifest's inputs, csv only for fit and fractions only for sweep-dims. No
+command loads numpy.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -31,8 +31,8 @@ import tempfile
 from math import log10
 
 from . import __version__
-from .core import (DataError, NumericError, SweepConfig, expand_sweep,
-                   filter_by, parse_observations, read_lines)
+from .core import (DataError, NumericError, expand_sweep, filter_by,
+                   parse_observations, read_lines)
 from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
 
 CURVE_SAMPLES = 100
@@ -302,9 +302,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sweep_dims(args) -> int:
-    cfg = SweepConfig(base_hidden=args.hidden,
-                      multipliers=tuple(args.multipliers))
-    print(" ".join(str(d) for d in expand_sweep(cfg)))
+    print(" ".join(str(d) for d in expand_sweep(args.hidden, args.multipliers)))
     return 0
 
 

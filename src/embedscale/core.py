@@ -8,7 +8,6 @@ fitter's business, not the table's.
 
 from __future__ import annotations
 
-import csv
 import io
 from math import isfinite
 from sys import float_info
@@ -105,6 +104,13 @@ def _record_repr(rec) -> str:
     return f"{type(rec).__qualname__}({fields})"
 
 
+def _check_double(name: str, value) -> None:
+    """Reject a count past the largest double, which no float can hold."""
+    if value > float_info.max:
+        raise DataError(f"{name} must not exceed the largest double "
+                        f"{float_info.max!r}")
+
+
 @record
 class Observation:
     """One measured (model, embedding dimension, dataset) -> entropy point."""
@@ -124,9 +130,7 @@ class Observation:
             raise DataError(f"n_params must be positive and finite, got {self.n_params}")
         if self.embed_dim < 1:
             raise DataError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.embed_dim > float_info.max:
-            raise DataError("embed_dim must not exceed the largest double "
-                            f"{float_info.max!r}")
+        _check_double("embed_dim", self.embed_dim)
         if not (isfinite(self.entropy) and self.entropy >= 0):
             raise DataError(f"entropy must be nonnegative and finite, got {self.entropy}")
 
@@ -167,40 +171,16 @@ class ObservationTable:
     @property
     def model_names(self) -> tuple[str, ...]:
         """Distinct model names in first-appearance order."""
-        out = []
-        for row in self.rows:
-            if row.model_name not in out:
-                out.append(row.model_name)
-        return tuple(out)
+        return tuple(dict.fromkeys(row.model_name for row in self.rows))
 
     @property
     def datasets(self) -> tuple[str, ...]:
         """Distinct dataset tags in first-appearance order."""
-        out = []
-        for row in self.rows:
-            if row.dataset not in out:
-                out.append(row.dataset)
-        return tuple(out)
-
-
-@record
-class SweepConfig:
-    """Embedding-dimension sweep: multiples of an encoder's native hidden size."""
-
-    base_hidden: int
-    multipliers: tuple
-
-    def __post_init__(self):
-        if self.base_hidden < 1:
-            raise DataError(f"base_hidden must be >= 1, got {self.base_hidden}")
-        if not self.multipliers:
-            raise DataError("multipliers must be nonempty")
-        for phi in self.multipliers:
-            if not phi > 0:
-                raise DataError(f"multipliers must be positive, got {phi}")
+        return tuple(dict.fromkeys(row.dataset for row in self.rows))
 
 
 def _csv_fields(lineno: int, line: str) -> list[str]:
+    import csv      # here, not at the top: only fit parses CSV
     try:
         return next(csv.reader([line]))
     except csv.Error as exc:    # e.g. a bare carriage return inside a line
@@ -296,26 +276,30 @@ def filter_by(table: ObservationTable, model_name: str | None = None,
     return ObservationTable(rows)
 
 
-def expand_sweep(cfg: SweepConfig) -> list[int]:
-    """Expand a sweep config into the sorted unique dimension list {round(phi * d)}.
+def expand_sweep(base_hidden: int, multipliers) -> list[int]:
+    """Sorted unique dimensions round(phi * base_hidden) for multipliers phi
+    of an encoder's native hidden size; rationals expand exactly.
 
-    Rational multipliers expand exactly; float multipliers go through
-    ordinary rounding.
+    Every multiplier's sign is checked before any dimension is formed.
 
     Raises:
-        DataError: if any phi * d falls below 1.
+        DataError: base_hidden < 1, no multipliers, a multiplier that is
+            not positive, or a phi * base_hidden below 1.
     """
-    from numbers import Rational    # here, not at the top: only sweep-dims needs it
+    if base_hidden < 1:
+        raise DataError(f"base_hidden must be >= 1, got {base_hidden}")
+    if not multipliers:
+        raise DataError("multipliers must be nonempty")
+    for phi in multipliers:
+        if not phi > 0:
+            raise DataError(f"multipliers must be positive, got {phi}")
     dims = set()
-    for phi in cfg.multipliers:
-        value = phi * cfg.base_hidden
+    for phi in multipliers:
+        value = phi * base_hidden
         if value < 1:
             raise DataError(
-                f"multiplier {phi} of hidden size {cfg.base_hidden} "
+                f"multiplier {phi} of hidden size {base_hidden} "
                 f"gives dimension {value} < 1"
             )
-        if isinstance(value, Rational):
-            dims.add(int(round(value)))
-        else:
-            dims.add(int(round(float(value))))
+        dims.add(round(value))
     return sorted(dims)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -113,17 +113,19 @@ def mean_pool(tokens: EmbeddingMatrix) -> np.ndarray:
     return tokens.data.mean(axis=0)
 
 
-def l2_normalize(v: Sequence[float]) -> np.ndarray:
-    """Scale v to unit Euclidean norm.
+def l2_normalize(v) -> np.ndarray:
+    """Scale v, a vector or each row of a matrix, to unit Euclidean norm.
 
     Raises:
-        NumericError: norm <= 1e-12, a degenerate embedding.
+        NumericError: a norm <= 1e-12, a degenerate embedding.
     """
     arr = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(arr))
-    if not norm > ZERO_NORM_EPS:
-        raise NumericError(f"cannot normalize near-zero vector (norm {norm})")
-    return arr / norm
+    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
+    small = ~(norms > ZERO_NORM_EPS)
+    if small.any():
+        raise NumericError(
+            f"cannot normalize near-zero vector (norm {float(norms[small][0])})")
+    return arr / norms
 
 
 def score_pairs(queries: EmbeddingMatrix, docs: EmbeddingMatrix,
@@ -145,20 +147,8 @@ def score_pairs(queries: EmbeddingMatrix, docs: EmbeddingMatrix,
     q = queries.data
     d = docs.data
     if normalize:
-        q, d = _unit_rows(q), _unit_rows(d)
+        q, d = l2_normalize(q), l2_normalize(d)
     return q @ d.T
-
-
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    """Every row of m scaled to unit norm by l2_normalize's rule: reject a
-    norm <= 1e-12, then divide by the norm. The norms are taken row-wise, so
-    a result may differ from l2_normalize's in the last place."""
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    small = ~(norms > ZERO_NORM_EPS)
-    if small.any():
-        raise NumericError(
-            f"cannot normalize near-zero vector (norm {float(norms[small][0])})")
-    return m / norms
 
 
 def load_matrix(path: str) -> EmbeddingMatrix:

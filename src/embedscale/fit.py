@@ -34,20 +34,20 @@ GRID_POINTS = {1: 64, 2: 24}   # profile grid points per exponent axis, by K
 # A polish step that moves a log-exponent further than the grid is wide is rejected.
 MAX_STEP = log(EXPONENT_RANGE[1] / EXPONENT_RANGE[0])
 
-# Why a descent stopped, indexed by the codes _descend returns.
+# Why a descent stopped: the reasons _descend returns.
 STOP_REASONS = ("non-finite start", "non-finite jacobian",
                 "gradient below tolerance", "cost decrease below tolerance",
                 "max_iters reached")
-_NONFINITE_START, _NONFINITE_JACOBIAN, _GRADIENT, _COST, _MAX_ITERS = range(5)
+_NONFINITE_START, _NONFINITE_JACOBIAN, _GRADIENT, _COST, _MAX_ITERS = STOP_REASONS
 
 
 @record
 class ConvergenceReport:
     """How the winning descent stopped.
 
-    start_index is the start it descended from: a flat index into the
-    profile grid (first exponent axis slowest). n_starts counts the
-    descents run.
+    stop_reason is one of STOP_REASONS. start_index is the start it
+    descended from: a flat index into the profile grid (first exponent
+    axis slowest). n_starts counts the descents run.
     """
 
     converged: bool
@@ -210,7 +210,7 @@ def _descend(model: PowerLaw, cols, y, s0):
     Returns:
         (params, cost, iterations, reason): the final cell's natural
         parameters in param_names order and its cost (None and inf for a
-        non-finite start), the iteration count and an index into STOP_REASONS.
+        non-finite start), the iteration count and one of STOP_REASONS.
     """
     k = model.n_terms
     n, y_sum, yy = len(y), sum(y), _dot(y, y)
@@ -316,7 +316,7 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
     report = ConvergenceReport(
         converged=reason in (_GRADIENT, _COST),
         iterations=iterations,
-        stop_reason=STOP_REASONS[reason],
+        stop_reason=reason,
         start_index=index,
         n_starts=len(starts),
     )

@@ -78,16 +78,10 @@ def _check_temperature(tau: Optional[float]):
         raise DataError(f"temperature must be positive and finite, got {tau}")
 
 
-def _check_scores(positive: float, negatives: Sequence[float],
-                  tau: Optional[float]):
-    if not negatives:
-        raise DataError("negatives must be nonempty")
-    if not isfinite(positive):
-        raise DataError(f"non-finite positive score {positive}")
-    for v in negatives:
-        if not isfinite(v):
-            raise DataError(f"non-finite negative score {v}")
-    _check_temperature(tau)
+def _negatives(rec: QueryScoreRecord) -> tuple[float, ...]:
+    if not rec.negatives:
+        raise DataError(f"query {rec.query_id!r}: negatives must be nonempty")
+    return rec.negatives
 
 
 def contrastive_entropy_records(records: Iterable[QueryScoreRecord],
@@ -115,9 +109,7 @@ def contrastive_entropy_records(records: Iterable[QueryScoreRecord],
     t = tau or 1.0
     out = []
     for rec in records:
-        negatives = rec.negatives
-        if not negatives:
-            raise DataError(f"query {rec.query_id!r}: negatives must be nonempty")
+        negatives = _negatives(rec)
         # Division by t > 0 is monotone: these are the scaled extremes.
         top = max(negatives) / t
         bottom = min(negatives) / t
@@ -170,12 +162,11 @@ def contrastive_entropy_single(positive: float, negatives: Sequence[float],
         softmax mass underflows double precision.
 
     Raises:
-        DataError: empty negatives, non-finite score, or tau not in (0, inf).
+        DataError: a non-finite score, empty negatives or tau not in (0, inf).
         NumericError: the scaled scores or the entropy are not finite.
     """
-    _check_scores(positive, negatives, tau)
-    record = QueryScoreRecord("single", (positive,), tuple(negatives))
-    return contrastive_entropy_records([record], tau)[0]
+    rec = QueryScoreRecord("single", (positive,), tuple(negatives))
+    return contrastive_entropy_records([rec], tau)[0]
 
 
 def contrastive_entropy_dataset(records: Sequence[QueryScoreRecord],
@@ -231,11 +222,13 @@ def contrastive_loss_grad(positive: float, negatives: Sequence[float],
     (1 when tau is absent): dL/ds+ = (p+ - 1)/t and dL/ds-_i = p_i/t.
 
     Raises:
+        DataError: as contrastive_entropy_single raises it.
         NumericError: the scaled scores or the gradient are not finite.
     """
-    _check_scores(positive, negatives, tau)
+    rec = QueryScoreRecord("single", (positive,), tuple(negatives))
+    _check_temperature(tau)
     t = 1.0 if tau is None else tau
-    scaled = [positive / t] + [v / t for v in negatives]
+    scaled = [positive / t] + [v / t for v in _negatives(rec)]
     if not all(map(isfinite, scaled)):
         raise NumericError(f"scores scaled by temperature {tau} are not finite")
     m = max(scaled)

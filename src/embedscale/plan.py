@@ -16,21 +16,13 @@ feasible interval where D >= 1.
 from __future__ import annotations
 
 from math import isfinite, log, log1p, nextafter
-from sys import float_info
 from typing import Optional, Sequence
 
-from .core import DataError, record
+from .core import DataError, _check_double, record
 from .law import JOINT_LAW, MILLION, LawFit, predict
 
 REGIMES = ("exhaustive", "ann")
 _MAX_BISECTIONS = 1100
-
-
-def _check_double(name: str, value) -> None:
-    """Reject a count past the largest double, which no FLOPs double can hold."""
-    if value > float_info.max:
-        raise DataError(f"{name} must not exceed the largest double "
-                        f"{float_info.max!r}")
 
 
 @record
@@ -45,16 +37,9 @@ class BudgetSpec:
     def __post_init__(self):
         if not (isfinite(self.total_flops) and self.total_flops > 0):
             raise DataError(f"total_flops must be positive, got {self.total_flops}")
-        if self.query_tokens < 1:
-            raise DataError(f"query_tokens must be >= 1, got {self.query_tokens}")
-        if self.corpus_size < 2:
-            raise DataError(f"corpus_size must be >= 2, got {self.corpus_size}")
-        if self.regime not in REGIMES:
-            raise DataError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        # The ann regime takes only log(M), which is exact for any integer.
-        _check_double("query_tokens", self.query_tokens)
-        if self.regime == "exhaustive":
-            _check_double("corpus_size", self.corpus_size)
+        # The cost functions hold the rules for T, M and the regime.
+        flops_encode(1.0, self.query_tokens)
+        flops_score(self.corpus_size, 1.0, self.regime)
 
 
 @record

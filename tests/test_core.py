@@ -1,11 +1,13 @@
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedscale import (DIM_LAW, DataError, LawFit, Observation, ObservationTable,
-                        SweepConfig, expand_sweep, filter_by, parse_observations)
+                        expand_sweep, filter_by, parse_observations)
 from embedscale.core import record
 
 HEADER = "model_name,n_params,embed_dim,dataset,entropy"
@@ -153,29 +155,38 @@ class TestFilter:
 
 class TestSweep:
     def test_native_512(self):
-        cfg = SweepConfig(512, (Fraction(1, 4), Fraction(1, 2), 1, 2, 4, 8, 16))
-        assert expand_sweep(cfg) == [128, 256, 512, 1024, 2048, 4096, 8192]
+        mults = (Fraction(1, 4), Fraction(1, 2), 1, 2, 4, 8, 16)
+        assert expand_sweep(512, mults) == [128, 256, 512, 1024, 2048, 4096, 8192]
 
     def test_sixteenth_of_768(self):
-        assert expand_sweep(SweepConfig(768, (Fraction(1, 16),))) == [48]
+        assert expand_sweep(768, (Fraction(1, 16),)) == [48]
 
     def test_identity(self):
-        assert expand_sweep(SweepConfig(1, (1,))) == [1]
+        assert expand_sweep(1, (1,)) == [1]
 
     def test_below_one_rejected(self):
         with pytest.raises(DataError, match="< 1"):
-            expand_sweep(SweepConfig(4, (Fraction(1, 8),)))
+            expand_sweep(4, (Fraction(1, 8),))
 
     def test_duplicates_collapse(self):
-        assert expand_sweep(SweepConfig(100, (1, Fraction(2, 2)))) == [100]
+        assert expand_sweep(100, (1, Fraction(2, 2))) == [100]
 
     def test_config_validation(self):
         with pytest.raises(DataError):
-            SweepConfig(0, (1,))
+            expand_sweep(0, (1,))
         with pytest.raises(DataError):
-            SweepConfig(8, ())
+            expand_sweep(8, ())
         with pytest.raises(DataError):
-            SweepConfig(8, (Fraction(-1, 2),))
+            expand_sweep(8, (Fraction(-1, 2),))
+
+    def test_every_sign_checked_before_any_dimension(self):
+        # 1/8 of 4 is below 1, but the negative multiplier is reported first.
+        with pytest.raises(DataError, match="multipliers must be positive"):
+            expand_sweep(4, (Fraction(1, 8), -1))
+
+    def test_float_and_decimal_multipliers_round_to_int(self):
+        dims = expand_sweep(10, (0.25, np.float64(0.45), Decimal("0.35")))
+        assert dims == [2, 4] and all(type(d) is int for d in dims)
 
     @given(
         base=st.integers(min_value=1, max_value=4096),
@@ -184,9 +195,8 @@ class TestSweep:
             min_size=1, max_size=10),
     )
     def test_sorted_unique_and_bounded(self, base, mults):
-        cfg = SweepConfig(base, tuple(mults))
         try:
-            dims = expand_sweep(cfg)
+            dims = expand_sweep(base, tuple(mults))
         except DataError:
             assert any(m * base < 1 for m in mults)
             return

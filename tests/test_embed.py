@@ -111,6 +111,18 @@ class TestNormalize:
         with pytest.raises(NumericError):
             l2_normalize([1e-13, 0.0])
 
+    def test_matrix_rows_match_row_by_row(self):
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(30, 9)) * rng.uniform(1e-6, 1e6, size=(30, 1))
+        np.testing.assert_allclose(l2_normalize(m),
+                                   np.vstack([l2_normalize(row) for row in m]),
+                                   rtol=0, atol=1e-15)
+
+    def test_near_zero_row_rejected(self):
+        m = [[3.0, 4.0], [1e-13, 0.0], [0.0, 0.0]]
+        with pytest.raises(NumericError, match=r"near-zero vector \(norm 1e-13\)"):
+            l2_normalize(m)
+
 
 class TestScorePairs:
     def test_orthonormal_zero(self):

@@ -15,7 +15,7 @@ from embedscale import (DIM_LAW, JOINT_LAW, DataError, LawFit,
                         r_squared)
 from embedscale.fit import (COST_REL_TOL, EXPONENT_RANGE, GRADIENT_TOLERANCE,
                             GRID_POINTS, LAMBDA_INIT, LAMBDA_MAX, MAX_ITERS,
-                            STOP_REASONS, _descend, _prepare, _profile)
+                            _descend, _prepare, _profile)
 from embedscale.law import total_variance
 
 DATA = Path(__file__).parent / "data"
@@ -208,12 +208,6 @@ def polished_sse(model, cols, y, params):
                                     bounds=(0.0, np.inf),
                                     xtol=1e-15, ftol=1e-15, gtol=1e-15)
     return sse(model, cols, y, result.x)
-
-
-def descend(model, cols, y, s0):
-    """The engine's descent from one start: (params, cost, iterations, reason)."""
-    params, cost, iterations, reason = _descend(model, cols, y, s0)
-    return params, cost, iterations, STOP_REASONS[reason]
 
 
 def use_starts(monkeypatch, grid):
@@ -619,7 +613,7 @@ class TestPolish:
             cols, y = law_inputs(model, table)
             residual, jacobian, _ = projected_formulas(cols, y)
             for _, s0 in _profile(model, cols, y):
-                assert_same_descent(descend(model, cols, y, s0),
+                assert_same_descent(_descend(model, cols, y, s0),
                                     reference_lm(residual, jacobian, s0),
                                     (label, s0))
 
@@ -672,7 +666,7 @@ class TestBatchedEngine:
             residual, jacobian, params_at = projected_formulas(cols, y, normal_fit)
             grid = exponent_starts(model)
             serial = [reference_lm(residual, jacobian, s0) for s0 in grid]
-            runs = [descend(model, cols, y, s0) for s0 in grid]
+            runs = [_descend(model, cols, y, s0) for s0 in grid]
             for s0, run, ref in zip(grid, runs, serial):
                 assert_same_descent(run, ref, (label, s0))
 
@@ -700,7 +694,7 @@ class TestBatchedEngine:
         # At e = 1e308, c * e overflows and meets log(1) = 0 in the first
         # Jacobian, while the cell itself is finite.
         grid = [[math.log(2.0)], [math.log(1e308)], [math.log(0.5)]]
-        runs = [descend(DIM_LAW, [dims], y, s0) for s0 in grid]
+        runs = [_descend(DIM_LAW, [dims], y, s0) for s0 in grid]
         assert runs[1][3] == "non-finite jacobian"
         assert runs[1][2] == 1 and math.isfinite(runs[1][1])
         assert runs[0][3] in CONVERGED and runs[2][3] in CONVERGED
@@ -720,7 +714,7 @@ class TestBatchedEngine:
         grid = (overflowing, worse, good, worse, good)
         use_starts(monkeypatch, grid)
         monkeypatch.setattr("embedscale.fit.MAX_ITERS", 5)
-        runs = [descend(DIM_LAW, cols, y, s0) for s0 in grid]
+        runs = [_descend(DIM_LAW, cols, y, s0) for s0 in grid]
         assert runs[0][3] == "non-finite start" and runs[0][1] == math.inf
         assert runs[2][1] == runs[4][1] < runs[1][1]
         _, norm, report = least_squares(DIM_LAW, cols[0], y)
@@ -732,14 +726,14 @@ class TestBatchedEngine:
         table = dim_table(100.0, 1.5, 0.1, noise=noise)
         cols, y = law_inputs(DIM_LAW, table)
         near, far = [math.log(1.5)], [math.log(20.0)]
-        free_far, free_near = (descend(DIM_LAW, cols, y, s0) for s0 in (far, near))
+        free_far, free_near = (_descend(DIM_LAW, cols, y, s0) for s0 in (far, near))
         cap = free_near[2] + 2
         assert free_far[2] > cap
         use_starts(monkeypatch, (far, near))
         monkeypatch.setattr("embedscale.fit.MAX_ITERS", cap)
-        capped = descend(DIM_LAW, cols, y, far)
+        capped = _descend(DIM_LAW, cols, y, far)
         assert capped[2:] == (cap, "max_iters reached")
-        assert descend(DIM_LAW, cols, y, near) == free_near
+        assert _descend(DIM_LAW, cols, y, near) == free_near
         _, _, report = least_squares(DIM_LAW, cols[0], y)
         assert report.start_index == 1
         assert report.iterations == free_near[2] and report.converged

@@ -376,6 +376,20 @@ class TestLosses:
         with pytest.raises(DataError, match="temperature"):
             contrastive_loss_grad(0.5, [0.1], tau=tau)
 
+    @pytest.mark.parametrize("loss", [contrastive_entropy_single,
+                                      contrastive_loss_grad])
+    @pytest.mark.parametrize("positive, negatives, tau, named", [
+        (math.inf, [0.1], None, "query 'single': non-finite score in positives"),
+        (math.nan, [0.1], None, "query 'single': non-finite score in positives"),
+        (0.5, [0.1, -math.inf], None, "query 'single': non-finite score in negatives"),
+        (0.5, [], None, "query 'single': negatives must be nonempty"),
+        (0.5, [0.1], -1.0, "temperature"),
+    ])
+    def test_single_fault_names_its_score_set(self, loss, positive, negatives,
+                                              tau, named):
+        with pytest.raises(DataError, match=named):
+            loss(positive, negatives, tau)
+
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(5)
         h = 1e-5

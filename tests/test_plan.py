@@ -273,15 +273,21 @@ class TestBudgetCurve:
 
 class TestSpecValidation:
     def test_budget_spec(self):
-        with pytest.raises(DataError):
-            BudgetSpec(total_flops=0, query_tokens=32, corpus_size=100)
-        with pytest.raises(DataError):
-            BudgetSpec(total_flops=1e9, query_tokens=0, corpus_size=100)
-        with pytest.raises(DataError):
-            BudgetSpec(total_flops=1e9, query_tokens=32, corpus_size=1)
-        with pytest.raises(DataError):
-            BudgetSpec(total_flops=1e9, query_tokens=32, corpus_size=100,
-                       regime="bruteforce")
+        # Each input has one fault, and the message names its field.
+        valid = dict(total_flops=1e9, query_tokens=32, corpus_size=100)
+        for field, value, named in [
+                ("total_flops", 0, "total_flops"),
+                ("total_flops", math.inf, "total_flops"),
+                ("total_flops", math.nan, "total_flops"),
+                ("query_tokens", 0, "tokens must be >= 1"),
+                ("query_tokens", 10 ** 400, "tokens must not exceed"),
+                ("corpus_size", 1, "corpus_size must be >= 2"),
+                ("corpus_size", 10 ** 400, "corpus_size must not exceed"),
+                ("regime", "bruteforce", "regime")]:
+            with pytest.raises(DataError, match=named):
+                BudgetSpec(**{**valid, field: value})
+        # The ann regime takes only log(M), which any integer M gives.
+        assert BudgetSpec(1e9, 32, 10 ** 400, "ann").corpus_size == 10 ** 400
 
     def test_allocation_result_gamma_range(self):
         with pytest.raises(DataError):

@@ -119,15 +119,16 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 
 # Modules a command loads only when it needs them: dataclasses and inspect
 # (importing them costs more than most commands' work; none needs them),
-# numpy (only embed, which no command runs) and fractions (sweep-dims).
-ON_DEMAND = {"dataclasses", "inspect", "numpy", "fractions"}
+# numpy (only embed, which no command runs), csv (fit) and fractions
+# (sweep-dims).
+ON_DEMAND = {"dataclasses", "inspect", "numpy", "csv", "fractions"}
 EVERY_COMMAND = {"embedscale", "embedscale.cli", "embedscale.core", "embedscale.law"}
 
 # Each command's own modules: those of ON_DEMAND and those beyond EVERY_COMMAND.
 OWN_MODULES = {
     "--version": set(),
-    "fit-dim": {"embedscale.fit"},
-    "fit-joint": {"embedscale.fit"},
+    "fit-dim": {"embedscale.fit", "csv"},
+    "fit-joint": {"embedscale.fit", "csv"},
     "plan": {"embedscale.plan"},
     "predict": set(),
     "sweep-dims": {"fractions"},
