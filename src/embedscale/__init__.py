@@ -27,7 +27,7 @@ _LAZY = {
                 "parse_score_records", "recall_at_k", "rr_at_k",
                 "sample_negatives"),
     "embed": ("EmbeddingMatrix", "Projection", "l2_normalize", "load_matrix",
-              "mean_pool", "project", "save_matrix", "score_pairs"),
+              "project", "save_matrix", "score_pairs"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

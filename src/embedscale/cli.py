@@ -4,12 +4,13 @@ Every run that writes files embeds a manifest (command, input paths with
 content hashes, echoed options, tool version) in its JSON report; curve
 files reference that report by name. A command writes all its files at
 once, each through a temp file and os.replace, so a failed run leaves
-nothing behind: no temp file, no new file, no directory it made, and
-the files of an earlier run in its output directory as they were.
-Identical inputs produce byte-identical outputs regardless of output
-directory. Both laws go through the same commands: --law names one of
-law.LAWS, and predict and plan read either law's report through one
-reader.
+nothing behind: no temp file, no new file, no directory it made, and the
+files of an earlier run in its output directory as they were. Reports
+are encoded straight into their temp files, so no report's text is ever
+held whole in memory. Identical inputs produce byte-identical outputs
+regardless of output directory. Both laws go through the same commands:
+--law names one of law.LAWS, and predict and plan read either law's
+report through one reader.
 
 Each command imports only what it runs. Every command loads core and law;
 eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
@@ -79,14 +80,20 @@ def _manifest(command: str, input_paths: list[str], options: dict) -> dict:
     }
 
 
-def _write_files(directory: str, files: dict[str, str]):
-    """Write a command's {file name: text} set into directory, all or nothing.
+def _write_files(directory: str, files: dict[str, str | dict]):
+    """Write a command's {file name: content} set into directory, all or nothing.
 
-    Every text goes to a temp file, and every file it will replace gets a
-    second name (a hard link, or a copy where links are not supported),
-    before the first os.replace. On a failure the files already moved in
-    are put back as they were (or removed, if they are new), the temp
-    files and second names are removed, and so are the directories this
+    A str is written as it is. A dict is a report: json.dump encodes it
+    (indent 2, sorted keys, then a newline) chunk by chunk into the temp
+    file, so its text is never held whole. A NaN or infinity in a report
+    raises ValueError (exit 2) instead of landing in a file that strict
+    JSON readers reject.
+
+    Every file goes to a temp file first, and every file it will replace
+    gets a second name (a hard link, or a copy where links are not
+    supported), before the first os.replace. On a failure the files already
+    moved in are put back as they were (or removed, if they are new), the
+    temp files and second names are removed, and so are the directories this
     call made.
     """
     directory = path = os.path.abspath(directory)
@@ -98,11 +105,16 @@ def _write_files(directory: str, files: dict[str, str]):
     targets = [os.path.join(directory, name) for name in files]
     temps, saved, placed = [], {}, []
     try:
-        for text, target in zip(files.values(), targets):
+        for content, target in zip(files.values(), targets):
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-embedscale-")
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    json.dump(content, fh, indent=2, sort_keys=True,
+                              allow_nan=False)
+                    fh.write("\n")
             if os.path.lexists(target):
                 saved[target] = tmp + ".old"
                 try:
@@ -126,12 +138,6 @@ def _write_files(directory: str, files: dict[str, str]):
         raise
     for old in saved.values():
         os.unlink(old)
-
-
-def _json(obj: dict) -> str:
-    # allow_nan=False: a NaN or infinity fails the run (ValueError, exit 2)
-    # instead of landing in a report that strict JSON readers reject.
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _fmt(value: float) -> str:
@@ -166,7 +172,7 @@ def cmd_eval_ce(args) -> int:
         "temperature": args.tau,
         "manifest": _manifest("eval-ce", [args.scores], {"tau": args.tau}),
     }
-    _write_files(args.output_dir, {"eval_ce_report.json": _json(report)})
+    _write_files(args.output_dir, {"eval_ce_report.json": report})
     print(_fmt(dataset_entropy))
     return 0
 
@@ -233,7 +239,7 @@ def cmd_fit(args) -> int:
     ]
     body = "\n\n".join(_curve_blocks(fit, table))
     _write_files(args.output_dir, {
-        "fit_report.json": _json(report),
+        "fit_report.json": report,
         "fit_curve.dat": "\n".join(header) + "\n" + body + "\n"})
 
     params = report["parameters"]
@@ -278,7 +284,7 @@ def cmd_plan(args) -> int:
             "corpus": args.corpus, "regime": args.regime,
             "curve": args.curve or []}),
     }
-    files = {"plan_report.json": _json(report)}
+    files = {"plan_report.json": report}
     for index, (budget, curve) in enumerate(curves, start=1):
         lines = [
             "# embedscale budget-curve samples",

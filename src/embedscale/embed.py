@@ -1,4 +1,4 @@
-"""Embedding post-processing: projection, mean pooling, normalization, scoring.
+"""Embedding post-processing: projection, normalization, scoring.
 
 Encoders live upstream; this module only does the math that turns token
 hidden states into final embeddings and scores. Matrices travel as files
@@ -100,17 +100,6 @@ def project(tokens: EmbeddingMatrix, p: Projection) -> EmbeddingMatrix:
         )
     out = tokens.data @ p.weight.T + p.bias
     return EmbeddingMatrix(out, tokens.ids)
-
-
-def mean_pool(tokens: EmbeddingMatrix) -> np.ndarray:
-    """Element-wise mean over rows; the final single-vector embedding.
-
-    Raises:
-        DataError: zero rows.
-    """
-    if tokens.rows == 0:
-        raise DataError("cannot pool an empty matrix")
-    return tokens.data.mean(axis=0)
 
 
 def l2_normalize(v) -> np.ndarray:

@@ -118,9 +118,10 @@ def contrastive_entropy_records(records: Iterable[QueryScoreRecord],
             raise NumericError(f"scores scaled by temperature {tau} are not finite")
         terms = list(map(exp, map(sub, map(truediv, negatives, repeat(t)),
                                   repeat(top))))
-        # z + rest is the terms' sum to about twice double precision.
+        # z + rest is the terms' sum to about twice double precision; only
+        # a positive at or below the top negative reads rest.
         z = fsum(terms)
-        rest = fsum(chain(terms, (-z,)))
+        rest = fsum(chain(terms, (-z,))) if min(positives) <= top else 0.0
         rows = [(top - s) + log(fsum((exp(s - top), z, rest))) if s <= top
                 else log1p(exp(top - s) * z) for s in positives]
         out.append(mean_entropy(rows))

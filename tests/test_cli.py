@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
                         fit_from_report, parse_score_records, predict)
-from embedscale.cli import _json, _write_files, main
+from embedscale.cli import _manifest, _write_files, main
 
 
 def run(args, capsys):
@@ -817,7 +817,7 @@ class TestDeterminism:
     def test_non_finite_value_never_written(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError):
-            _write_files(str(tmp_path), {path.name: _json({"entropy": float("nan")})})
+            _write_files(str(tmp_path), {path.name: {"entropy": float("nan")}})
         assert list(tmp_path.iterdir()) == []
 
     def test_no_temp_droppings(self, data_dir, tmp_path, capsys):
@@ -870,6 +870,81 @@ class TestDeterminism:
             assert "cannot replace" in err
             assert {p.name: p.read_text() for p in tmp_path.iterdir()} == earlier
             monkeypatch.setattr("embedscale.cli.os.link", no_links)
+
+
+def per_query_report(n, last):
+    """An eval-ce-shaped report of n per-query entries, the last entropy last."""
+    rng = random.Random(16)
+    entries = [{"query_id": f"q{i}", "entropy": rng.random()} for i in range(n)]
+    entries[-1]["entropy"] = last
+    return {"dataset_entropy": 0.5, "n_queries": n, "per_query": entries}
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("args, name", [
+        (["eval-ce", "scores_small.jsonl", "--tau", "0.02"], "eval_ce_report.json"),
+        (["fit", "obs_bert_msmarco.csv", "--law", "dim",
+          "--model", "BERT-L8-H512-A8"], "fit_report.json"),
+        (["fit", "obs_ettin_trecdl.csv", "--law", "joint"], "fit_report.json"),
+        (["plan", "fit_report_bert_trecdl.json", "--budget", "1e9", "3.162e10",
+          "--tokens", "32", "--corpus", "100000", "--regime", "ann",
+          "--curve", "64", "1024"], "plan_report.json"),
+    ], ids=["eval-ce", "fit-dim", "fit-joint", "plan"])
+    def test_streamed_bytes_equal_dumps(self, data_dir, tmp_path, capsys,
+                                        args, name):
+        args = [args[0], str(data_dir / args[1]), *args[2:]]
+        code, _, err = run(args + ["--output-dir", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        text = (tmp_path / name).read_bytes().decode("utf-8")
+        expected = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert text == expected
+
+    @pytest.mark.parametrize("last", [math.nan, math.inf, -math.inf])
+    def test_late_non_finite_value_leaves_nothing(self, tmp_path, last):
+        report = per_query_report(8000, last)
+        new_dir = tmp_path / "new" / "dir"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_files(str(new_dir), {"eval_ce_report.json": report})
+        assert list(tmp_path.iterdir()) == []
+
+        earlier = {"eval_ce_report.json": "earlier report\n",
+                   "notes.txt": "kept\n"}
+        for name, text in earlier.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_files(str(tmp_path), {"eval_ce_report.json": report,
+                                         "curve.dat": "1 2\n"})
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == earlier
+
+    @pytest.mark.parametrize("command", ["eval-ce", "fit", "plan"])
+    def test_non_finite_report_exits_2(self, data_dir, tmp_path, capsys,
+                                       monkeypatch, command):
+        monkeypatch.setattr("embedscale.cli._manifest", lambda *a: dict(
+            _manifest(*a), options={"tau": math.inf}))
+        source = {"eval-ce": ["scores_small.jsonl"],
+                  "fit": ["obs_bert_trecdl.csv", "--law", "joint"],
+                  "plan": ["fit_report_bert_trecdl.json", "--budget", "1e9",
+                           "--tokens", "32", "--corpus", "1000", "--curve", "64"]}
+        argv = [command, str(data_dir / source[command][0]), *source[command][1:]]
+        code, out, err = run(argv + ["--output-dir", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert "not JSON compliant" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_holds_no_report_text(self, tmp_path):
+        import tracemalloc
+        report = per_query_report(8000, 0.25)
+        size = len(json.dumps(report, indent=2, sort_keys=True)) + 1
+        assert size > 500_000
+        tracemalloc.start()
+        try:
+            _write_files(str(tmp_path), {"eval_ce_report.json": report})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "eval_ce_report.json").stat().st_size == size
+        # Encoding the whole text first peaked at about 7 times its length.
+        assert peak < size / 4
 
 
 def test_module_entry_point():

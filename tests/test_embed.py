@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from embedscale import (DataError, EmbeddingMatrix, NumericError, Observation,
-                        Projection, l2_normalize, load_matrix, mean_pool,
-                        project, save_matrix, score_pairs)
+                        Projection, l2_normalize, load_matrix, project,
+                        save_matrix, score_pairs)
 
 
 def naive_project(data, weight, bias):
@@ -64,29 +64,6 @@ class TestProject:
         tokens = EmbeddingMatrix([[1.0, 2.0]], ids=["t0"])
         out = project(tokens, Projection(np.eye(2), np.zeros(2)))
         assert out.ids == ("t0",)
-
-
-class TestMeanPool:
-    def test_single_row(self):
-        tokens = EmbeddingMatrix([[1.5, -2.0]])
-        assert np.array_equal(mean_pool(tokens), [1.5, -2.0])
-
-    def test_opposite_rows_cancel(self):
-        tokens = EmbeddingMatrix([[1.0, -2.0], [-1.0, 2.0]])
-        assert np.array_equal(mean_pool(tokens), [0.0, 0.0])
-
-    def test_matches_columnwise_mean(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(size=(3, 5))
-        pooled = mean_pool(EmbeddingMatrix(data))
-        for col in range(5):
-            expected = sum(data[row][col] for row in range(3)) / 3
-            assert pooled[col] == pytest.approx(expected, rel=1e-14)
-
-    def test_empty_rejected(self):
-        empty = EmbeddingMatrix(np.zeros((0, 3)))
-        with pytest.raises(DataError, match="empty"):
-            mean_pool(empty)
 
 
 class TestNormalize:
@@ -193,17 +170,17 @@ class TestLinearity:
         rng = np.random.default_rng(12)
         tokens = EmbeddingMatrix(rng.normal(size=(6, 4)))
         p = Projection(rng.normal(size=(3, 4)), rng.normal(size=3))
-        pooled_then_projected = (p.weight @ mean_pool(tokens)) + p.bias
-        projected_then_pooled = mean_pool(project(tokens, p))
+        pooled_then_projected = (p.weight @ tokens.data.mean(axis=0)) + p.bias
+        projected_then_pooled = project(tokens, p).data.mean(axis=0)
         np.testing.assert_allclose(projected_then_pooled,
                                    pooled_then_projected, atol=1e-10)
 
     def test_row_scaling_invariance_after_normalize(self):
         rng = np.random.default_rng(13)
         data = rng.normal(size=(4, 6))
-        base = l2_normalize(mean_pool(EmbeddingMatrix(data)))
+        base = l2_normalize(data.mean(axis=0))
         for c in (0.01, 3.0, 1e6):
-            scaled = l2_normalize(mean_pool(EmbeddingMatrix(c * data)))
+            scaled = l2_normalize((c * data).mean(axis=0))
             np.testing.assert_allclose(scaled, base, atol=1e-10)
 
 

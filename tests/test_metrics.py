@@ -264,6 +264,31 @@ class TestEntropyRecords:
                       for r in records]
         assert one_call == one_by_one
 
+    @pytest.mark.parametrize("tau, expected", [
+        (None, [0.6802696706417346, 0.5032044340390841, 1.6203493302856142]),
+        (0.02, [1.3887943865060459e-11, 0.34657359027997264, 25.000000000183103]),
+    ])
+    def test_fixture_entropies_pinned(self, data_dir, tau, expected):
+        # q1's positive lies above its top negative; q2 and q3 have one at
+        # or below it, the branch that reads the terms' remainder.
+        records = parse_score_records(
+            (data_dir / "scores_small.jsonl").read_text())
+        assert contrastive_entropy_records(records, tau) == expected
+
+    @pytest.mark.parametrize("tau, expected", [
+        (None, 0.8172487426836311), (0.1, 0.029381877735699637)])
+    def test_all_positives_above_top_pinned(self, tau, expected):
+        rec = QueryScoreRecord("q", (1.0, 2.5, 0.75), (0.5, -0.25, 0.125, 0.0))
+        assert contrastive_entropy_records([rec], tau) == [expected]
+
+    def test_positives_on_both_sides_of_top_pinned(self):
+        # The terms' fsum leaves a remainder; dropping it would move the
+        # entropy of -0.123, the positive below the top negative, and so
+        # the mean.
+        rec = QueryScoreRecord("q", (0.109, -0.123),
+                               (-0.567, -0.156, -0.942, -0.557, -0.124, -0.008))
+        assert contrastive_entropy_records([rec]) == [1.667019647618632]
+
     def test_empty_input_gives_empty_output(self):
         assert contrastive_entropy_records([]) == []
 
