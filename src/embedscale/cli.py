@@ -5,18 +5,20 @@ content hashes, echoed options, tool version) in its JSON report; curve
 files reference that report by name. A command writes all its files at
 once, each through a temp file and os.replace, so a failed run leaves
 nothing behind: no temp file, no new file, no directory it made, and the
-files of an earlier run in its output directory as they were. Reports
-are encoded straight into their temp files, so no report's text is ever
-held whole in memory. Identical inputs produce byte-identical outputs
-regardless of output directory. Both laws go through the same commands:
---law names one of law.LAWS, and predict and plan read either law's
-report through one reader.
+files of an earlier run in its output directory as they were. Each file
+gets the mode open(path, "w") gives a new file, 0o666 less the umask
+(0o644 under the usual umask 0o022), also when it replaces an earlier
+run's file. Reports are encoded straight into their temp files, so no
+report's text is ever held whole in memory. Identical inputs produce
+byte-identical outputs regardless of output directory. Both laws go
+through the same commands: --law names one of law.LAWS, and predict and
+plan read either law's report through one reader.
 
 Each command imports only what it runs. Every command loads core and law;
 eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
 plan, each from inside its command function. hashlib loads only to hash a
-manifest's inputs, csv only for fit and fractions only for sweep-dims. No
-command loads numpy.
+manifest's inputs, json only to write a report or read a fit report, csv
+only for fit and fractions only for sweep-dims. No command loads numpy.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -24,11 +26,9 @@ Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
-import tempfile
 from math import log10
 
 from . import __version__
@@ -80,6 +80,21 @@ def _manifest(command: str, input_paths: list[str], options: dict) -> dict:
     }
 
 
+def _new_file(directory: str) -> tuple[int, str]:
+    """Create and open a file of a fresh random name in directory.
+
+    open() creates it with mode 0o666 and the umask applied, as
+    open(path, "w") would a new file; tempfile.mkstemp would give 0o600.
+    """
+    while True:
+        path = os.path.join(directory, ".tmp-embedscale-" + os.urandom(8).hex())
+        try:
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                           | getattr(os, "O_BINARY", 0), 0o666), path
+        except FileExistsError:
+            pass
+
+
 def _write_files(directory: str, files: dict[str, str | dict]):
     """Write a command's {file name: content} set into directory, all or nothing.
 
@@ -96,6 +111,7 @@ def _write_files(directory: str, files: dict[str, str | dict]):
     temp files and second names are removed, and so are the directories this
     call made.
     """
+    import json
     directory = path = os.path.abspath(directory)
     made = []      # the directories makedirs will create, innermost first
     while not os.path.exists(path):
@@ -106,7 +122,7 @@ def _write_files(directory: str, files: dict[str, str | dict]):
     temps, saved, placed = [], {}, []
     try:
         for content, target in zip(files.values(), targets):
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-embedscale-")
+            fd, tmp = _new_file(directory)
             temps.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 if isinstance(content, str):
@@ -189,6 +205,7 @@ def _resolve_table(path: str, model: str | None, dataset: str | None):
 
 
 def _read_fit(path: str):
+    import json
     try:
         obj = json.loads("".join(read_lines(path)))
     except (ValueError, RecursionError) as exc:

@@ -199,12 +199,31 @@ def load_matrix(path: str) -> EmbeddingMatrix:
 
 
 def save_matrix(matrix: EmbeddingMatrix, path: str):
-    """Write the line-oriented matrix format, and its `<path>.json` sidecar;
-    repr floats round-trip exactly."""
-    ids = matrix.ids or tuple(str(i) for i in range(matrix.rows))
+    """Write the line-oriented matrix format, and its `<path>.json` sidecar.
+
+    Each row is one `id v1 ... vd` line of its doubles' reprs, which
+    load_matrix reads back exactly. Rows without ids are named 0, 1, ....
+    An id must be one token as str.split sees it (nonempty, no whitespace
+    or line break), must not start with `#`, and must encode as UTF-8.
+
+    Raises:
+        DataError: an id that breaks that rule, named by its row index,
+            before path is opened, so an earlier file there stays as it was.
+    """
+    ids = matrix.ids or [str(i) for i in range(matrix.rows)]
+    for index, rid in enumerate(ids):
+        try:
+            rid.encode("utf-8")
+            readable = rid.split() == [rid] and not rid.startswith("#")
+        except UnicodeEncodeError:
+            readable = False
+        if not readable:
+            raise DataError(f"row {index}: id {rid!r} is not one UTF-8 token "
+                            f"without a leading '#'")
     with open(path, "w", encoding="utf-8") as fh:
         for rid, row in zip(ids, matrix.data):
-            fh.write(rid + " " + " ".join(repr(float(v)) for v in row) + "\n")
+            # tolist() converts the row in one call, with no numpy scalars.
+            fh.write(rid + " " + " ".join(map(repr, row.tolist())) + "\n")
     with open(path + ".json", "w", encoding="utf-8") as fh:
         json.dump({"rows": matrix.rows, "dim": matrix.dim}, fh)
         fh.write("\n")

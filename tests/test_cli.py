@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -870,6 +871,36 @@ class TestDeterminism:
             assert "cannot replace" in err
             assert {p.name: p.read_text() for p in tmp_path.iterdir()} == earlier
             monkeypatch.setattr("embedscale.cli.os.link", no_links)
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_get_the_mode_open_gives(self, data_dir, tmp_path, capsys,
+                                             umask, mode):
+        out = tmp_path / "out"
+        out.mkdir()
+        # An earlier run's file of another mode takes the new one too.
+        earlier = out / "fit_report.json"
+        earlier.write_text("earlier report\n")
+        earlier.chmod(0o640)
+        fit = ["fit", str(data_dir / "obs_ettin_msmarco.csv"), "--law", "joint"]
+        plan = ["plan", str(data_dir / "fit_report_bert_trecdl.json"),
+                "--budget", "1e9", "3.162e10", "--tokens", "32",
+                "--corpus", "100000", "--curve", "64", "1024"]
+        previous = os.umask(umask)
+        try:
+            codes = [run(argv + ["--output-dir", str(out)], capsys)[0]
+                     for argv in (fit, plan)]
+            with open(tmp_path / "probe", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert codes == [0, 0]
+        assert stat.S_IMODE((tmp_path / "probe").stat().st_mode) == mode
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == dict.fromkeys(
+            ["fit_report.json", "fit_curve.dat", "plan_report.json",
+             "plan_curve_01.dat", "plan_curve_02.dat"], mode)
 
 
 def per_query_report(n, last):

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from embedscale import (DataError, EmbeddingMatrix, NumericError, Observation,
                         Projection, l2_normalize, load_matrix, project,
@@ -217,16 +222,85 @@ class TestMatrixValidation:
         assert row == Observation("m", 1e6, 32, "ms", 0.5)
 
 
+# Each value's shortest round-trip repr, as the saved text must spell it.
+EDGE_VALUES = [[-0.0, 5e-324, 1e-05, 0.1],
+               [2.0, 1e16, 123456789.0, 1.7976931348623157e+308]]
+EDGE_TEXT = ("0 -0.0 5e-324 1e-05 0.1\n"
+             "1 2.0 1e+16 123456789.0 1.7976931348623157e+308\n")
+# The same values as float32 (the smallest subnormal and the largest finite
+# float32 in place of the doubles' extremes), widened to doubles exactly.
+EDGE_FLOAT32_VALUES = [[-0.0, 1e-45, 1e-05, 0.1],
+                       [2.0, 1e16, 123456789.0, 3.4028234663852886e+38]]
+EDGE_FLOAT32_TEXT = (
+    "0 -0.0 1.401298464324817e-45 9.999999747378752e-06 0.10000000149011612\n"
+    "1 2.0 1.0000000272564224e+16 123456792.0 3.4028234663852886e+38\n")
+
+FINITE_MATRICES = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestMatrixFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
-        matrix = EmbeddingMatrix(rng.normal(size=(3, 4)),
-                                           ids=["a", "b", "c"])
         path = str(tmp_path / "vecs.txt")
-        save_matrix(matrix, path)
-        loaded = load_matrix(path)
-        assert loaded.ids == matrix.ids
-        np.testing.assert_array_equal(loaded.data, matrix.data)
+        # Plain ids, then legal but unusual ones.
+        for ids in (["a", "b", "c"], ["q-1", "é", "a#b"]):
+            matrix = EmbeddingMatrix(rng.normal(size=(3, 4)), ids=ids)
+            save_matrix(matrix, path)
+            loaded = load_matrix(path)
+            assert loaded.ids == matrix.ids
+            np.testing.assert_array_equal(loaded.data, matrix.data)
+
+    @pytest.mark.parametrize("data, text", [
+        (np.array(EDGE_VALUES), EDGE_TEXT),
+        (np.asfortranarray(EDGE_VALUES), EDGE_TEXT),
+        (np.array(EDGE_FLOAT32_VALUES, dtype=np.float32), EDGE_FLOAT32_TEXT),
+    ], ids=["c-order", "fortran-order", "float32"])
+    def test_saved_bytes_are_pinned(self, tmp_path, data, text):
+        path = tmp_path / "vecs.txt"
+        save_matrix(EmbeddingMatrix(data), str(path))
+        assert path.read_bytes() == text.encode("ascii")
+        assert (tmp_path / "vecs.txt.json").read_bytes() == b'{"rows": 2, "dim": 4}\n'
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=FINITE_MATRICES, named=st.booleans())
+    def test_saved_lines_spell_each_double_exactly(self, data, named):
+        ids = [f"r{i}" for i in range(data.shape[0])] if named else None
+        matrix = EmbeddingMatrix(data, ids=ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "vecs.txt")
+            save_matrix(matrix, path)
+            lines = Path(path).read_text(encoding="utf-8").split("\n")
+            loaded = load_matrix(path)
+        expected = [rid + " " + " ".join(repr(float(v)) for v in row)
+                    for rid, row in zip(ids or map(str, range(len(data))), data)]
+        assert lines == expected + [""]
+        assert loaded.data.tobytes() == data.tobytes()
+        assert loaded.ids == tuple(ids or map(str, range(len(data))))
+
+    @pytest.mark.parametrize("ids, row", [
+        (["#a", "b"], 0),
+        (["a", ""], 1),
+        (["a", "b c"], 1),
+        (["a", "b\tc"], 1),
+        (["a", "b\nc"], 1),
+        (["a", "b\u2028c"], 1),
+        (["\ud800", "b"], 0),
+    ], ids=["comment", "empty", "space", "tab", "newline", "line-separator",
+            "not-utf8"])
+    def test_unreadable_id_rejected_before_writing(self, tmp_path, ids, row):
+        matrix = EmbeddingMatrix(np.ones((2, 3)), ids=ids)
+        path, sidecar = tmp_path / "vecs.txt", tmp_path / "vecs.txt.json"
+        with pytest.raises(DataError, match=f"row {row}: id "):
+            save_matrix(matrix, str(path))
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("earlier 1.0\n")
+        sidecar.write_text('{"rows": 1, "dim": 1}\n')
+        with pytest.raises(DataError, match=f"row {row}: id "):
+            save_matrix(matrix, str(path))
+        assert path.read_text() == "earlier 1.0\n"
+        assert sidecar.read_text() == '{"rows": 1, "dim": 1}\n'
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -104,35 +104,39 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listed
 
 
-# Runs the argv in argv[1] through main in a fresh interpreter and prints
-# its exit code and the modules it left imported, as JSON.
+# Runs the argv in argv[1:] through main in a fresh interpreter and prints
+# its exit code and the modules it left imported, as JSON. json itself is
+# imported only after those modules are listed.
 MODULES_RUNNER = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from embedscale.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     try:
-        code = main(json.loads(sys.argv[1]))
+        code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
 
 # Modules a command loads only when it needs them: dataclasses and inspect
 # (importing them costs more than most commands' work; none needs them),
-# numpy (only embed, which no command runs), csv (fit) and fractions
+# numpy (only embed, which no command runs), json (every command that
+# writes a report or reads a fit report), csv (fit) and fractions
 # (sweep-dims).
-ON_DEMAND = {"dataclasses", "inspect", "numpy", "csv", "fractions"}
+ON_DEMAND = {"dataclasses", "inspect", "numpy", "json", "csv", "fractions"}
 EVERY_COMMAND = {"embedscale", "embedscale.cli", "embedscale.core", "embedscale.law"}
 
 # Each command's own modules: those of ON_DEMAND and those beyond EVERY_COMMAND.
 OWN_MODULES = {
     "--version": set(),
-    "fit-dim": {"embedscale.fit", "csv"},
-    "fit-joint": {"embedscale.fit", "csv"},
-    "plan": {"embedscale.plan"},
-    "predict": set(),
+    "fit-dim": {"embedscale.fit", "json", "csv"},
+    "fit-joint": {"embedscale.fit", "json", "csv"},
+    "plan": {"embedscale.plan", "json"},
+    "predict": {"json"},
     "sweep-dims": {"fractions"},
-    "eval-ce": {"embedscale.metrics"},
+    "eval-ce": {"embedscale.metrics", "json"},
 }
 
 
@@ -153,7 +157,7 @@ def test_each_command_imports_only_what_it_runs(data_dir, tmp_path, command):
         "eval-ce": ["eval-ce", str(data_dir / "scores_small.jsonl"), "--tau", "0.05",
                     "--output-dir", out],
     }[command]
-    proc = subprocess.run([sys.executable, "-c", MODULES_RUNNER, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", MODULES_RUNNER, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
