@@ -240,12 +240,12 @@ def _curve_blocks(fit, table) -> list[str]:
 
 
 def cmd_fit(args) -> int:
-    from .fit import GRADIENT_TOLERANCE, MAX_ITERS, fit_law
+    from .fit import DECREMENT_TOLERANCE, MAX_ITERS, fit_law
     table = _resolve_table(args.observations, args.model, args.dataset)
     fit = fit_law(table, LAWS[args.law])
     report = fit_to_report(fit)
     report["options"] = {"max_iters": MAX_ITERS,
-                         "gradient_tolerance": GRADIENT_TOLERANCE,
+                         "decrement_tolerance": DECREMENT_TOLERANCE,
                          "n_starts": None}
     report["manifest"] = _manifest("fit", [args.observations], {
         "law": args.law, "model": args.model, "dataset": args.dataset})

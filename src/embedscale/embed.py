@@ -43,6 +43,9 @@ class EmbeddingMatrix:
         if self.ids is not None:
             if len(self.ids) != self.rows:
                 raise DataError(f"{len(self.ids)} ids for {self.rows} rows")
+            for rid in self.ids:
+                if not isinstance(rid, str):
+                    raise DataError(f"ids must be str, got {rid!r}")
             object.__setattr__(self, "ids", tuple(self.ids))
 
     @property

@@ -8,10 +8,10 @@ the normal equations for (c, delta) in closed form, keeping delta >= 0
 and marking cells with a coefficient c_k <= 0 infeasible. The search
 first profiles a geometric grid of cells over EXPONENT_RANGE. Every
 feasible cell whose SSE is a local minimum among its grid neighbours then
-starts one polish: a damped Gauss-Newton (Levenberg-Marquardt) descent
-over the log-exponents s = log e, which solves each trial cell the same
-way and steps along Kaufman's Jacobian of the projected residuals. The
-lowest polished cost wins. Repeated fits are bit-identical.
+starts one polish: a line-search Newton descent over the log-exponents
+s = log e, which solves each trial cell the same way and takes the
+cost's exact gradient from Kaufman's Jacobian of the projected residuals.
+The lowest polished cost wins. Repeated fits are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,21 +24,17 @@ from typing import Sequence
 from .core import DataError, NumericError, ObservationTable, record
 from .law import MILLION, LawFit, PowerLaw, _term, r_squared, total_variance
 
-COST_REL_TOL = 1e-12     # relative cost decrease below this counts as converged
-GRADIENT_TOLERANCE = 1e-12   # largest |gradient| entry below this counts as converged
+DECREMENT_TOLERANCE = 1e-15   # Newton decrement at most this times the cost: converged
+FD_STEP = 1e-6           # log-exponent step of the Hessian's forward differences
 MAX_ITERS = 500          # descent iterations per start
-LAMBDA_INIT = 1e-3
-LAMBDA_MAX = 1e15
 EXPONENT_RANGE = (0.05, 4.0)
 GRID_POINTS = {1: 64, 2: 24}   # profile grid points per exponent axis, by K
-# A polish step that moves a log-exponent further than the grid is wide is rejected.
-MAX_STEP = log(EXPONENT_RANGE[1] / EXPONENT_RANGE[0])
 
 # Why a descent stopped: the reasons _descend returns.
 STOP_REASONS = ("non-finite start", "non-finite jacobian",
-                "gradient below tolerance", "cost decrease below tolerance",
+                "decrement below tolerance", "no step lowers the cost",
                 "max_iters reached")
-_NONFINITE_START, _NONFINITE_JACOBIAN, _GRADIENT, _COST, _MAX_ITERS = STOP_REASONS
+_NONFINITE_START, _NONFINITE_JACOBIAN, _DECREMENT, _NO_STEP, _MAX_ITERS = STOP_REASONS
 
 
 @record
@@ -195,17 +191,17 @@ def _profile(model: PowerLaw, cols, y) -> list[tuple[int, list[float]]]:
 
 
 def _descend(model: PowerLaw, cols, y, s0):
-    """One damped Gauss-Newton descent over the log-exponents s, from s0.
+    """One line-search Newton descent over the log-exponents s, from s0.
 
-    Each trial s is the cell e = exp(s), solved by _cell, with residuals
-    taken explicitly from its (c, delta); an infeasible cell costs inf.
-    The Jacobian is Kaufman's: column k, the residuals' slope in s_k at
-    fixed (c, delta), -c_k e_k log(x_k) u_k, less its _linear fit on the
-    cell's columns. Levenberg-Marquardt rules: Marquardt diagonal damping,
-    lambda x10 on a rejected, singular or non-finite step or one with an
-    entry past MAX_STEP (up to LAMBDA_MAX) and /10 (floored at 1e-15) on an
-    accepted one, and a stop on a small gradient, a relative cost drop
-    below COST_REL_TOL, no acceptable step, or MAX_ITERS.
+    Each trial s is the cell e = exp(s), solved by _cell; an infeasible
+    cell costs inf. The gradient g = 2 J^T r is exact, with Kaufman's J:
+    column k, the residuals' slope -c_k e_k log(x_k) u_k in s_k at fixed
+    (c, delta), less its _linear fit on the cell's columns. The Hessian is
+    g's forward difference over FD_STEP; where it is missing or singular or
+    its step does not descend, 2 J^T J (Gauss-Newton) steps instead. The
+    descent stops on a Newton decrement -g.step of at most
+    DECREMENT_TOLERANCE times the cost (0 where no step descends), or when
+    halving the step until Armijo's rule holds brings it back to s.
 
     Returns:
         (params, cost, iterations, reason): the final cell's natural
@@ -231,12 +227,8 @@ def _descend(model: PowerLaw, cols, y, s0):
         return (cost, ((*c, *e, delta), us, sums, gram, free, r)) if isfinite(cost) \
             else (inf, None)
 
-    s = list(s0)
-    cost, cell = solve(s)
-    if cell is None:
-        return None, inf, 0, _NONFINITE_START
-    lam = LAMBDA_INIT
-    for iteration in range(1, MAX_ITERS + 1):
+    def slope(cell):
+        """(J, g) at a solved cell; None where J is not finite."""
         params, us, sums, gram, free, r = cell
         jac = []
         for ck, ek, lxs, u in zip(params[:k], params[k:2 * k], log_x, us):
@@ -244,37 +236,45 @@ def _descend(model: PowerLaw, cols, y, s0):
             a, a0, _ = _linear(gram, sums, [_dot(w, v) for w in us], n, sum(v), free)
             jac.append([vj - _dot(a, wj) - a0 for vj, *wj in zip(v, *us)])
         if not all(isfinite(v) for col in jac for v in col):
+            return None
+        return jac, [2.0 * _dot(col, r) for col in jac]
+
+    s = list(s0)
+    cost, cell = solve(s)
+    if cell is None:
+        return None, inf, 0, _NONFINITE_START
+    for iteration in range(1, MAX_ITERS + 1):
+        params, here = cell[0], slope(cell)
+        if here is None:
             return params, cost, iteration, _NONFINITE_JACOBIAN
-        jtr = [_dot(col, r) for col in jac]
-        if max(abs(2.0 * g) for g in jtr) < GRADIENT_TOLERANCE:
-            return params, cost, iteration, _GRADIENT
-        jtj = [[_dot(a, b) for b in jac] for a in jac]
-        # Marquardt scaling: damp each exponent relative to its own curvature.
-        damping = [max(jtj[i][i], 1e-12) for i in range(len(s))]
-        neg_jtr = [-g for g in jtr]
-        while lam <= LAMBDA_MAX:
-            normal = [[v + lam * damping[i] if i == j else v
-                       for j, v in enumerate(row)] for i, row in enumerate(jtj)]
-            step = _closed_form(normal, neg_jtr)
-            if step is not None and all(abs(v) <= MAX_STEP for v in step):
-                trial = [a + b for a, b in zip(s, step)]
-                cost_new, cell_new = solve(trial)
-                if cost_new < cost:
-                    drop = (cost - cost_new) / cost
-                    s, cost, cell = trial, cost_new, cell_new
-                    lam = max(lam / 10.0, 1e-15)
-                    if drop < COST_REL_TOL:
-                        return cell[0], cost, iteration, _COST
-                    break
-            lam *= 10.0
-        else:
-            # No step improves even under maximal damping: decrease is 0 < tol.
-            return params, cost, iteration, _COST
+        jac, g = here
+        # Row i: g's forward difference in s_i (the Hessian is symmetric).
+        nears = [solve([v + FD_STEP * (i == j) for j, v in enumerate(s)])[1]
+                 for i in range(k)]
+        nears = [near and slope(near) for near in nears]
+        hessian = all(nears) and [[(b - a) / FD_STEP for a, b in zip(g, near[1])]
+                                  for near in nears]
+        steps = (matrix and _closed_form(matrix, [-v for v in g])
+                 for matrix in (hessian, [[2.0 * _dot(a, b) for b in jac] for a in jac]))
+        step = next((p for p in steps if p and 0 < -_dot(g, p) < inf), None)
+        decrement = -_dot(g, step) if step else 0.0
+        if decrement <= DECREMENT_TOLERANCE * cost:
+            return params, cost, iteration, _DECREMENT
+        t = 1.0
+        while True:
+            trial = [a + t * b for a, b in zip(s, step)]
+            if trial == s:
+                return params, cost, iteration, _NO_STEP
+            cost_new, cell_new = solve(trial)
+            if cost_new < cost - 1e-4 * t * decrement:    # Armijo's sufficient decrease
+                break
+            t /= 2.0
+        s, cost, cell = trial, cost_new, cell_new
     return cell[0], cost, MAX_ITERS, _MAX_ITERS
 
 
 def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
-    """Fit model parameters by variable projection and a damped Gauss-Newton polish.
+    """Fit model parameters by variable projection and a Newton polish.
 
     Minimizes sum((model(x_i; theta) - y_i)^2) in raw target space. One
     descent runs from each local minimum of the profile grid; the lowest
@@ -314,7 +314,7 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
     if cost == inf:
         raise DataError("no multistart run produced a finite cost")
     report = ConvergenceReport(
-        converged=reason in (_GRADIENT, _COST),
+        converged=reason in (_DECREMENT, _NO_STEP),
         iterations=iterations,
         stop_reason=reason,
         start_index=index,

@@ -244,7 +244,7 @@ class TestFit:
         assert set(report["parameters"]) == {"a_coeff", "alpha", "delta"}
         assert report["converged"] is True
         assert report["manifest"]["options"]["law"] == "dim"
-        assert report["options"] == {"gradient_tolerance": 1e-12,
+        assert report["options"] == {"decrement_tolerance": 1e-15,
                                      "max_iters": 500, "n_starts": None}
         curve = (tmp_path / "fit_curve.dat").read_text().splitlines()
         assert curve[0] == "# embedscale fitted-curve samples"

@@ -205,6 +205,15 @@ class TestMatrixValidation:
         with pytest.raises(DataError, match="ids"):
             EmbeddingMatrix([[1.0]], ids=["a", "b"])
 
+    def test_ids_must_be_str(self, tmp_path):
+        # A non-str id fails when the matrix is built, so no file is written.
+        path = str(tmp_path / "m.txt")
+        with pytest.raises(DataError, match="ids must be str, got 7"):
+            save_matrix(EmbeddingMatrix(np.ones((1, 2)), ids=[7]), path)
+        with pytest.raises(DataError, match="got None"):
+            EmbeddingMatrix(np.ones((2, 2)), ids=["a", None])
+        assert list(tmp_path.iterdir()) == []
+
     def test_projection_shape(self):
         with pytest.raises(DataError, match="bias"):
             Projection(np.zeros((2, 3)), np.zeros(3))
