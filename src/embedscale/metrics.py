@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import io
 import json
-from itertools import chain, repeat
+from itertools import chain
 from math import exp, fsum, inf, isfinite, log, log1p
-from operator import sub, truediv
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import DataError, NumericError, record
@@ -116,8 +115,7 @@ def contrastive_entropy_records(records: Iterable[QueryScoreRecord],
         positives = [p / t for p in rec.positives]
         if not (isfinite(top) and isfinite(bottom) and all(map(isfinite, positives))):
             raise NumericError(f"scores scaled by temperature {tau} are not finite")
-        terms = list(map(exp, map(sub, map(truediv, negatives, repeat(t)),
-                                  repeat(top))))
+        terms = [exp(n / t - top) for n in negatives]
         # z + rest is the terms' sum to about twice double precision; only
         # a positive at or below the top negative reads rest.
         z = fsum(terms)
@@ -293,6 +291,8 @@ def recall_at_k(ranked_ids: Sequence[str], relevant_ids: set, k: int) -> float:
 
 
 _NUMBER = {int, float}
+_FLOAT = {float}
+_decode = json.JSONDecoder().raw_decode
 
 
 def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
@@ -307,14 +307,23 @@ def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
             line number, when the generator reaches that line.
     """
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+        # A line holding one JSON value and at most its \n is decoded once;
+        # any other, bytes included, goes to json.loads, whose result or
+        # error it gets.
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers JSONDecodeError and integer literals past
-            # the interpreter's digit limit; RecursionError, deep nesting.
-            raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
+            obj, end = _decode(line)
+            decoded = line[end:] in ("", "\n")
+        except (ValueError, RecursionError, TypeError):
+            decoded = False
+        if not decoded:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and integer literals past
+                # the interpreter's digit limit; RecursionError, deep nesting.
+                raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise DataError(f"line {lineno}: expected a JSON object")
         missing = {"query_id", "positives", "negatives"} - obj.keys()
@@ -327,10 +336,13 @@ def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
         for key in ("positives", "negatives"):
             values = obj[key]
             # type() is exact: bool, an int subclass, is not a number here.
-            if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER:
+            if (not isinstance(values, list)
+                    or not (kinds := set(map(type, values))) <= _NUMBER):
                 raise DataError(f"line {lineno}: {key} must be a list of numbers")
+            # float() of a float returns that float, so a float list is kept.
             try:
-                scores[key] = tuple(map(float, values))
+                scores[key] = (tuple(values) if kinds == _FLOAT
+                               else tuple(map(float, values)))
             except OverflowError:
                 raise DataError(f"line {lineno}: {key} holds an integer "
                                 "too large for a double") from None

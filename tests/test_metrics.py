@@ -1,5 +1,8 @@
+import json
 import math
 from decimal import Decimal, localcontext
+from itertools import chain, repeat
+from operator import sub, truediv
 
 import numpy as np
 import pytest
@@ -43,6 +46,24 @@ def reference_entropy(positive, negatives, tau=None):
 def reference_query_entropy(rec, tau=None):
     values = [reference_entropy(p, rec.negatives, tau) for p in rec.positives]
     return math.fsum(values) / len(values)
+
+
+def reference_map_chain_entropies(records, tau=None):
+    """The kernel before its terms became one comprehension: a map chain."""
+    t = tau or 1.0
+    out = []
+    for rec in records:
+        top = max(rec.negatives) / t
+        positives = [p / t for p in rec.positives]
+        terms = list(map(math.exp, map(sub, map(truediv, rec.negatives, repeat(t)),
+                                       repeat(top))))
+        z = math.fsum(terms)
+        rest = math.fsum(chain(terms, (-z,))) if min(positives) <= top else 0.0
+        rows = [(top - s) + math.log(math.fsum((math.exp(s - top), z, rest)))
+                if s <= top else math.log1p(math.exp(top - s) * z)
+                for s in positives]
+        out.append(math.fsum(rows) / len(rows))
+    return out
 
 
 def reference_sample_negatives(corpus_ids, positive_ids, k, seed):
@@ -239,6 +260,21 @@ score_rows = st.lists(
     min_size=1, max_size=8)
 
 
+@st.composite
+def straddling_records(draw, scores, gaps):
+    """Records with one positive above the top negative and one at or below."""
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        negatives = draw(st.lists(scores, min_size=1, max_size=40))
+        top = max(negatives)
+        above = top + draw(gaps)
+        below = top - draw(gaps | st.just(0))
+        extra = draw(st.lists(scores, max_size=3))
+        records.append(QueryScoreRecord(f"q{i}", tuple([above, below] + extra),
+                                        tuple(negatives)))
+    return records
+
+
 class TestEntropyRecords:
     @given(rows=score_rows,
            tau=st.none() | st.floats(min_value=0.01, max_value=10))
@@ -250,6 +286,14 @@ class TestEntropyRecords:
         for rec, value in zip(records, values):
             assert value == pytest.approx(reference_query_entropy(rec, tau),
                                           rel=1e-12, abs=5e-14)
+
+    @given(records=straddling_records(st.integers(-30, 30), st.integers(1, 30))
+           | straddling_records(finite_scores, st.floats(1e-3, 30)),
+           tau=st.none() | st.floats(min_value=0.01, max_value=10))
+    @settings(max_examples=400)
+    def test_bit_identical_to_the_map_chain_kernel(self, records, tau):
+        assert (contrastive_entropy_records(records, tau)
+                == reference_map_chain_entropies(records, tau))
 
     def test_one_call_equals_record_by_record(self):
         # Records of a few thousand scores, one past 2^16, and many small.
@@ -493,6 +537,12 @@ class TestRankingMetrics:
         assert value == pytest.approx(2 / 3)
 
 
+LINE_A = '{"query_id": "a", "positives": [1.5, 2], "negatives": [0.25, -1]}'
+LINE_B = '{"query_id": "b", "positives": [0.5], "negatives": [0.75]}'
+RECORD_A = ("a", (1.5, 2.0), (0.25, -1.0))
+RECORD_B = ("b", (0.5,), (0.75,))
+
+
 class TestScoreRecordParsing:
     def test_fixture_parses(self, data_dir):
         records = parse_score_records(
@@ -555,6 +605,70 @@ class TestScoreRecordParsing:
             yield '{"query_id": "a", "positives": [1], "negatives": [0]}\n'
             raise AssertionError("read past the first record")
         assert next(iter_score_records(lines())).query_id == "a"
+
+    @pytest.mark.parametrize("text, expected", [
+        (" " + LINE_A + "\n", [RECORD_A]),
+        ("\t" + LINE_A + "\n", [RECORD_A]),
+        (LINE_A + "  \n", [RECORD_A]),
+        (LINE_A + "\t\n", [RECORD_A]),
+        (LINE_A + "\n" + LINE_B, [RECORD_A, RECORD_B]),
+        ("\ufeff" + LINE_A + "\n" + LINE_B + "\n",
+         "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        (LINE_A + " " + LINE_B + "\n",
+         "line 1: invalid JSON: Extra data: line 1 column 67 (char 66)"),
+        (LINE_A + "x\n",
+         "line 1: invalid JSON: Extra data: line 1 column 66 (char 65)"),
+        ('{"query_id": "a", "positives": [NaN], "negatives": [0]}\n',
+         "line 1: query 'a': non-finite score in positives"),
+        ('{"query_id": "a", "positives": [1], "negatives": [Infinity]}\n',
+         "line 1: query 'a': non-finite score in negatives"),
+        (LINE_A + "\n" + '{"query_id": "a", "positives": [' + "1" * 5000
+         + '], "negatives": [0]}\n',
+         "line 2: invalid JSON: Exceeds the limit (4300 digits) for integer "
+         "string conversion: value has 5000 digits; use "
+         "sys.set_int_max_str_digits() to increase the limit"),
+    ], ids=["leading space", "leading tab", "trailing spaces", "trailing tab",
+            "no final newline", "bom", "two objects", "trailing x", "nan",
+            "infinity", "5000 digits"])
+    def test_edge_lines_read_as_json_loads_reads_them(self, text, expected):
+        # Whether a line is decoded once or falls back to json.loads, its
+        # records and messages are those json.loads gives.
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as info:
+                parse_score_records(text)
+            assert str(info.value) == expected
+        else:
+            records = parse_score_records(text)
+            assert [(r.query_id, r.positives, r.negatives)
+                    for r in records] == expected
+
+    def test_canonical_lines_are_read_without_json_loads(self, data_dir,
+                                                         tmp_path,
+                                                         monkeypatch):
+        rng = np.random.default_rng(19)
+        rows = [(f"q{i}", rng.normal(0.5, 0.1, 1 + i % 3).tolist(),
+                 rng.normal(0.3, 0.1, i % 40).tolist()) for i in range(200)]
+        rows.append(("ints", [2, 1.5], [0, -1]))
+        path = tmp_path / "scores.jsonl"
+        path.write_text("".join(
+            json.dumps({"query_id": q, "positives": p, "negatives": n}) + "\n"
+            for q, p, n in rows))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+        monkeypatch.setattr(json, "loads", refuse)
+        small = parse_score_records((data_dir / "scores_small.jsonl").read_text())
+        assert [r.query_id for r in small] == ["q1", "q2", "q3"]
+        records = parse_score_records(path.read_text())
+        assert [(r.query_id, r.positives, r.negatives) for r in records] == [
+            (q, tuple(map(float, p)), tuple(map(float, n))) for q, p, n in rows]
+        assert {type(v) for r in records for v in r.positives + r.negatives} == {float}
+
+    def test_bytes_lines_are_read_as_json_loads_reads_them(self):
+        records = iter_score_records([(LINE_A + "\n").encode(), LINE_B.encode()])
+        assert [(r.query_id, r.positives, r.negatives)
+                for r in records] == [RECORD_A, RECORD_B]
 
     def test_config_validation(self):
         with pytest.raises(DataError):
