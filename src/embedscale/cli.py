@@ -162,28 +162,21 @@ def _fmt(value: float) -> str:
 
 
 def cmd_eval_ce(args) -> int:
-    from .metrics import (contrastive_entropy_records, iter_score_records,
-                          mean_entropy)
-    query_ids = []
-
-    def kept_ids(records):
-        # Each record is parsed, scored and dropped in turn; only its id stays.
-        for rec in records:
-            query_ids.append(rec.query_id)
-            yield rec
-
-    # The temperature is checked before the first line is read.
-    entropies = contrastive_entropy_records(
-        kept_ids(iter_score_records(read_lines(args.scores))), args.tau)
-    if not query_ids:
+    from .metrics import (_check_temperature, contrastive_entropy_query,
+                          iter_score_records, mean_entropy)
+    # The temperature is checked before the first line is read. Each record
+    # is parsed, scored and dropped in turn; only its report row stays.
+    _check_temperature(args.tau)
+    per_query = [{"query_id": rec.query_id,
+                  "entropy": contrastive_entropy_query(rec, args.tau)}
+                 for rec in iter_score_records(read_lines(args.scores))]
+    if not per_query:
         raise DataError(f"{args.scores}: no query records")
-    per_query = [{"query_id": qid, "entropy": value}
-                 for qid, value in zip(query_ids, entropies)]
     # The formula of contrastive_entropy_dataset, without scoring again.
-    dataset_entropy = mean_entropy(entropies)
+    dataset_entropy = mean_entropy([row["entropy"] for row in per_query])
     report = {
         "dataset_entropy": dataset_entropy,
-        "n_queries": len(query_ids),
+        "n_queries": len(per_query),
         "per_query": per_query,
         "temperature": args.tau,
         "manifest": _manifest("eval-ce", [args.scores], {"tau": args.tau}),

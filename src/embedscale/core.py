@@ -247,8 +247,6 @@ def parse_observations(text) -> ObservationTable:
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
 
-    if not rows:
-        raise DataError("empty table")
     return ObservationTable(tuple(rows))
 
 

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Sequence
 
 from .core import DataError, NumericError, ObservationTable, record
-from .law import MILLION, LawFit, PowerLaw, _term, r_squared, total_variance
+from .law import MILLION, LawFit, PowerLaw, _value, r_squared, total_variance
 
 DECREMENT_TOLERANCE = 1e-15   # Newton decrement at most this times the cost: converged
 FD_STEP = 1e-6           # log-exponent step of the Hessian's forward differences
@@ -350,10 +350,9 @@ def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
     # r_squared would reject a constant series only after the whole fit.
     total_variance(y)
     params, residual_norm, report = least_squares(model, x, y)
-    # The law as predict evaluates it; x holds sizes in millions, so each scale is 1.
-    k = model.n_terms
-    predictions = [sum(map(_term, params[:k], row, (1.0, 1.0), params[k:2 * k]))
-                   + params[-1] for row in x]
+    # The law as predict evaluates it, on the table's raw rows.
+    predictions = [_value(params, model.n_terms, (row.embed_dim, row.n_params))
+                   for row in table]
     warnings = []
     if not report.converged:
         warnings.append(f"fit did not converge: {report.stop_reason}")

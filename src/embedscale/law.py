@@ -3,9 +3,9 @@
 Both laws are one model over K inputs, L(x) = sum_k c_k / x_k^e_k + delta:
 K = 1 for the dimension-only law, L(D) = A / D^alpha + delta, and K = 2
 for the joint law, L(D, N) = A / D^alpha + B / (N/1e6)^beta + delta. They
-share one record, LawFit, and one evaluator, predict; LAWS looks a law up
-by the name its reports carry. Only math is used here; embedscale.fit
-holds the engine that fits.
+share one record, LawFit, and one evaluator, _value, behind both predict
+and fit_law's r2; LAWS looks a law up by the name its reports carry. Only
+math is used here; embedscale.fit holds the engine that fits.
 """
 
 from __future__ import annotations
@@ -98,6 +98,15 @@ def _term(c: float, x, scale: float, e: float) -> float:
         return inf
 
 
+def _value(params: Sequence[float], k: int, point) -> float:
+    """The K-input law with params at point = (d, n_params), raw units.
+
+    Only the first k inputs are read; n_params is divided by MILLION.
+    """
+    return (sum(map(_term, params[:k], point, (1.0, MILLION), params[k:2 * k]))
+            + params[-1])
+
+
 def predict(fit: LawFit, d, n_params=None) -> float:
     """The fitted law at dimension d and, for the joint law, n_params.
 
@@ -115,9 +124,7 @@ def predict(fit: LawFit, d, n_params=None) -> float:
     k = fit.model.n_terms
     if k > 1 and (n_params is None or not 0 < n_params < inf):
         raise DataError(f"n_params must be positive and finite, got {n_params}")
-    inputs = ((d, 1.0), (n_params, MILLION))[:k]
-    value = sum(_term(c, x, scale, e) for c, (x, scale), e
-                in zip(fit.params[:k], inputs, fit.params[k:2 * k])) + fit.params[-1]
+    value = _value(fit.params, k, (d, n_params))
     if not isfinite(value):
         raise NumericError(f"fitted law is not finite at {(d, n_params)[:k]}: {value}")
     return value

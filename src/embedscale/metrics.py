@@ -1,10 +1,10 @@
 """Contrastive-entropy evaluation, training losses, and ranking metrics.
 
 The entropy kernel is the negative log softmax probability of the relevant
-score among itself and a set of negative scores. One kernel,
-contrastive_entropy_records, serves evaluation and training alike: it
-exponentiates each record's max-shifted negatives once and scores every
-positive of the record against them, with math only. Only
+score among itself and a set of negative scores. One per-record kernel,
+contrastive_entropy_query, serves evaluation and training alike: every
+entropy goes through it, and contrastive_loss_grad derives from the
+entropy it returns, so the module holds one softmax, with math only. Only
 sample_negatives loads numpy, when it is called.
 
 Determinism notes, relied on by the reproducibility contract:
@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 from itertools import chain
-from math import exp, fsum, inf, isfinite, log, log1p
+from math import exp, expm1, fsum, inf, isfinite, log, log1p
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import DataError, NumericError, record
@@ -77,53 +77,57 @@ def _check_temperature(tau: Optional[float]):
         raise DataError(f"temperature must be positive and finite, got {tau}")
 
 
-def _negatives(rec: QueryScoreRecord) -> tuple[float, ...]:
-    if not rec.negatives:
+def contrastive_entropy_query(rec: QueryScoreRecord,
+                              tau: Optional[float] = None) -> float:
+    """Entropy of one record: the mean, over its positives, of the entropy
+    of that positive against all of the record's negatives.
+
+    tau is taken as checked, None or in (0, inf), as callers check it once
+    before the first record. The negatives are divided by tau (when given),
+    shifted by their maximum and exponentiated once; each positive then
+    costs one exp and one log. A positive at or below the top negative
+    scores (top - positive) + log(z), z being the sum of every term; one
+    above it scores log1p of the negatives' mass relative to it, so tiny
+    entropies keep their relative precision. Sums use math.fsum.
+
+    Raises:
+        DataError: a record without negatives.
+        NumericError: a scaled score or the entropy is not finite.
+    """
+    negatives = rec.negatives
+    if not negatives:
         raise DataError(f"query {rec.query_id!r}: negatives must be nonempty")
-    return rec.negatives
+    t = tau or 1.0
+    # Division by t > 0 is monotone: these are the scaled extremes.
+    top = max(negatives) / t
+    bottom = min(negatives) / t
+    positives = [p / t for p in rec.positives]
+    if not (isfinite(top) and isfinite(bottom) and all(map(isfinite, positives))):
+        raise NumericError(f"scores scaled by temperature {tau} are not finite")
+    terms = [exp(n / t - top) for n in negatives]
+    # z + rest is the terms' sum to about twice double precision; only
+    # a positive at or below the top negative reads rest.
+    z = fsum(terms)
+    rest = fsum(chain(terms, (-z,))) if min(positives) <= top else 0.0
+    rows = [(top - s) + log(fsum((exp(s - top), z, rest))) if s <= top
+            else log1p(exp(top - s) * z) for s in positives]
+    return mean_entropy(rows)
 
 
 def contrastive_entropy_records(records: Iterable[QueryScoreRecord],
                                 tau: Optional[float] = None) -> list[float]:
-    """Per-query entropy of each record, in record order.
+    """contrastive_entropy_query of each record, in record order.
 
     records may be any iterable, a generator included: it is read once,
-    one record at a time, and no record is kept once it is scored.
-
-    A query's entropy is the mean, over its positives, of the entropy of
-    that positive against all of the query's negatives. Each record's
-    negatives are divided by tau (when given), shifted by their maximum and
-    exponentiated once, whatever the number of positives; each positive
-    then costs one exp and one log. A positive at or below the top negative
-    scores (top - positive) + log(z), z being the sum of every term; one
-    above it scores log1p of the negatives' mass relative to it, so tiny
-    entropies keep their relative precision. Sums use math.fsum, and a
-    value does not depend on the other records.
+    one record at a time, and no record is kept once it is scored. tau is
+    checked before the first record is read.
 
     Raises:
         DataError: a record without negatives, or tau not in (0, inf).
         NumericError: a scaled score or an entropy is not finite.
     """
     _check_temperature(tau)
-    t = tau or 1.0
-    out = []
-    for rec in records:
-        negatives = _negatives(rec)
-        # Division by t > 0 is monotone: these are the scaled extremes.
-        top = max(negatives) / t
-        bottom = min(negatives) / t
-        positives = [p / t for p in rec.positives]
-        if not (isfinite(top) and isfinite(bottom) and all(map(isfinite, positives))):
-            raise NumericError(f"scores scaled by temperature {tau} are not finite")
-        terms = [exp(n / t - top) for n in negatives]
-        # z + rest is the terms' sum to about twice double precision; only
-        # a positive at or below the top negative reads rest.
-        z = fsum(terms)
-        rest = fsum(chain(terms, (-z,))) if min(positives) <= top else 0.0
-        rows = [(top - s) + log(fsum((exp(s - top), z, rest))) if s <= top
-                else log1p(exp(top - s) * z) for s in positives]
-        out.append(mean_entropy(rows))
-    return out
+    return [contrastive_entropy_query(rec, tau) for rec in records]
 
 
 def mean_entropy(values: Sequence[float]) -> float:
@@ -165,7 +169,8 @@ def contrastive_entropy_single(positive: float, negatives: Sequence[float],
         NumericError: the scaled scores or the entropy are not finite.
     """
     rec = QueryScoreRecord("single", (positive,), tuple(negatives))
-    return contrastive_entropy_records([rec], tau)[0]
+    _check_temperature(tau)
+    return contrastive_entropy_query(rec, tau)
 
 
 def contrastive_entropy_dataset(records: Sequence[QueryScoreRecord],
@@ -217,24 +222,21 @@ def contrastive_loss_grad(positive: float, negatives: Sequence[float],
                           ) -> tuple[float, list[float]]:
     """Analytic gradient of contrastive_entropy_single w.r.t. the raw scores.
 
-    With p = softmax of the scaled scores and t the effective temperature
-    (1 when tau is absent): dL/ds+ = (p+ - 1)/t and dL/ds-_i = p_i/t.
+    With L the entropy, t the effective temperature (1 when tau is absent)
+    and p = exp(-L) the positive's probability: dL/ds+ = (p - 1)/t =
+    expm1(-L)/t, to full relative precision also when p is near 1, and
+    dL/ds-_i = exp(s-_i/t - s+/t - L)/t.
 
     Raises:
         DataError: as contrastive_entropy_single raises it.
-        NumericError: the scaled scores or the gradient are not finite.
+        NumericError: the scaled scores, the entropy or the gradient are
+            not finite.
     """
-    rec = QueryScoreRecord("single", (positive,), tuple(negatives))
-    _check_temperature(tau)
-    t = 1.0 if tau is None else tau
-    scaled = [positive / t] + [v / t for v in _negatives(rec)]
-    if not all(map(isfinite, scaled)):
-        raise NumericError(f"scores scaled by temperature {tau} are not finite")
-    m = max(scaled)
-    terms = [exp(v - m) for v in scaled]
-    z = fsum(terms)
-    grad_pos = (terms[0] / z - 1.0) / t
-    grad_neg = [w / z / t for w in terms[1:]]
+    negatives = tuple(negatives)
+    loss = contrastive_entropy_single(positive, negatives, tau)
+    t = tau or 1.0
+    grad_pos = expm1(-loss) / t
+    grad_neg = [exp(n / t - positive / t - loss) / t for n in negatives]
     if not (isfinite(grad_pos) and all(map(isfinite, grad_neg))):
         raise NumericError(f"contrastive gradient at temperature {tau} is not finite")
     return grad_pos, grad_neg

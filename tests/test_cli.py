@@ -120,6 +120,17 @@ class TestEvalCe:
         assert "temperature must be positive and finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tau", ["0", "-1", "inf"])
+    def test_bad_tau_is_checked_before_the_first_line(self, tmp_path, capsys, tau):
+        # An empty file has no records, but the temperature is the first fault.
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b"")
+        code, out, err = run(["eval-ce", str(path), "--tau", tau,
+                              "--output-dir", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert "temperature must be positive and finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", [
         '{"query_id": "q", "positives": [1' + "0" * 400 + '], "negatives": [0]}',
         "[" * 100_000,

@@ -140,6 +140,8 @@ class TestFilter:
     def test_missing_dataset(self, bert_ms_table):
         with pytest.raises(DataError, match="not present"):
             filter_by(bert_ms_table, dataset="nope")
+        with pytest.raises(DataError, match="dataset tag is required"):
+            filter_by(bert_ms_table, model_name="BERT-L8-H512-A8")
 
     def test_no_model_constraint_is_identity(self, bert_ms_table):
         sub = filter_by(bert_ms_table, dataset="msmarco")

@@ -217,6 +217,10 @@ class TestMatrixValidation:
     def test_projection_shape(self):
         with pytest.raises(DataError, match="bias"):
             Projection(np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(DataError, match="weight must be 2-d, got ndim=1"):
+            Projection(np.zeros(3), np.zeros(3))
+        with pytest.raises(DataError, match="projection entries must be finite"):
+            Projection(np.eye(2), np.array([0.0, np.inf]))
 
     def test_array_records_compare_by_identity(self):
         # == and hash never raise on the array fields; scalar records keep
@@ -327,6 +331,9 @@ class TestMatrixFiles:
         path = tmp_path / "vecs.txt"
         path.write_text("a 1.0 2.0\nb x 4.0\n")
         with pytest.raises(DataError, match=":2"):
+            load_matrix(str(path))
+        path.write_text("a 1.0 2.0\n\nb\n")
+        with pytest.raises(DataError, match=":3: expected `id v1 ... vd`"):
             load_matrix(str(path))
 
     def test_empty_file(self, tmp_path):

@@ -14,7 +14,8 @@ from embedscale import (DIM_LAW, JOINT_LAW, DataError, LawFit,
                         least_squares, parse_observations, predict,
                         r_squared)
 from embedscale.fit import (DECREMENT_TOLERANCE, EXPONENT_RANGE, FD_STEP,
-                            GRID_POINTS, MAX_ITERS, _descend, _prepare, _profile)
+                            GRID_POINTS, MAX_ITERS, _descend, _prepare, _profile,
+                            _terms)
 from embedscale.law import total_variance
 
 DATA = Path(__file__).parent / "data"
@@ -497,6 +498,18 @@ class TestEngine:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             least_squares(DIM_LAW, [32, 64], [0.5, 0.4, 0.3])
+
+    def test_no_finite_start_is_data_error(self, monkeypatch):
+        # A rising series has no positive coefficient at any exponent, so
+        # the one start's cell is infeasible and its descent ends at once.
+        use_starts(monkeypatch, ([0.0],))
+        with pytest.raises(DataError, match="no multistart run produced a finite cost"):
+            least_squares(DIM_LAW, DIMS, [0.1 * i for i in range(len(DIMS))])
+
+    def test_power_past_the_doubles_is_inf(self):
+        # 1e-300 ** -4 overflows, so the column is taken in log space.
+        assert _terms(4.0, [1e-300, 4.0]) == [math.inf,
+                                                pytest.approx(4.0 ** -4, rel=1e-15)]
 
     @pytest.mark.parametrize("model, x, y, message", [
         (DIM_LAW, [10 ** 400, 64, 128, 256], [0.5, 0.4, 0.3, 0.2],

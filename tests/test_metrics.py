@@ -33,6 +33,21 @@ def oracle_entropy(positive, negatives, tau=None):
         return float(-(pos.exp() / z).ln())
 
 
+def oracle_gradient(positive, negatives, tau=None):
+    """contrastive_loss_grad in 50-digit decimal arithmetic.
+
+    dL/ds+ is -(mass of the negatives)/z/t, taken without the cancellation
+    of p+ - 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(1) if tau is None else Decimal(tau)
+        pos = Decimal(positive) / t
+        terms = [(Decimal(v) / t).exp() for v in negatives]
+        z = pos.exp() + sum(terms)
+        return float(-sum(terms) / z / t), [float(w / z / t) for w in terms]
+
+
 def reference_entropy(positive, negatives, tau=None):
     """The scalar kernel the batched one replaced: one math.exp per score."""
     if tau is not None:
@@ -405,6 +420,13 @@ class TestSampleNegatives:
             assert abs(count / n_seeds - 1 / 9) < 0.01, picked
 
 
+def assert_gradient_near_oracle(pos, negs, tau):
+    g_pos, g_negs = contrastive_loss_grad(pos, negs, tau)
+    want_pos, want_negs = oracle_gradient(pos, negs, tau)
+    assert g_pos == pytest.approx(want_pos, rel=1e-12, abs=0)
+    assert g_negs == pytest.approx(want_negs, rel=1e-12, abs=0)
+
+
 class TestLosses:
     def test_margin_mse_zero_residual(self):
         teacher = TeacherMargin(5.0, 3.0)
@@ -423,6 +445,8 @@ class TestLosses:
     def test_margin_mse_non_finite_rejected(self):
         with pytest.raises(DataError):
             margin_mse(float("nan"), 0.0, TeacherMargin(1.0, 0.0))
+        with pytest.raises(DataError, match="student scores must be finite"):
+            margin_mse_grad(0.0, float("inf"), TeacherMargin(1.0, 0.0))
         with pytest.raises(DataError):
             TeacherMargin(float("inf"), 0.0)
 
@@ -458,6 +482,24 @@ class TestLosses:
                                               tau, named):
         with pytest.raises(DataError, match=named):
             loss(positive, negatives, tau)
+
+    @pytest.mark.parametrize("pos, negs, tau", [
+        (50.0, [0.0], None),            # p+ - 1 = -2e-22 rounds to 0 in a softmax
+        (40.0, [0.0, 1.0], None),
+        (1.0, [0.0, 0.5], None),
+        (0.0, [1000.0, 1000.0], None),
+        (0.9, [0.1, 0.3], 0.02),        # cosine scores at a contrastive temperature
+    ])
+    def test_contrastive_grad_matches_decimal_oracle(self, pos, negs, tau):
+        assert_gradient_near_oracle(pos, negs, tau)
+
+    @given(scaled=st.lists(st.floats(min_value=-100, max_value=100),
+                           min_size=2, max_size=20),
+           tau=st.none() | st.floats(min_value=0.01, max_value=2.0))
+    def test_contrastive_grad_matches_decimal_oracle_property(self, scaled, tau):
+        # Raw scores s * tau, so the scaled scores stay within about 100.
+        pos, *negs = (v * tau for v in scaled) if tau else scaled
+        assert_gradient_near_oracle(pos, negs, tau)
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(5)
@@ -511,6 +553,13 @@ class TestRankingMetrics:
     def test_rr_k_validation(self):
         with pytest.raises(DataError):
             rr_at_k(["a"], {"a"}, 0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(DataError, match=f"k must be >= 1, got {k}"):
+            recall_at_k(["a"], {"a"}, k)
+        with pytest.raises(DataError, match=f"k must be >= 1, got {k}"):
+            sample_negatives(["a", "b"], set(), k, seed=0)
 
     def test_recall_all_found(self):
         assert recall_at_k(["a", "b", "c"], {"a", "b"}, 3) == 1.0
@@ -569,6 +618,13 @@ class TestScoreRecordParsing:
         with pytest.raises(DataError, match="line 1"):
             parse_score_records(
                 '{"query_id": "a", "positives": [], "negatives": [0.1]}\n')
+
+    @pytest.mark.parametrize("qid, message", [
+        ('""', "query_id must be nonempty"), ("7", "query_id must be a string")])
+    def test_query_id_checked(self, qid, message):
+        with pytest.raises(DataError, match=f"line 1: {message}"):
+            parse_score_records(
+                f'{{"query_id": {qid}, "positives": [1], "negatives": [0.1]}}\n')
 
     def test_bool_scores_rejected(self):
         with pytest.raises(DataError, match="line 1: negatives must be a list"):

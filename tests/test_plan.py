@@ -265,6 +265,9 @@ class TestBudgetCurve:
 
     def test_input_guards(self):
         b = BudgetSpec(total_flops=1e9, query_tokens=32, corpus_size=100)
+        with pytest.raises(DataError, match="requires a joint-law fit"):
+            budget_curve(LawFit(DIM_LAW, (100.0, 1.5, 0.1), r2=0.9,
+                                residual_norm=0.1, n_points=7), b, [32])
         with pytest.raises(DataError, match="nonempty"):
             budget_curve(FIT, b, [])
         with pytest.raises(DataError, match=">= 1"):
