@@ -22,10 +22,9 @@ _LAZY = {
              "flops_score", "optimal_allocation", "round_dim", "round_params"),
     "metrics": ("EvalConfig", "QueryScoreRecord", "TeacherMargin",
                 "contrastive_entropy_dataset", "contrastive_entropy_query",
-                "contrastive_entropy_records", "contrastive_entropy_single",
-                "contrastive_loss_grad", "iter_score_records", "margin_mse",
-                "margin_mse_grad", "parse_score_records", "recall_at_k",
-                "rr_at_k", "sample_negatives"),
+                "contrastive_entropy_single", "contrastive_loss_grad",
+                "iter_score_records", "margin_mse", "margin_mse_grad",
+                "recall_at_k", "rr_at_k", "sample_negatives"),
     "embed": ("EmbeddingMatrix", "Projection", "l2_normalize", "load_matrix",
               "project", "save_matrix", "score_pairs"),
 }

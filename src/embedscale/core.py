@@ -9,7 +9,7 @@ fitter's business, not the table's.
 from __future__ import annotations
 
 import io
-from math import isfinite
+from math import inf, isfinite
 from sys import float_info
 
 CSV_HEADER = ("model_name", "n_params", "embed_dim", "dataset", "entropy")
@@ -282,7 +282,7 @@ def expand_sweep(base_hidden: int, multipliers) -> list[int]:
 
     Raises:
         DataError: base_hidden < 1, no multipliers, a multiplier that is
-            not positive, or a phi * base_hidden below 1.
+            not positive, or a phi * base_hidden below 1 or not below inf.
     """
     if base_hidden < 1:
         raise DataError(f"base_hidden must be >= 1, got {base_hidden}")
@@ -299,5 +299,8 @@ def expand_sweep(base_hidden: int, multipliers) -> list[int]:
                 f"multiplier {phi} of hidden size {base_hidden} "
                 f"gives dimension {value} < 1"
             )
+        if not value < inf:
+            raise DataError(f"multiplier {phi} of hidden size {base_hidden} "
+                            "gives a dimension past the largest double")
         dims.add(round(value))
     return sorted(dims)

@@ -73,22 +73,17 @@ def _terms(e: float, xs) -> list[float]:
         return [_exp(-e * log(x)) for x in xs]
 
 
-def _prepare(model: PowerLaw, x: Sequence) -> list[list[float]]:
-    """The caller's inputs (scalars for K = 1, K-tuples otherwise) as K columns."""
-    def inputs(entry):
-        try:
-            return tuple(map(float, entry))
-        except TypeError:       # a scalar input of a one-input law
-            return (float(entry),)
-
+def _prepare(model: PowerLaw, cols: Sequence, y) -> list[list[float]]:
+    """The K input columns, dimension first, as floats, each as long as y."""
+    if len(cols) != model.n_terms:
+        raise DataError(f"{model.name} law takes {model.n_terms} input column(s)")
+    if any(len(col) != len(y) for col in cols):
+        raise DataError(f"each input column needs {len(y)} entries, one per target")
     try:
-        rows = [inputs(entry) for entry in x]
+        cols = [[float(v) for v in col] for col in cols]
     except OverflowError:
         raise DataError(f"{model.name} law inputs must not exceed the largest "
                         "double") from None
-    if any(len(row) != model.n_terms for row in rows):
-        raise DataError(f"{model.name} law takes {model.n_terms} input(s) per target")
-    cols = [list(col) for col in zip(*rows)]
     if not (all(v >= 1 for v in cols[0])
             and all(v > 0 for col in cols[1:] for v in col)):
         raise DataError(f"{model.name} law inputs need dimension >= 1 "
@@ -273,7 +268,7 @@ def _descend(model: PowerLaw, cols, y, s0):
     return cell[0], cost, MAX_ITERS, _MAX_ITERS
 
 
-def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
+def least_squares(model: PowerLaw, cols: Sequence, y: Sequence[float]):
     """Fit model parameters by variable projection and a Newton polish.
 
     Minimizes sum((model(x_i; theta) - y_i)^2) in raw target space. One
@@ -282,7 +277,7 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
 
     Args:
         model: a PowerLaw, one of LAWS.
-        x: model inputs, one entry per target.
+        cols: the K input columns, dimension first, one entry per target.
         y: observed targets.
 
     Returns:
@@ -291,13 +286,12 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
         sqrt(sum r^2) of its residuals, and the winner's ConvergenceReport.
 
     Raises:
-        DataError: length mismatch, under-determined system, or every
-            start failing to produce a finite cost.
+        DataError: a column count or length that does not match, an input
+            out of range, an under-determined system, or every start
+            failing to produce a finite cost.
         NumericError: no profile cell has all coefficients positive.
     """
     y = [float(v) for v in y]
-    if len(x) != len(y):
-        raise DataError(f"{len(x)} inputs vs {len(y)} targets")
     if not all(map(isfinite, y)):
         raise DataError("targets must be finite")
     n_params = len(model.param_names)
@@ -306,7 +300,7 @@ def least_squares(model: PowerLaw, x: Sequence, y: Sequence[float]):
             f"under-determined: {len(y)} points for {n_params} parameters "
             f"(need at least {n_params + 1})"
         )
-    cols = _prepare(model, x)
+    cols = _prepare(model, cols, y)
     starts = _profile(model, cols, y)
     runs = [(*_descend(model, cols, y, s0), index) for index, s0 in starts]
     # min keeps the first of equal costs, so ties go to the earliest start.
@@ -345,11 +339,12 @@ def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
     if model.n_terms > 1 and len(models) < 2:
         raise DataError(f"{model.name} law needs at least 2 distinct models; "
                         "fit the dim law to one")
-    x = [(row.embed_dim, row.n_params / MILLION)[:model.n_terms] for row in table]
+    cols = [[row.embed_dim for row in table],
+            [row.n_params / MILLION for row in table]][:model.n_terms]
     y = [row.entropy for row in table]
     # r_squared would reject a constant series only after the whole fit.
     total_variance(y)
-    params, residual_norm, report = least_squares(model, x, y)
+    params, residual_norm, report = least_squares(model, cols, y)
     # The law as predict evaluates it, on the table's raw rows.
     predictions = [_value(params, model.n_terms, (row.embed_dim, row.n_params))
                    for row in table]
@@ -361,7 +356,7 @@ def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
     return LawFit(model, params,
                   r2=r_squared(predictions, y),
                   residual_norm=residual_norm,
-                  n_points=len(x),
+                  n_points=len(y),
                   converged=report.converged,
                   start_index=report.start_index,
                   warnings=tuple(warnings))

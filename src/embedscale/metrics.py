@@ -3,9 +3,10 @@
 The entropy kernel is the negative log softmax probability of the relevant
 score among itself and a set of negative scores. One per-record kernel,
 contrastive_entropy_query, serves evaluation and training alike: every
-entropy goes through it, and contrastive_loss_grad derives from the
-entropy it returns, so the module holds one softmax, with math only. Only
-sample_negatives loads numpy, when it is called.
+entropy goes through it, it checks the temperature it is given, and
+contrastive_loss_grad derives from the entropy it returns, so the module
+holds one softmax, with math only. Only sample_negatives loads numpy,
+when it is called.
 
 Determinism notes, relied on by the reproducibility contract:
   - Sums over scores and over queries use math.fsum (exactly rounded), so
@@ -16,7 +17,6 @@ Determinism notes, relied on by the reproducibility contract:
 
 from __future__ import annotations
 
-import io
 import json
 from itertools import chain
 from math import exp, expm1, fsum, inf, isfinite, log, log1p
@@ -82,8 +82,7 @@ def contrastive_entropy_query(rec: QueryScoreRecord,
     """Entropy of one record: the mean, over its positives, of the entropy
     of that positive against all of the record's negatives.
 
-    tau is taken as checked, None or in (0, inf), as callers check it once
-    before the first record. The negatives are divided by tau (when given),
+    tau is checked first. The negatives are divided by tau (when given),
     shifted by their maximum and exponentiated once; each positive then
     costs one exp and one log. A positive at or below the top negative
     scores (top - positive) + log(z), z being the sum of every term; one
@@ -91,13 +90,14 @@ def contrastive_entropy_query(rec: QueryScoreRecord,
     entropies keep their relative precision. Sums use math.fsum.
 
     Raises:
-        DataError: a record without negatives.
+        DataError: tau not in (0, inf), or a record without negatives.
         NumericError: a scaled score or the entropy is not finite.
     """
+    _check_temperature(tau)
     negatives = rec.negatives
     if not negatives:
         raise DataError(f"query {rec.query_id!r}: negatives must be nonempty")
-    t = tau or 1.0
+    t = 1.0 if tau is None else tau
     # Division by t > 0 is monotone: these are the scaled extremes.
     top = max(negatives) / t
     bottom = min(negatives) / t
@@ -112,22 +112,6 @@ def contrastive_entropy_query(rec: QueryScoreRecord,
     rows = [(top - s) + log(fsum((exp(s - top), z, rest))) if s <= top
             else log1p(exp(top - s) * z) for s in positives]
     return mean_entropy(rows)
-
-
-def contrastive_entropy_records(records: Iterable[QueryScoreRecord],
-                                tau: Optional[float] = None) -> list[float]:
-    """contrastive_entropy_query of each record, in record order.
-
-    records may be any iterable, a generator included: it is read once,
-    one record at a time, and no record is kept once it is scored. tau is
-    checked before the first record is read.
-
-    Raises:
-        DataError: a record without negatives, or tau not in (0, inf).
-        NumericError: a scaled score or an entropy is not finite.
-    """
-    _check_temperature(tau)
-    return [contrastive_entropy_query(rec, tau) for rec in records]
 
 
 def mean_entropy(values: Sequence[float]) -> float:
@@ -169,21 +153,23 @@ def contrastive_entropy_single(positive: float, negatives: Sequence[float],
         NumericError: the scaled scores or the entropy are not finite.
     """
     rec = QueryScoreRecord("single", (positive,), tuple(negatives))
-    _check_temperature(tau)
     return contrastive_entropy_query(rec, tau)
 
 
-def contrastive_entropy_dataset(records: Sequence[QueryScoreRecord],
+def contrastive_entropy_dataset(records: Iterable[QueryScoreRecord],
                                 cfg: EvalConfig) -> float:
     """Unweighted mean of per-query entropies, accumulated with math.fsum.
 
+    records may be any iterable, a generator included; it is read once.
+
     Raises:
-        DataError: empty record list.
+        DataError: no records, or a record without negatives.
         NumericError: an entropy, or the sum of the entropies, is not finite.
     """
-    if not records:
+    entropies = [contrastive_entropy_query(rec, cfg.temperature) for rec in records]
+    if not entropies:
         raise DataError("no query records")
-    return mean_entropy(contrastive_entropy_records(records, cfg.temperature))
+    return mean_entropy(entropies)
 
 
 def sample_negatives(corpus_ids: Sequence[str], positive_ids: set,
@@ -353,12 +339,3 @@ def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
         yield rec
-
-
-def parse_score_records(text: str) -> list[QueryScoreRecord]:
-    """Every record of QueryScoreRecord JSONL text, as iter_score_records reads it.
-
-    A line ends only at \\n, \\r\\n or \\r, as in a file read by eval-ce, so a
-    U+2028 or U+0085 inside a JSON string stays part of its line.
-    """
-    return list(iter_score_records(io.StringIO(text, newline=None)))

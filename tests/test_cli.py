@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
-                        fit_from_report, parse_score_records, predict)
+                        fit_from_report, iter_score_records, predict)
 from embedscale.cli import _manifest, _write_files, main
 
 
@@ -83,8 +83,9 @@ class TestEvalCe:
         code, out, _ = run(["eval-ce", str(fixture),
                             "--output-dir", str(tmp_path)], capsys)
         assert code == 0
-        records = parse_score_records(fixture.read_text())
-        expected = contrastive_entropy_dataset(records, EvalConfig())
+        with fixture.open() as fh:
+            expected = contrastive_entropy_dataset(iter_score_records(fh),
+                                                   EvalConfig())
         assert float(out) == expected
 
     def test_missing_file(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -169,6 +171,12 @@ class TestSweep:
     def test_below_one_rejected(self):
         with pytest.raises(DataError, match="< 1"):
             expand_sweep(4, (Fraction(1, 8),))
+
+    @pytest.mark.parametrize("phi", [math.inf, 1e308])
+    def test_product_past_the_doubles_rejected(self, phi):
+        message = f"multiplier {phi} of hidden size 512 gives a dimension past"
+        with pytest.raises(DataError, match=re.escape(message)):
+            expand_sweep(512, [phi])
 
     def test_duplicates_collapse(self):
         assert expand_sweep(100, (1, Fraction(2, 2))) == [100]

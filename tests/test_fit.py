@@ -239,8 +239,9 @@ def fixture_laws(name):
 
 def law_inputs(model, table):
     """Prepared input columns and targets of a table for a law."""
-    x = [(row.embed_dim, row.n_params / 1e6)[:model.n_terms] for row in table]
-    return _prepare(model, x), [row.entropy for row in table]
+    cols = [[row.embed_dim for row in table], [row.n_params / 1e6 for row in table]]
+    y = [row.entropy for row in table]
+    return _prepare(model, cols[:model.n_terms], y), y
 
 
 def dim_table(a, alpha, delta, dims=DIMS, noise=None):
@@ -490,21 +491,21 @@ class TestEngine:
         x = [row.embed_dim for row in table]
         y = [row.entropy for row in table]
         use_starts(monkeypatch, ([math.log(1.0)],))
-        params, residual_norm, report = least_squares(DIM_LAW, x, y)
+        params, residual_norm, report = least_squares(DIM_LAW, [x], y)
         assert report.n_starts == 1
         assert params[0] == pytest.approx(100.0, rel=1e-5)
         assert residual_norm < 1e-7
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            least_squares(DIM_LAW, [32, 64], [0.5, 0.4, 0.3])
+        with pytest.raises(DataError, match="needs 4 entries, one per target"):
+            least_squares(DIM_LAW, [[32, 64, 128]], [0.5, 0.4, 0.3, 0.2])
 
     def test_no_finite_start_is_data_error(self, monkeypatch):
         # A rising series has no positive coefficient at any exponent, so
         # the one start's cell is infeasible and its descent ends at once.
         use_starts(monkeypatch, ([0.0],))
         with pytest.raises(DataError, match="no multistart run produced a finite cost"):
-            least_squares(DIM_LAW, DIMS, [0.1 * i for i in range(len(DIMS))])
+            least_squares(DIM_LAW, [DIMS], [0.1 * i for i in range(len(DIMS))])
 
     def test_power_past_the_doubles_is_inf(self):
         # 1e-300 ** -4 overflows, so the column is taken in log space.
@@ -512,14 +513,14 @@ class TestEngine:
                                                 pytest.approx(4.0 ** -4, rel=1e-15)]
 
     @pytest.mark.parametrize("model, x, y, message", [
-        (DIM_LAW, [10 ** 400, 64, 128, 256], [0.5, 0.4, 0.3, 0.2],
+        (DIM_LAW, [[10 ** 400, 64, 128, 256]], [0.5, 0.4, 0.3, 0.2],
          "must not exceed the largest double"),
-        (JOINT_LAW, [32, 64, 128, 256, 512, 1024], [0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
-         "takes 2 input\\(s\\) per target"),
-        (DIM_LAW, [0.5, 64, 128, 256], [0.5, 0.4, 0.3, 0.2], "need dimension >= 1"),
-        (JOINT_LAW, [(32, 0.0)] + [(d, 1.0) for d in (64, 128, 256, 512, 1024)],
+        (JOINT_LAW, [[32, 64, 128, 256, 512, 1024]], [0.6, 0.5, 0.4, 0.3, 0.2, 0.1],
+         "takes 2 input column\\(s\\)"),
+        (DIM_LAW, [[0.5, 64, 128, 256]], [0.5, 0.4, 0.3, 0.2], "need dimension >= 1"),
+        (JOINT_LAW, [[32, 64, 128, 256, 512, 1024], [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]],
          [0.6, 0.5, 0.4, 0.3, 0.2, 0.1], "need dimension >= 1"),
-        (DIM_LAW, [32, 64, 128, 256], [0.5, math.nan, 0.3, 0.2],
+        (DIM_LAW, [[32, 64, 128, 256]], [0.5, math.nan, 0.3, 0.2],
          "targets must be finite"),
     ], ids=["input-past-the-doubles", "joint-law-given-scalars", "dimension-below-1",
             "size-zero", "nan-target"])
@@ -681,7 +682,7 @@ class TestPolish:
              0.5235808149739991, 0.5214444832803642, 0.5197608211560496,
              0.5363814434325959, 0.5282583192036966]
         fit = fit_law(series_table(WIDE_DIMS, y), DIM_LAW)
-        report = least_squares(DIM_LAW, WIDE_DIMS, y)[2]
+        report = least_squares(DIM_LAW, [WIDE_DIMS], y)[2]
         assert report.stop_reason == "decrement below tolerance"
         assert report.iterations <= 10
         cols = [list(map(float, WIDE_DIMS))]
@@ -726,7 +727,7 @@ class TestBatchedEngine:
             old = min(range(len(serial)), key=lambda s: serial[s][1])
             old_params = params_at(serial[old][0])
             use_starts(monkeypatch, grid)
-            params, norm, report = least_squares(model, list(zip(*cols)), y)
+            params, norm, report = least_squares(model, cols, y)
             assert report.n_starts == len(grid)
             winner = runs[report.start_index]
             assert (report.iterations, report.stop_reason) == winner[2:]
@@ -752,7 +753,7 @@ class TestBatchedEngine:
         assert runs[1][2] == 1 and math.isfinite(runs[1][1])
         assert runs[0][3] in CONVERGED and runs[2][3] in CONVERGED
         use_starts(monkeypatch, grid)
-        _, norm, report = least_squares(DIM_LAW, dims, y)
+        _, norm, report = least_squares(DIM_LAW, [dims], y)
         best = min(range(3), key=lambda s: runs[s][1])
         assert report.start_index == best and report.n_starts == 3
         assert norm == math.sqrt(runs[best][1])
@@ -772,7 +773,7 @@ class TestBatchedEngine:
         runs = [_descend(DIM_LAW, cols, y, s0) for s0 in grid]
         assert runs[0][3] == "non-finite start" and runs[0][1] == math.inf
         assert runs[2][1] == runs[4][1] < runs[1][1]
-        _, norm, report = least_squares(DIM_LAW, cols[0], y)
+        _, norm, report = least_squares(DIM_LAW, cols, y)
         assert report.start_index == 2
         assert norm == math.sqrt(runs[2][1])
 
@@ -789,7 +790,7 @@ class TestBatchedEngine:
         capped = _descend(DIM_LAW, cols, y, far)
         assert capped[2:] == (cap, "max_iters reached")
         assert _descend(DIM_LAW, cols, y, near) == free_near
-        _, _, report = least_squares(DIM_LAW, cols[0], y)
+        _, _, report = least_squares(DIM_LAW, cols, y)
         assert report.start_index == 1
         assert report.iterations == free_near[2] and report.converged
 
@@ -808,7 +809,7 @@ class TestPinnedFits:
             if fit_sse >= pinned["sse"] * (1 - 1e-12):
                 assert fit.params == pytest.approx(pinned["params"], rel=1e-6), label
             cols, y = law_inputs(model, table)
-            assert least_squares(model, list(zip(*cols)), y)[2].n_starts == 1
+            assert least_squares(model, cols, y)[2].n_starts == 1
 
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_no_polish_of_every_parameter_gains(self, fixture):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from decimal import Decimal, localcontext
@@ -11,10 +12,14 @@ from hypothesis import strategies as st
 
 from embedscale import (DataError, EvalConfig, NumericError, QueryScoreRecord,
                         TeacherMargin, contrastive_entropy_dataset,
-                        contrastive_entropy_records, contrastive_entropy_single,
+                        contrastive_entropy_query, contrastive_entropy_single,
                         contrastive_loss_grad, iter_score_records, margin_mse,
-                        margin_mse_grad, parse_score_records, recall_at_k,
-                        rr_at_k, sample_negatives)
+                        margin_mse_grad, recall_at_k, rr_at_k, sample_negatives)
+
+
+def read_records(text):
+    """Every record of JSONL text, its lines split as in a file eval-ce reads."""
+    return list(iter_score_records(io.StringIO(text, newline=None)))
 
 # ---------------------------------------------------------------------------
 # oracle: the same entropy evaluated in 50-digit decimal arithmetic
@@ -140,7 +145,7 @@ class TestEntropySingle:
         negs = rng.normal(0.0, 1.0, 32).tolist()
         rec = QueryScoreRecord("q8000", (max(negs) + 22.0, max(negs) + 21.0),
                                tuple(negs))
-        [value] = contrastive_entropy_records([rec])
+        value = contrastive_entropy_query(rec)
         expected = math.fsum(oracle_entropy(p, negs) for p in rec.positives) / 2
         assert value < 1e-8
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
@@ -165,13 +170,14 @@ class TestEntropySingle:
         with pytest.raises(DataError, match="temperature"):
             contrastive_entropy_single(1.0, [0.0], tau=0.0)
 
-    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -0.5])
     def test_non_finite_tau_rejected(self, tau):
-        with pytest.raises(DataError, match="temperature"):
+        # The kernel checks tau itself: 0 must not read as "no temperature".
+        message = f"temperature must be positive and finite, got {tau}"
+        with pytest.raises(DataError, match=message):
             contrastive_entropy_single(0.5, [0.1], tau=tau)
-        with pytest.raises(DataError, match="temperature"):
-            contrastive_entropy_records([QueryScoreRecord("q", (0.5,), (0.1,))],
-                                        tau)
+        with pytest.raises(DataError, match=message):
+            contrastive_entropy_query(QueryScoreRecord("a", (0.9,), (0.1, 0.3)), tau)
 
     @given(pos=finite_scores,
            negs=st.lists(finite_scores, min_size=1, max_size=40))
@@ -216,24 +222,21 @@ class TestEntropySingle:
             assert contrastive_entropy_single(pos, negs + [0.0]) > base
 
 
-def query_entropy(rec, tau=None):
-    return contrastive_entropy_records([rec], tau)[0]
-
-
 class TestEntropyAggregation:
     def test_one_positive_reduces_to_single(self):
         rec = QueryScoreRecord("q", (1.2,), (0.3, -0.1))
-        assert query_entropy(rec) == contrastive_entropy_single(1.2, [0.3, -0.1])
+        assert (contrastive_entropy_query(rec)
+                == contrastive_entropy_single(1.2, [0.3, -0.1]))
 
     def test_identical_positives_change_nothing(self):
-        one = query_entropy(QueryScoreRecord("q", (1.0,), (0.0,)))
-        two = query_entropy(QueryScoreRecord("q", (1.0, 1.0), (0.0,)))
+        one = contrastive_entropy_query(QueryScoreRecord("q", (1.0,), (0.0,)))
+        two = contrastive_entropy_query(QueryScoreRecord("q", (1.0, 1.0), (0.0,)))
         assert one == two
 
     def test_two_positive_hand_case(self):
         # mean of -log sigmoid(1) and -log sigmoid(0)
         rec = QueryScoreRecord("q", (1.0, 0.0), (0.0,))
-        value = query_entropy(rec)
+        value = contrastive_entropy_query(rec)
         expected = (math.log(1 + math.exp(-1)) + math.log(2)) / 2
         assert value == pytest.approx(expected, rel=1e-14)
         assert value == pytest.approx((0.313262 + 0.693147) / 2, abs=1e-6)
@@ -241,19 +244,18 @@ class TestEntropyAggregation:
     def test_dataset_single_record_identity(self):
         rec = QueryScoreRecord("q", (1.0,), (0.0, 0.5))
         assert contrastive_entropy_dataset([rec], EvalConfig(temperature=0.02)) == \
-            query_entropy(rec, 0.02)
+            contrastive_entropy_query(rec, 0.02)
 
     def test_dataset_two_records_average(self):
         r1 = QueryScoreRecord("a", (1.0,), (0.0,))
         r2 = QueryScoreRecord("b", (0.5,), (0.25, 0.75))
-        a = query_entropy(r1)
-        b = query_entropy(r2)
+        a = contrastive_entropy_query(r1)
+        b = contrastive_entropy_query(r2)
         assert contrastive_entropy_dataset([r1, r2], EvalConfig()) == \
             pytest.approx((a + b) / 2, rel=1e-15)
 
     def test_dataset_fixture_brute_force(self, data_dir):
-        records = parse_score_records(
-            (data_dir / "scores_small.jsonl").read_text())
+        records = read_records((data_dir / "scores_small.jsonl").read_text())
         assert [r.query_id for r in records] == ["q1", "q2", "q3"]
         cfg = EvalConfig()
         per_query = []
@@ -265,8 +267,9 @@ class TestEntropyAggregation:
             pytest.approx(expected, rel=1e-12)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(DataError, match="no query records"):
-            contrastive_entropy_dataset([], EvalConfig())
+        for records in ([], iter([])):
+            with pytest.raises(DataError, match="no query records"):
+                contrastive_entropy_dataset(records, EvalConfig())
 
 
 score_rows = st.lists(
@@ -296,18 +299,16 @@ class TestEntropyRecords:
     def test_matches_scalar_reference(self, rows, tau):
         records = [QueryScoreRecord(f"q{i}", tuple(p), tuple(n))
                    for i, (p, n) in enumerate(rows)]
-        values = contrastive_entropy_records(records, tau)
-        assert len(values) == len(records)
-        for rec, value in zip(records, values):
-            assert value == pytest.approx(reference_query_entropy(rec, tau),
-                                          rel=1e-12, abs=5e-14)
+        for rec in records:
+            assert contrastive_entropy_query(rec, tau) == pytest.approx(
+                reference_query_entropy(rec, tau), rel=1e-12, abs=5e-14)
 
     @given(records=straddling_records(st.integers(-30, 30), st.integers(1, 30))
            | straddling_records(finite_scores, st.floats(1e-3, 30)),
            tau=st.none() | st.floats(min_value=0.01, max_value=10))
     @settings(max_examples=400)
     def test_bit_identical_to_the_map_chain_kernel(self, records, tau):
-        assert (contrastive_entropy_records(records, tau)
+        assert ([contrastive_entropy_query(rec, tau) for rec in records]
                 == reference_map_chain_entropies(records, tau))
 
     def test_one_call_equals_record_by_record(self):
@@ -318,10 +319,10 @@ class TestEntropyRecords:
                                     tuple(rng.normal(0.5, 0.1, p).tolist()),
                                     tuple(rng.normal(0.3, 0.1, n).tolist()))
                    for i, (p, n) in enumerate(shapes)]
-        one_call = contrastive_entropy_records(records, 0.05)
-        one_by_one = [contrastive_entropy_records([r], 0.05)[0]
-                      for r in records]
-        assert one_call == one_by_one
+        one_call = contrastive_entropy_dataset(iter(records),
+                                               EvalConfig(temperature=0.05))
+        one_by_one = [contrastive_entropy_query(r, 0.05) for r in records]
+        assert one_call == math.fsum(one_by_one) / len(one_by_one)
 
     @pytest.mark.parametrize("tau, expected", [
         (None, [0.6802696706417346, 0.5032044340390841, 1.6203493302856142]),
@@ -330,15 +331,14 @@ class TestEntropyRecords:
     def test_fixture_entropies_pinned(self, data_dir, tau, expected):
         # q1's positive lies above its top negative; q2 and q3 have one at
         # or below it, the branch that reads the terms' remainder.
-        records = parse_score_records(
-            (data_dir / "scores_small.jsonl").read_text())
-        assert contrastive_entropy_records(records, tau) == expected
+        records = read_records((data_dir / "scores_small.jsonl").read_text())
+        assert [contrastive_entropy_query(rec, tau) for rec in records] == expected
 
     @pytest.mark.parametrize("tau, expected", [
         (None, 0.8172487426836311), (0.1, 0.029381877735699637)])
     def test_all_positives_above_top_pinned(self, tau, expected):
         rec = QueryScoreRecord("q", (1.0, 2.5, 0.75), (0.5, -0.25, 0.125, 0.0))
-        assert contrastive_entropy_records([rec], tau) == [expected]
+        assert contrastive_entropy_query(rec, tau) == expected
 
     def test_positives_on_both_sides_of_top_pinned(self):
         # The terms' fsum leaves a remainder; dropping it would move the
@@ -346,20 +346,17 @@ class TestEntropyRecords:
         # the mean.
         rec = QueryScoreRecord("q", (0.109, -0.123),
                                (-0.567, -0.156, -0.942, -0.557, -0.124, -0.008))
-        assert contrastive_entropy_records([rec]) == [1.667019647618632]
-
-    def test_empty_input_gives_empty_output(self):
-        assert contrastive_entropy_records([]) == []
+        assert contrastive_entropy_query(rec) == 1.667019647618632
 
     def test_record_without_negatives_rejected(self):
         rec = QueryScoreRecord("q", (1.0,), ())
         with pytest.raises(DataError, match="nonempty"):
-            contrastive_entropy_records([rec])
+            contrastive_entropy_query(rec)
 
     def test_bad_tau_rejected(self):
         rec = QueryScoreRecord("q", (1.0,), (0.0,))
         with pytest.raises(DataError, match="temperature"):
-            contrastive_entropy_records([rec], 0.0)
+            contrastive_entropy_query(rec, 0.0)
 
     @pytest.mark.parametrize("scores, tau", [
         (((0.5,), (0.1,)), 1e-310),       # scaled scores overflow
@@ -369,7 +366,7 @@ class TestEntropyRecords:
     def test_non_finite_result_is_numeric_error(self, scores, tau):
         rec = QueryScoreRecord("q", *scores)
         with pytest.raises(NumericError, match="not finite"):
-            contrastive_entropy_records([rec], tau)
+            contrastive_entropy_query(rec, tau)
 
 
 class TestSampleNegatives:
@@ -594,67 +591,67 @@ RECORD_B = ("b", (0.5,), (0.75,))
 
 class TestScoreRecordParsing:
     def test_fixture_parses(self, data_dir):
-        records = parse_score_records(
+        records = read_records(
             (data_dir / "scores_small.jsonl").read_text())
         assert len(records) == 3
         assert records[1].positives == (1.0, 0.0)
 
     def test_bad_json_line_number(self):
         with pytest.raises(DataError, match="line 2"):
-            parse_score_records(
+            read_records(
                 '{"query_id": "a", "positives": [1], "negatives": []}\n'
                 "not json\n")
 
     def test_missing_key(self):
         with pytest.raises(DataError, match="missing keys"):
-            parse_score_records('{"query_id": "a", "positives": [1]}\n')
+            read_records('{"query_id": "a", "positives": [1]}\n')
 
     def test_non_numeric_scores(self):
         with pytest.raises(DataError, match="numbers"):
-            parse_score_records(
+            read_records(
                 '{"query_id": "a", "positives": ["x"], "negatives": []}\n')
 
     def test_empty_positives(self):
         with pytest.raises(DataError, match="line 1"):
-            parse_score_records(
+            read_records(
                 '{"query_id": "a", "positives": [], "negatives": [0.1]}\n')
 
     @pytest.mark.parametrize("qid, message", [
         ('""', "query_id must be nonempty"), ("7", "query_id must be a string")])
     def test_query_id_checked(self, qid, message):
         with pytest.raises(DataError, match=f"line 1: {message}"):
-            parse_score_records(
+            read_records(
                 f'{{"query_id": {qid}, "positives": [1], "negatives": [0.1]}}\n')
 
     def test_bool_scores_rejected(self):
         with pytest.raises(DataError, match="line 1: negatives must be a list"):
-            parse_score_records(
+            read_records(
                 '{"query_id": "a", "positives": [1], "negatives": [true]}\n')
 
     def test_integer_too_large_for_double(self):
         huge = "1" + "0" * 400
         with pytest.raises(DataError, match="line 2: positives .* too large"):
-            parse_score_records(
+            read_records(
                 '{"query_id": "a", "positives": [1], "negatives": [0]}\n'
                 f'{{"query_id": "b", "positives": [{huge}], "negatives": [0]}}\n')
 
     def test_deep_nesting_is_invalid_json(self):
         with pytest.raises(DataError, match="line 1: invalid JSON"):
-            parse_score_records("[" * 100_000 + "\n")
+            read_records("[" * 100_000 + "\n")
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_line_separator_inside_a_string_is_kept(self, separator):
-        records = parse_score_records(f'{{"query_id": "a{separator}b", '
+        records = read_records(f'{{"query_id": "a{separator}b", '
                                       '"positives": [1], "negatives": [0]}\n')
         assert [r.query_id for r in records] == [f"a{separator}b"]
 
     def test_lines_end_as_in_a_text_file(self):
         rec = '{{"query_id": "{}", "positives": [1], "negatives": [0]}}'.format
-        records = parse_score_records(rec("a") + "\r\n" + rec("b") + "\r" + rec("c"))
+        records = read_records(rec("a") + "\r\n" + rec("b") + "\r" + rec("c"))
         assert [r.query_id for r in records] == ["a", "b", "c"]
         # A form feed does not end a line, so two objects share line 2.
         with pytest.raises(DataError, match="line 2: invalid JSON"):
-            parse_score_records(rec("a") + "\n" + rec("b") + "\x0c" + rec("c") + "\n")
+            read_records(rec("a") + "\n" + rec("b") + "\x0c" + rec("c") + "\n")
 
     def test_each_record_arrives_before_the_next_line_is_read(self):
         def lines():
@@ -692,10 +689,10 @@ class TestScoreRecordParsing:
         # records and messages are those json.loads gives.
         if isinstance(expected, str):
             with pytest.raises(DataError) as info:
-                parse_score_records(text)
+                read_records(text)
             assert str(info.value) == expected
         else:
-            records = parse_score_records(text)
+            records = read_records(text)
             assert [(r.query_id, r.positives, r.negatives)
                     for r in records] == expected
 
@@ -714,9 +711,9 @@ class TestScoreRecordParsing:
         def refuse(*args, **kwargs):
             raise AssertionError("json.loads called")
         monkeypatch.setattr(json, "loads", refuse)
-        small = parse_score_records((data_dir / "scores_small.jsonl").read_text())
+        small = read_records((data_dir / "scores_small.jsonl").read_text())
         assert [r.query_id for r in small] == ["q1", "q2", "q3"]
-        records = parse_score_records(path.read_text())
+        records = read_records(path.read_text())
         assert [(r.query_id, r.positives, r.negatives) for r in records] == [
             (q, tuple(map(float, p)), tuple(map(float, n))) for q, p, n in rows]
         assert {type(v) for r in records for v in r.positives + r.negatives} == {float}

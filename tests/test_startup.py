@@ -1,11 +1,14 @@
 """Every command runs without numpy: eval-ce, fit, predict, plan, sweep-dims
-and --version. Each imports only the modules it runs."""
+and --version. Each imports only the modules it runs, and the package
+imports nothing beyond the standard library and numpy."""
 
+import ast
 import contextlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +105,24 @@ def test_every_public_name_resolves_and_is_listed():
     for name in embedscale.__all__:
         assert getattr(embedscale, name) is not None
         assert name in listed
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # scipy, pytest and hypothesis are test dependencies: src/ must not
+    # import them, not even inside a function.
+    allowed = sys.stdlib_module_names | {"numpy"}
+    outside = []
+    for path in sorted(Path(embedscale.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []
 
 
 # Runs the argv in argv[1:] through main in a fresh interpreter and prints
