@@ -10,7 +10,10 @@ gets the mode open(path, "w") gives a new file, 0o666 less the umask
 (0o644 under the usual umask 0o022), also when it replaces an earlier
 run's file. Reports are encoded straight into their temp files, so no
 report's text is ever held whole in memory. Identical inputs produce
-byte-identical outputs regardless of output directory. Both laws go
+byte-identical outputs regardless of output directory, and eval-ce's,
+which it scores on every CPU (metrics.score_file), regardless of how many
+there are. Every input must be a regular file (core.read_lines checks),
+so that a manifest's hash reads the bytes the command read. Both laws go
 through the same commands: --law names one of law.LAWS, and predict and
 plan read either law's report through one reader.
 
@@ -162,14 +165,11 @@ def _fmt(value: float) -> str:
 
 
 def cmd_eval_ce(args) -> int:
-    from .metrics import (_check_temperature, contrastive_entropy_query,
-                          iter_score_records, mean_entropy)
-    # The temperature is checked before the first line is read. Each record
-    # is parsed, scored and dropped in turn; only its report row stays.
-    _check_temperature(args.tau)
-    per_query = [{"query_id": rec.query_id,
-                  "entropy": contrastive_entropy_query(rec, args.tau)}
-                 for rec in iter_score_records(read_lines(args.scores))]
+    from .metrics import mean_entropy, score_file
+    # score_file checks the temperature before the first line is read, then
+    # scores the records on every CPU; only each record's report row stays.
+    per_query = [{"query_id": qid, "entropy": entropy}
+                 for qid, entropy in score_file(args.scores, args.tau)]
     if not per_query:
         raise DataError(f"{args.scores}: no query records")
     # The formula of contrastive_entropy_dataset, without scoring again.
@@ -199,8 +199,9 @@ def _resolve_table(path: str, model: str | None, dataset: str | None):
 
 def _read_fit(path: str):
     import json
+    text = "".join(read_lines(path))
     try:
-        obj = json.loads("".join(read_lines(path)))
+        obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: not a JSON fit report: {exc}") from None
     return fit_from_report(obj)

@@ -9,7 +9,9 @@ fitter's business, not the table's.
 from __future__ import annotations
 
 import io
-from math import inf, isfinite
+import os
+from math import isfinite, log10
+from stat import S_ISREG
 from sys import float_info
 
 CSV_HEADER = ("model_name", "n_params", "embed_dim", "dataset", "entropy")
@@ -27,11 +29,17 @@ def read_lines(path: str):
     """Yield the lines of a UTF-8 text file one at a time, as open() splits them.
 
     A line ends at \\n, \\r\\n or \\r, and keeps its end, read as \\n.
+    The path must name a regular file, so that its bytes can be read again
+    (for the manifest's hash, by each of eval-ce's parts); os.stat checks
+    this before the file is opened, so a FIFO never blocks.
 
     Raises:
-        DataError: a line that is not UTF-8, named with the path and its
-            line number.
+        DataError: a path that is not a regular file (a pipe, a device, a
+            directory), or a line that is not UTF-8, named with the path
+            and its line number.
     """
+    if not S_ISREG(os.stat(path).st_mode):
+        raise DataError(f"{path}: not a regular file")
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             # Undecodable bytes arrive as lone surrogates, so an ASCII line
@@ -274,6 +282,15 @@ def filter_by(table: ObservationTable, model_name: str | None = None,
     return ObservationTable(rows)
 
 
+def _text(number) -> str:
+    """str(number), or its power of ten where str refuses a number whose
+    integers pass the interpreter's digit limit (say Fraction(10**5000))."""
+    try:
+        return str(number)
+    except ValueError:
+        return f"~1e{round(log10(number.numerator) - log10(number.denominator))}"
+
+
 def expand_sweep(base_hidden: int, multipliers) -> list[int]:
     """Sorted unique dimensions round(phi * base_hidden) for multipliers phi
     of an encoder's native hidden size; rationals expand exactly.
@@ -282,7 +299,8 @@ def expand_sweep(base_hidden: int, multipliers) -> list[int]:
 
     Raises:
         DataError: base_hidden < 1, no multipliers, a multiplier that is
-            not positive, or a phi * base_hidden below 1 or not below inf.
+            not positive, or a phi * base_hidden below 1 or past the
+            largest double, as Observation bounds embed_dim.
     """
     if base_hidden < 1:
         raise DataError(f"base_hidden must be >= 1, got {base_hidden}")
@@ -296,11 +314,11 @@ def expand_sweep(base_hidden: int, multipliers) -> list[int]:
         value = phi * base_hidden
         if value < 1:
             raise DataError(
-                f"multiplier {phi} of hidden size {base_hidden} "
-                f"gives dimension {value} < 1"
+                f"multiplier {_text(phi)} of hidden size {base_hidden} "
+                f"gives dimension {_text(value)} < 1"
             )
-        if not value < inf:
-            raise DataError(f"multiplier {phi} of hidden size {base_hidden} "
+        if value > float_info.max:
+            raise DataError(f"multiplier {_text(phi)} of hidden size {base_hidden} "
                             "gives a dimension past the largest double")
         dims.add(round(value))
     return sorted(dims)

@@ -74,16 +74,26 @@ def _terms(e: float, xs) -> list[float]:
 
 
 def _prepare(model: PowerLaw, cols: Sequence, y) -> list[list[float]]:
-    """The K input columns, dimension first, as floats, each as long as y."""
-    if len(cols) != model.n_terms:
-        raise DataError(f"{model.name} law takes {model.n_terms} input column(s)")
-    if any(len(col) != len(y) for col in cols):
-        raise DataError(f"each input column needs {len(y)} entries, one per target")
+    """The K input columns, dimension first, as floats, each as long as y.
+
+    A column is a sized sequence of real numbers. float() would also read a
+    str or bytes of digits, so those are refused before any conversion.
+    """
     try:
+        count, lengths = len(cols), [len(col) for col in cols]
+        if any(isinstance(v, (str, bytes)) for col in cols for v in col):
+            raise TypeError
         cols = [[float(v) for v in col] for col in cols]
     except OverflowError:
         raise DataError(f"{model.name} law inputs must not exceed the largest "
                         "double") from None
+    except (TypeError, ValueError):
+        raise DataError(f"{model.name} law inputs must be columns of real "
+                        "numbers") from None
+    if count != model.n_terms:
+        raise DataError(f"{model.name} law takes {model.n_terms} input column(s)")
+    if any(n != len(y) for n in lengths):
+        raise DataError(f"each input column needs {len(y)} entries, one per target")
     if not (all(v >= 1 for v in cols[0])
             and all(v > 0 for col in cols[1:] for v in col)):
         raise DataError(f"{model.name} law inputs need dimension >= 1 "
@@ -286,9 +296,10 @@ def least_squares(model: PowerLaw, cols: Sequence, y: Sequence[float]):
         sqrt(sum r^2) of its residuals, and the winner's ConvergenceReport.
 
     Raises:
-        DataError: a column count or length that does not match, an input
-            out of range, an under-determined system, or every start
-            failing to produce a finite cost.
+        DataError: a column that is not a sequence of real numbers, a
+            column count or length that does not match, an input out of
+            range, an under-determined system, or every start failing to
+            produce a finite cost.
         NumericError: no profile cell has all coefficients positive.
     """
     y = [float(v) for v in y]

@@ -8,6 +8,12 @@ contrastive_loss_grad derives from the entropy it returns, so the module
 holds one softmax, with math only. Only sample_negatives loads numpy,
 when it is called.
 
+score_file, which eval-ce runs, scores a JSONL score file on every CPU
+the process may use: each part of its lines but the first is scored in a
+child that os.fork starts, the rows come back through pipes, and they are
+merged in file order, so the result and the first fault in file order are
+the same for any number of CPUs.
+
 Determinism notes, relied on by the reproducibility contract:
   - Sums over scores and over queries use math.fsum (exactly rounded), so
     a value does not depend on the order or grouping of records.
@@ -18,11 +24,14 @@ Determinism notes, relied on by the reproducibility contract:
 from __future__ import annotations
 
 import json
+import marshal
+import os
+import sys
 from itertools import chain
 from math import exp, expm1, fsum, inf, isfinite, log, log1p
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import DataError, NumericError, record
+from .core import DataError, NumericError, read_lines, record
 
 
 @record
@@ -283,6 +292,58 @@ _FLOAT = {float}
 _decode = json.JSONDecoder().raw_decode
 
 
+def _parse_line(lineno: int, line: str) -> Optional[QueryScoreRecord]:
+    """The record on line number lineno, or None for a blank line.
+
+    Raises:
+        DataError: malformed JSON or an invalid record, reported with its
+            line number.
+    """
+    # A line holding one JSON value and at most its \n is decoded once;
+    # any other, bytes included, goes to json.loads, whose result or
+    # error it gets.
+    try:
+        obj, end = _decode(line)
+        decoded = line[end:] in ("", "\n")
+    except (ValueError, RecursionError, TypeError):
+        decoded = False
+    if not decoded:
+        if not line.strip():
+            return None
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integer literals past
+            # the interpreter's digit limit; RecursionError, deep nesting.
+            raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"line {lineno}: expected a JSON object")
+    missing = {"query_id", "positives", "negatives"} - obj.keys()
+    if missing:
+        raise DataError(f"line {lineno}: missing keys {sorted(missing)}")
+    qid = obj["query_id"]
+    if not isinstance(qid, str):
+        raise DataError(f"line {lineno}: query_id must be a string")
+    scores = {}
+    for key in ("positives", "negatives"):
+        values = obj[key]
+        # type() is exact: bool, an int subclass, is not a number here.
+        if (not isinstance(values, list)
+                or not (kinds := set(map(type, values))) <= _NUMBER):
+            raise DataError(f"line {lineno}: {key} must be a list of numbers")
+        # float() of a float returns that float, so a float list is kept.
+        try:
+            scores[key] = (tuple(values) if kinds == _FLOAT
+                           else tuple(map(float, values)))
+        except OverflowError:
+            raise DataError(f"line {lineno}: {key} holds an integer "
+                            "too large for a double") from None
+    try:
+        return QueryScoreRecord(query_id=qid, **scores)
+    except DataError as exc:
+        raise DataError(f"line {lineno}: {exc}") from None
+
+
 def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
     """Parse QueryScoreRecord JSONL one line at a time; blank lines skipped.
 
@@ -295,47 +356,134 @@ def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
             line number, when the generator reaches that line.
     """
     for lineno, line in enumerate(lines, start=1):
-        # A line holding one JSON value and at most its \n is decoded once;
-        # any other, bytes included, goes to json.loads, whose result or
-        # error it gets.
-        try:
-            obj, end = _decode(line)
-            decoded = line[end:] in ("", "\n")
-        except (ValueError, RecursionError, TypeError):
-            decoded = False
-        if not decoded:
-            if not line.strip():
-                continue
+        rec = _parse_line(lineno, line)
+        if rec is not None:
+            yield rec
+
+
+# The errors the CLI reports with a documented exit code: DataError is a
+# ValueError, and NumericError an ArithmeticError.
+_FAULTS = (NumericError, OSError, ValueError)
+
+
+def _score_part(path: str, tau: Optional[float], part: int, parts: int):
+    """(rows, fault) of the records on the lines whose number is part + 1
+    modulo parts.
+
+    rows are (line number, query id, entropy). fault is None, or the first
+    fault on those lines as (line number, part, exception), the exception
+    being one the CLI reports with an exit code (_FAULTS). Every line is
+    read, so line numbers and the UTF-8 check are those of one reader, and
+    a fault in reading (the path, or a line that is not UTF-8) is every
+    part's at the same line.
+    """
+    rows, lineno, mine = [], 0, (part + 1) % parts
+    try:
+        for lineno, line in enumerate(read_lines(path), start=1):
+            if lineno % parts == mine:
+                try:
+                    rec = _parse_line(lineno, line)
+                    if rec is not None:
+                        rows.append((lineno, rec.query_id,
+                                     contrastive_entropy_query(rec, tau)))
+                except _FAULTS as exc:
+                    return rows, (lineno, part, exc)
+    except _FAULTS as exc:          # read_lines failed on the next line
+        return rows, (lineno + 1, part, exc)
+    return rows, None
+
+
+def _child(path: str, tau: Optional[float], part: int, parts: int,
+           write_end: int, read_ends: list[int]):
+    """Score one part in a forked child, send (rows, fault) through
+    write_end as marshal writes them, and leave by os._exit: never returns.
+
+    The fault goes as (line number, whether numeric, text), its text being
+    what the CLI prints for it. Any other exception ends the child with
+    code 1.
+    """
+    code = 1
+    try:
+        for fd in read_ends:    # so a write to a vanished parent fails
+            os.close(fd)
+        rows, fault = _score_part(path, tau, part, parts)
+        if fault:
+            lineno, _, exc = fault
+            fault = (lineno, isinstance(exc, NumericError), str(exc))
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps((rows, fault)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def score_file(path: str, tau: Optional[float] = None) -> list[tuple[str, float]]:
+    """(query_id, entropy) of each record of a JSONL score file, in file
+    order, scored on every CPU this process may use.
+
+    tau is checked first. With P the size of os.sched_getaffinity(0), part
+    k holds the records on the lines whose number is k + 1 modulo P. This
+    process scores part 0; a child of os.fork scores each other part,
+    sends its rows back through an os.pipe as marshal writes them (ids and
+    entropies exactly) and leaves by os._exit. Every part reads every line
+    through core.read_lines. The rows are merged by line, so the result
+    and the first fault in file order are the same for any P. Where
+    os.fork or os.sched_getaffinity is missing, or the process runs other
+    threads, P is 1. Every child is reaped before this returns or raises.
+
+    Raises:
+        DataError, NumericError: the first fault in file order, with the
+            text one reader of the whole file gives it; or a child that
+            ended without sending its rows.
+    """
+    _check_temperature(tau)
+    # A forked child holds only the calling thread, and any lock another
+    # thread held stays taken in it: a process with threads scores alone.
+    threading = sys.modules.get("threading")
+    alone = (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+             or threading is not None and threading.active_count() > 1)
+    parts = 1 if alone else len(os.sched_getaffinity(0))
+    children, done = [], False        # (pid, read end) of parts 1 .. P - 1
+    try:
+        for part in range(1, parts):
+            read_end, write_end = os.pipe()
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # ValueError covers JSONDecodeError and integer literals past
-                # the interpreter's digit limit; RecursionError, deep nesting.
-                raise DataError(f"line {lineno}: invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise DataError(f"line {lineno}: expected a JSON object")
-        missing = {"query_id", "positives", "negatives"} - obj.keys()
-        if missing:
-            raise DataError(f"line {lineno}: missing keys {sorted(missing)}")
-        qid = obj["query_id"]
-        if not isinstance(qid, str):
-            raise DataError(f"line {lineno}: query_id must be a string")
-        scores = {}
-        for key in ("positives", "negatives"):
-            values = obj[key]
-            # type() is exact: bool, an int subclass, is not a number here.
-            if (not isinstance(values, list)
-                    or not (kinds := set(map(type, values))) <= _NUMBER):
-                raise DataError(f"line {lineno}: {key} must be a list of numbers")
-            # float() of a float returns that float, so a float list is kept.
-            try:
-                scores[key] = (tuple(values) if kinds == _FLOAT
-                               else tuple(map(float, values)))
-            except OverflowError:
-                raise DataError(f"line {lineno}: {key} holds an integer "
-                                "too large for a double") from None
-        try:
-            rec = QueryScoreRecord(query_id=qid, **scores)
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        yield rec
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child(path, tau, part, parts, write_end,
+                       [read_end, *(fd for _, fd in children)])
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [_score_part(path, tau, 0, parts)]
+        payloads = []
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+        done = True
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if not done:
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _ in children]
+    for part, (payload, code) in enumerate(zip(payloads, codes), start=1):
+        if code:
+            how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
+            raise DataError(f"{path}: the process scoring part {part + 1} of "
+                            f"{parts} ended {how} before sending its rows")
+        rows, fault = marshal.loads(payload)
+        if fault:
+            lineno, numeric, text = fault
+            fault = (lineno, part, (NumericError if numeric else DataError)(text))
+        results.append((rows, fault))
+    faults = [fault for _, fault in results if fault]
+    if faults:
+        raise min(faults)[2]
+    rows = sorted(chain.from_iterable(rows for rows, _ in results))
+    return [(qid, entropy) for _, qid, entropy in rows]

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
-                        fit_from_report, iter_score_records, predict)
+                        contrastive_entropy_query, fit_from_report,
+                        iter_score_records, predict)
 from embedscale.cli import _manifest, _write_files, main
 
 
@@ -216,6 +218,210 @@ class TestEvalCe:
         assert code == 0
         # Reading the whole file held about 3.6 times its size.
         assert peak < size / 2
+
+
+def eval_scores_shape(path, seed, queries, negatives, positives):
+    """A score file of the benchmark's eval-scores shape, from seed alone."""
+    rng = random.Random(seed)
+    write_jsonl(path, ({"query_id": f"q{i:05d}",
+                        "positives": [rng.gauss(0.55, 0.08)
+                                      for _ in range(rng.randint(*positives))],
+                        "negatives": [rng.gauss(0.3, 0.08) for _ in range(negatives)]}
+                       for i in range(queries)))
+
+
+def run_in_parts(monkeypatch, parts, argv, capsys):
+    """eval-ce's exit code, stdout, stderr and files with P forced to parts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    code, out, err = run(argv, capsys)
+    out_dir = Path(argv[argv.index("--output-dir") + 1])
+    files = ({p.name: p.read_bytes() for p in out_dir.iterdir()}
+             if out_dir.exists() else None)
+    return code, out, err, files
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestEvalCeParts:
+    """eval-ce scores part k of P on lines = k + 1 (mod P), P - 1 of them in
+    forked children; every P gives the same bytes and the same first fault."""
+
+    @pytest.mark.parametrize("source", [
+        "scores_small.jsonl", "odd-lines", "q2000-n256", "q250-n2048", "q8000-n32"])
+    def test_same_bytes_for_every_part_count(self, data_dir, tmp_path, capsys,
+                                             monkeypatch, source):
+        shapes = {"q2000-n256": (2000, 256, (1, 3)), "q250-n2048": (250, 2048, (1, 1)),
+                  "q8000-n32": (8000, 32, (1, 4))}
+        path = tmp_path / "scores.jsonl"
+        if source in shapes:
+            eval_scores_shape(path, 2201, *shapes[source])
+        elif source == "odd-lines":
+            # Blank lines, CRLF ends, and ids holding \n and a lone surrogate.
+            path.write_bytes(
+                b'\r\n{"query_id": "a\\nb", "positives": [1, 0.5], "negatives": [0]}\r\n'
+                b'\r\n  \r\n{"query_id": "\\ud800", "positives": [2], "negatives": [1, 3]}\r\n'
+                b'{"query_id": "c", "positives": [0.25], "negatives": [0.5]}\n\n')
+        else:
+            path.write_bytes((data_dir / source).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        runs = [run_in_parts(monkeypatch, parts, ["eval-ce", path.name, "--tau", "0.02",
+                                                  "--output-dir", f"out{parts}"], capsys)
+                for parts in (1, 2, 3)]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        report = json.loads(runs[0][3]["eval_ce_report.json"])
+        with path.open(encoding="utf-8", newline=None) as fh:
+            expected = [(rec.query_id, contrastive_entropy_query(rec, 0.02))
+                        for rec in iter_score_records(fh)]
+        assert [(row["query_id"], row["entropy"])
+                for row in report["per_query"]] == expected
+        assert no_child_left()
+
+    @pytest.mark.parametrize("lines, code, message", [
+        ([b'{"query_id": "a", "positives": [1], "negatives": []}',
+          b'{"query_id": "b", "positives": [1], "negatives": [0]}', b"not json"],
+         2, "query 'a': negatives must be nonempty"),
+        ([b'{"query_id": "a", "positives": [1], "negatives": [0]}',
+          b'{"query_id": "b", "positives": [1e308], "negatives": [-1e308]}',
+          b'{"query_id": "c", "positives": [1], "negatives": [0]}',
+          b'{"query_id": "d", "positives": [1]}'],
+         3, "numeric failure"),
+        ([b'{"query_id": "a", "positives": [1], "negatives": [0]}',
+          b'{"query_id": "b", "positives": [1], "negatives": [0]}\xff',
+          b'{"query_id": "c", "positives": [1], "negatives": [0]}', b"not json"],
+         2, "not UTF-8 text: line 2"),
+        ([b'{"query_id": "a", "positives": [1], "negatives": [0]}',
+          b'{"query_id": "b"}',
+          b'{"query_id": "c", "positives": [1], "negatives": [0]}\xff'],
+         2, "line 2: missing keys"),
+    ], ids=["no-negatives-then-bad-json", "numeric-then-data", "utf8-then-bad-json",
+            "bad-record-then-utf8"])
+    def test_first_fault_in_file_order_for_every_part_count(
+            self, tmp_path, capsys, monkeypatch, lines, code, message):
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        runs = [run_in_parts(monkeypatch, parts,
+                             ["eval-ce", str(path), "--tau", "0.5", "--output-dir",
+                              str(tmp_path / "out")], capsys)
+                for parts in (1, 2, 3)]
+        assert runs[0][:2] == (code, "") and runs[0][3] is None
+        assert message in runs[0][2]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert no_child_left()
+
+    def test_no_process_is_left_behind(self, data_dir, tmp_path, capsys,
+                                       monkeypatch):
+        import signal
+
+        import embedscale.metrics as metrics
+        score_part = metrics._score_part
+        path = tmp_path / "scores.jsonl"
+        eval_scores_shape(path, 5, 60, 8, (1, 2))
+
+        def argv(out):
+            return ["eval-ce", str(path), "--output-dir", str(tmp_path / out)]
+
+        def in_children(action):
+            def wrapped(path, tau, part, parts):
+                if part:
+                    action()
+                return score_part(path, tau, part, parts)
+            monkeypatch.setattr(metrics, "_score_part", wrapped)
+
+        # Success, then a fault on line 1, which part 0 scores in this process.
+        code, _, _, files = run_in_parts(monkeypatch, 3, argv("ok"), capsys)
+        assert code == 0 and files and no_child_left()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"query_id": "x"}\n' + path.read_bytes())
+        code, out, err, files = run_in_parts(
+            monkeypatch, 3, ["eval-ce", str(bad), "--output-dir",
+                             str(tmp_path / "bad")], capsys)
+        assert (code, out, files) == (2, "", None) and "line 1: missing keys" in err
+        assert no_child_left()
+
+        # This process stopped while its children still score: they are
+        # killed, not waited for.
+        def interrupt(path, tau, part, parts):
+            if not part:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        monkeypatch.setattr(metrics, "_score_part", interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_in_parts(monkeypatch, 3, argv("interrupted"), capsys)
+        assert time.monotonic() - start < 30
+        assert no_child_left() and not (tmp_path / "interrupted").exists()
+
+        # A child that raises, or is killed, before sending its rows.
+        def boom():
+            raise RuntimeError("boom")
+        for action, how in ((boom, "with exit code 1"),
+                            (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                             f"by signal {int(signal.SIGKILL)}")):
+            in_children(action)
+            code, out, err, files = run_in_parts(monkeypatch, 3, argv(how), capsys)
+            assert (code, out, files) == (2, "", None)
+            assert f"the process scoring part 2 of 3 ended {how}" in err
+            assert no_child_left()
+
+
+    def test_a_process_with_threads_scores_alone(self, data_dir, tmp_path,
+                                                 capsys, monkeypatch):
+        import threading
+
+        import embedscale.metrics as metrics
+        score_part = metrics._score_part
+
+        def no_children(path, tau, part, parts):
+            assert part == 0 and parts == 1
+            return score_part(path, tau, part, parts)
+        monkeypatch.setattr(metrics, "_score_part", no_children)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            code, out, err, files = run_in_parts(
+                monkeypatch, 3, ["eval-ce", str(data_dir / "scores_small.jsonl"),
+                                 "--output-dir", str(tmp_path / "out")], capsys)
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert (code, err) == (0, "") and "eval_ce_report.json" in files
+
+
+class TestNonRegularInput:
+    @pytest.mark.parametrize("argv", [
+        ["eval-ce", "--output-dir"],
+        ["fit", "--law", "joint", "--output-dir"],
+        ["plan", "--budget", "1e9", "--tokens", "32", "--corpus", "100000",
+         "--output-dir"],
+    ], ids=lambda argv: argv[0])
+    def test_fifo_is_data_error(self, tmp_path, argv):
+        # Nothing writes to the FIFO: opening it would block.
+        fifo = tmp_path / "input"
+        os.mkfifo(fifo)
+        proc = subprocess.run(
+            [sys.executable, "-m", "embedscale", argv[0], str(fifo), *argv[1:],
+             str(tmp_path / "out")], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"embedscale: {fifo}: not a regular file\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_pipe_is_data_error(self, data_dir, tmp_path):
+        # Hashing the manifest's input once read the pipe again, empty.
+        proc = subprocess.run(
+            [sys.executable, "-m", "embedscale", "eval-ce", "/dev/stdin",
+             "--output-dir", str(tmp_path / "out")],
+            input=(data_dir / "scores_small.jsonl").read_text(),
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "embedscale: /dev/stdin: not a regular file\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonUtf8Input:
@@ -771,6 +977,16 @@ class TestSweepDims:
                             "--multipliers", "1/4"], capsys)
         assert code == 2
         assert "< 1" in err
+
+    def test_product_past_the_doubles_names_the_multiplier(self, capsys):
+        code, out, err = run(["sweep-dims", "--hidden", "512",
+                              "--multipliers", "1", "1e5000"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("embedscale: multiplier ~1e5000 of hidden size 512 gives "
+                       "a dimension past the largest double\n")
+        code, out, _ = run(["sweep-dims", "--hidden", "512",
+                            "--multipliers", "1e40"], capsys)
+        assert (code, out) == (0, f"{512 * 10 ** 40}\n")
 
 
 ODD_NUMBERS = ["0", "-1", "-0", "nan", "inf", "1e400", "1e-400", "9" * 400,

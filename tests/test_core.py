@@ -172,11 +172,25 @@ class TestSweep:
         with pytest.raises(DataError, match="< 1"):
             expand_sweep(4, (Fraction(1, 8),))
 
-    @pytest.mark.parametrize("phi", [math.inf, 1e308])
-    def test_product_past_the_doubles_rejected(self, phi):
-        message = f"multiplier {phi} of hidden size 512 gives a dimension past"
+    @pytest.mark.parametrize("phi, name", [
+        pytest.param(math.inf, "inf", id="inf"),
+        pytest.param(1e308, "1e+308", id="1e+308"),
+        # An exact product is never infinite, and str() of its 5001 digits
+        # passes the interpreter's limit, so the message gives its power of ten.
+        pytest.param(Fraction(10 ** 5000), "~1e5000", id="10**5000")])
+    def test_product_past_the_doubles_rejected(self, phi, name):
+        message = f"multiplier {name} of hidden size 512 gives a dimension past"
         with pytest.raises(DataError, match=re.escape(message)):
             expand_sweep(512, [phi])
+
+    def test_product_below_one_of_many_digits_rejected(self):
+        message = "multiplier ~1e-5000 of hidden size 512 gives dimension ~1e-4997 < 1"
+        with pytest.raises(DataError, match=re.escape(message)):
+            expand_sweep(512, [Fraction(1, 10 ** 5000)])
+
+    def test_product_up_to_the_largest_double_accepted(self):
+        # Observation accepts an embed_dim up to the largest double, too.
+        assert expand_sweep(512, [Fraction(10 ** 40)]) == [512 * 10 ** 40]
 
     def test_duplicates_collapse(self):
         assert expand_sweep(100, (1, Fraction(2, 2))) == [100]

@@ -522,8 +522,18 @@ class TestEngine:
          [0.6, 0.5, 0.4, 0.3, 0.2, 0.1], "need dimension >= 1"),
         (DIM_LAW, [[32, 64, 128, 256]], [0.5, math.nan, 0.3, 0.2],
          "targets must be finite"),
+        (DIM_LAW, [5], [0.5, 0.4, 0.3, 0.2, 0.1], "must be columns of real numbers"),
+        (DIM_LAW, [["x"] * 5], [0.5, 0.4, 0.3, 0.2, 0.1],
+         "must be columns of real numbers"),
+        # float() would read these digits: text is refused as it is.
+        (DIM_LAW, ["12345"], [0.5, 0.4, 0.3, 0.2, 0.1], "must be columns of real numbers"),
+        (DIM_LAW, [[1j, 2, 3, 4, 5]], [0.5, 0.4, 0.3, 0.2, 0.1],
+         "must be columns of real numbers"),
+        (DIM_LAW, [[None, 2, 3, 4, 5]], [0.5, 0.4, 0.3, 0.2, 0.1],
+         "must be columns of real numbers"),
     ], ids=["input-past-the-doubles", "joint-law-given-scalars", "dimension-below-1",
-            "size-zero", "nan-target"])
+            "size-zero", "nan-target", "scalar-column", "text-in-column", "text-column",
+            "complex-in-column", "none-in-column"])
     def test_input_checks(self, model, x, y, message):
         with pytest.raises(DataError, match=message):
             least_squares(model, x, y)
