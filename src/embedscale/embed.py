@@ -182,11 +182,11 @@ def load_matrix(path: str) -> EmbeddingMatrix:
 
     sidecar = path + ".json"
     if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise DataError(f"{sidecar}: invalid JSON: {exc}") from None
+        text = "".join(read_lines(sidecar))
+        try:
+            meta = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{sidecar}: invalid JSON: {exc}") from None
         if not isinstance(meta, dict):
             raise DataError(f"{sidecar}: expected a JSON object, "
                             f"got {type(meta).__name__}")

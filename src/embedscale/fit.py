@@ -76,20 +76,22 @@ def _terms(e: float, xs) -> list[float]:
 def _prepare(model: PowerLaw, cols: Sequence, y) -> list[list[float]]:
     """The K input columns, dimension first, as floats, each as long as y.
 
-    A column is a sized sequence of real numbers. float() would also read a
-    str or bytes of digits, so those are refused before any conversion.
+    Each column, and y, is a sized sequence of real numbers; float() would
+    also read a str or bytes of digits, so those are refused first.
     """
     try:
-        count, lengths = len(cols), [len(col) for col in cols]
-        if any(isinstance(v, (str, bytes)) for col in cols for v in col):
+        count, lengths = len(cols), [len(col) for col in (*cols, y)]
+        if any(isinstance(v, (str, bytes)) for col in (*cols, y) for v in col):
             raise TypeError
-        cols = [[float(v) for v in col] for col in cols]
+        *cols, y = [[float(v) for v in col] for col in (*cols, y)]
     except OverflowError:
-        raise DataError(f"{model.name} law inputs must not exceed the largest "
-                        "double") from None
+        raise DataError(f"{model.name} law inputs and targets must not exceed "
+                        "the largest double") from None
     except (TypeError, ValueError):
-        raise DataError(f"{model.name} law inputs must be columns of real "
-                        "numbers") from None
+        raise DataError(f"{model.name} law inputs and targets must be columns "
+                        "of real numbers") from None
+    if not all(map(isfinite, y)):
+        raise DataError("targets must be finite")
     if count != model.n_terms:
         raise DataError(f"{model.name} law takes {model.n_terms} input column(s)")
     if any(n != len(y) for n in lengths):
@@ -296,22 +298,20 @@ def least_squares(model: PowerLaw, cols: Sequence, y: Sequence[float]):
         sqrt(sum r^2) of its residuals, and the winner's ConvergenceReport.
 
     Raises:
-        DataError: a column that is not a sequence of real numbers, a
-            column count or length that does not match, an input out of
-            range, an under-determined system, or every start failing to
-            produce a finite cost.
+        DataError: a column or y that is not a sequence of real numbers,
+            a target that is not finite, a column count or length that
+            does not match, an input out of range, an under-determined
+            system, or every start failing to produce a finite cost.
         NumericError: no profile cell has all coefficients positive.
     """
-    y = [float(v) for v in y]
-    if not all(map(isfinite, y)):
-        raise DataError("targets must be finite")
+    cols = _prepare(model, cols, y)
+    y = [float(v) for v in y]       # _prepare has checked each
     n_params = len(model.param_names)
     if len(y) < n_params + 1:
         raise DataError(
             f"under-determined: {len(y)} points for {n_params} parameters "
             f"(need at least {n_params + 1})"
         )
-    cols = _prepare(model, cols, y)
     starts = _profile(model, cols, y)
     runs = [(*_descend(model, cols, y, s0), index) for index, s0 in starts]
     # min keeps the first of equal costs, so ties go to the earliest start.

@@ -181,12 +181,26 @@ def fit_to_report(fit: LawFit) -> dict:
     return report
 
 
+# What each report field must hold (type() is exact, so a bool is not a
+# number), and the defaults of the fields a report may omit.
+_HOLDS = {"a finite number": lambda v: type(v) in (int, float) and isfinite(v),
+          "an integer": lambda v: type(v) is int,
+          "true or false": lambda v: type(v) is bool,
+          "a list of strings": lambda v: type(v) is list
+          and all(type(w) is str for w in v)}
+_FIELDS = {"r2": "a finite number", "residual_norm": "a finite number",
+           "n_points": "an integer", "converged": "true or false",
+           "multistart_index": "an integer", "warnings": "a list of strings"}
+_OPTIONAL = {"converged": True, "multistart_index": 0, "warnings": []}
+
+
 def fit_from_report(obj) -> LawFit:
     """Rebuild a fit from report JSON; inverse of fit_to_report.
 
     Raises:
         DataError: anything but a JSON object of a known law with an object
-            of finite, in-range parameters and every diagnostic field.
+            of finite, in-range parameters and every diagnostic field, each
+            of its JSON type (a bool is not a number).
     """
     if not (isinstance(obj, dict) and isinstance(obj.get("parameters"), dict)):
         raise DataError("malformed fit report: the report and its parameters "
@@ -198,12 +212,16 @@ def fit_from_report(obj) -> LawFit:
         model = LAWS[obj["law"]]
         if params.get("param_unit", "millions") != "millions":
             raise DataError(f"param_unit must be 'millions', got {params['param_unit']!r}")
-        return LawFit(model, tuple(params[name] for name in model.param_names),
-                      r2=obj["r2"],
-                      residual_norm=obj["residual_norm"],
-                      n_points=obj["n_points"],
-                      converged=obj.get("converged", True),
-                      start_index=obj.get("multistart_index", 0),
-                      warnings=tuple(obj.get("warnings", ())))
+        values = tuple(params[name] for name in model.param_names)
+        fields = {**_OPTIONAL, **obj, **dict(zip(model.param_names, values))}
+        for key, what in {**dict.fromkeys(model.param_names, "a finite number"),
+                          **_FIELDS}.items():
+            if not _HOLDS[what](fields[key]):
+                raise DataError(f"malformed fit report: {key} must be {what}")
+        return LawFit(model, values, r2=fields["r2"],
+                      residual_norm=fields["residual_norm"],
+                      n_points=fields["n_points"], converged=fields["converged"],
+                      start_index=fields["multistart_index"],
+                      warnings=tuple(fields["warnings"]))
     except (KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed fit report: {exc}") from None

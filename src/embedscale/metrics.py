@@ -10,9 +10,10 @@ when it is called.
 
 score_file, which eval-ce runs, scores a JSONL score file on every CPU
 the process may use: each part of its lines but the first is scored in a
-child that os.fork starts, the rows come back through pipes, and they are
-merged in file order, so the result and the first fault in file order are
-the same for any number of CPUs.
+child that os.fork starts, and the rows come back through pipes to be
+merged in file order. A part that meets a fault sends None instead; then
+one reader of the whole file, in this process, raises the first fault in
+file order. So the result and the fault are the same for any number of CPUs.
 
 Determinism notes, relied on by the reproducibility contract:
   - Sums over scores and over queries use math.fsum (exactly rounded), so
@@ -367,51 +368,34 @@ _FAULTS = (NumericError, OSError, ValueError)
 
 
 def _score_part(path: str, tau: Optional[float], part: int, parts: int):
-    """(rows, fault) of the records on the lines whose number is part + 1
-    modulo parts.
-
-    rows are (line number, query id, entropy). fault is None, or the first
-    fault on those lines as (line number, part, exception), the exception
-    being one the CLI reports with an exit code (_FAULTS). Every line is
-    read, so line numbers and the UTF-8 check are those of one reader, and
-    a fault in reading (the path, or a line that is not UTF-8) is every
-    part's at the same line.
+    """Rows (line number, query id, entropy) of the records on the lines
+    whose number is part + 1 modulo parts, or None at the first fault the
+    CLI reports with an exit code (_FAULTS). Every line is read through
+    core.read_lines, so line numbers are those of one reader.
     """
-    rows, lineno, mine = [], 0, (part + 1) % parts
+    rows, mine = [], (part + 1) % parts
     try:
         for lineno, line in enumerate(read_lines(path), start=1):
-            if lineno % parts == mine:
-                try:
-                    rec = _parse_line(lineno, line)
-                    if rec is not None:
-                        rows.append((lineno, rec.query_id,
-                                     contrastive_entropy_query(rec, tau)))
-                except _FAULTS as exc:
-                    return rows, (lineno, part, exc)
-    except _FAULTS as exc:          # read_lines failed on the next line
-        return rows, (lineno + 1, part, exc)
-    return rows, None
+            if lineno % parts == mine and (rec := _parse_line(lineno, line)):
+                rows.append((lineno, rec.query_id,
+                             contrastive_entropy_query(rec, tau)))
+    except _FAULTS:
+        return None
+    return rows
 
 
 def _child(path: str, tau: Optional[float], part: int, parts: int,
            write_end: int, read_ends: list[int]):
-    """Score one part in a forked child, send (rows, fault) through
-    write_end as marshal writes them, and leave by os._exit: never returns.
-
-    The fault goes as (line number, whether numeric, text), its text being
-    what the CLI prints for it. Any other exception ends the child with
-    code 1.
+    """Score one part in a forked child, send its rows, or None at a fault,
+    through write_end as marshal writes them, and leave by os._exit: never
+    returns. Any exception but a fault ends the child with code 1.
     """
     code = 1
     try:
         for fd in read_ends:    # so a write to a vanished parent fails
             os.close(fd)
-        rows, fault = _score_part(path, tau, part, parts)
-        if fault:
-            lineno, _, exc = fault
-            fault = (lineno, isinstance(exc, NumericError), str(exc))
         with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps((rows, fault)))
+            pipe.write(marshal.dumps(_score_part(path, tau, part, parts)))
         code = 0
     finally:
         os._exit(code)
@@ -423,18 +407,19 @@ def score_file(path: str, tau: Optional[float] = None) -> list[tuple[str, float]
 
     tau is checked first. With P the size of os.sched_getaffinity(0), part
     k holds the records on the lines whose number is k + 1 modulo P. This
-    process scores part 0; a child of os.fork scores each other part,
-    sends its rows back through an os.pipe as marshal writes them (ids and
-    entropies exactly) and leaves by os._exit. Every part reads every line
-    through core.read_lines. The rows are merged by line, so the result
-    and the first fault in file order are the same for any P. Where
-    os.fork or os.sched_getaffinity is missing, or the process runs other
-    threads, P is 1. Every child is reaped before this returns or raises.
+    process scores part 0; a child of os.fork scores each other part and
+    sends its rows through an os.pipe as marshal writes them (ids and
+    entropies exactly), or None at a fault. Every part reads every line
+    through core.read_lines, and the rows are merged by line. If a part
+    sent None, iter_score_records reads the file again in this process: it
+    raises the first fault in file order with one reader's text (or, if
+    the file changed meanwhile, gives its own rows). P is 1 where os.fork
+    or os.sched_getaffinity is missing, or other threads run. Every child
+    is reaped before this returns or raises.
 
     Raises:
-        DataError, NumericError: the first fault in file order, with the
-            text one reader of the whole file gives it; or a child that
-            ended without sending its rows.
+        DataError, NumericError: the first fault in file order; or a child
+            that ended without sending its rows.
     """
     _check_temperature(tau)
     # A forked child holds only the calling thread, and any lock another
@@ -477,13 +462,9 @@ def score_file(path: str, tau: Optional[float] = None) -> list[tuple[str, float]
             how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
             raise DataError(f"{path}: the process scoring part {part + 1} of "
                             f"{parts} ended {how} before sending its rows")
-        rows, fault = marshal.loads(payload)
-        if fault:
-            lineno, numeric, text = fault
-            fault = (lineno, part, (NumericError if numeric else DataError)(text))
-        results.append((rows, fault))
-    faults = [fault for _, fault in results if fault]
-    if faults:
-        raise min(faults)[2]
-    rows = sorted(chain.from_iterable(rows for rows, _ in results))
+        results.append(marshal.loads(payload))
+    if None in results:
+        return [(rec.query_id, contrastive_entropy_query(rec, tau))
+                for rec in iter_score_records(read_lines(path))]
+    rows = sorted(chain.from_iterable(results))
     return [(qid, entropy) for _, qid, entropy in rows]

@@ -313,6 +313,35 @@ class TestEvalCeParts:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert no_child_left()
 
+    def test_one_reader_reads_again_only_after_a_fault(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import embedscale.metrics as metrics
+        reader, calls = metrics.iter_score_records, []
+
+        def counted(lines):
+            calls.append(lines)
+            return reader(lines)
+        monkeypatch.setattr(metrics, "iter_score_records", counted)
+        path = tmp_path / "scores.jsonl"
+        eval_scores_shape(path, 11, 30, 8, (1, 2))
+        for parts in (1, 2, 3):
+            code, _, err, files = run_in_parts(
+                monkeypatch, parts, ["eval-ce", str(path), "--output-dir",
+                                     str(tmp_path / f"ok{parts}")], capsys)
+            assert (code, err, len(calls)) == (0, "", 0) and files
+        # Line 2 is in part 1, which a child scores at P = 2 and 3.
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b'{"query_id": "x"}\n'
+        path.write_bytes(b"".join(lines))
+        for parts in (2, 3):
+            calls.clear()
+            code, out, err, files = run_in_parts(
+                monkeypatch, parts, ["eval-ce", str(path), "--output-dir",
+                                     str(tmp_path / "bad")], capsys)
+            assert (code, out, files, len(calls)) == (2, "", None, 1)
+            assert "line 2: missing keys" in err
+        assert no_child_left()
+
     def test_no_process_is_left_behind(self, data_dir, tmp_path, capsys,
                                        monkeypatch):
         import signal
@@ -639,6 +668,27 @@ class TestMalformedReport:
         code, out, err = run([command, str(path), *args[command]], capsys)
         assert code == 2, err
         assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "plan"])
+    @pytest.mark.parametrize("edit", [
+        ("parameters", "alpha", True), ("r2", math.nan), ("n_points", "many"),
+        ("warnings", "abc")], ids=["bool-alpha", "nan-r2", "text-n-points",
+                                   "text-warnings"])
+    def test_field_of_the_wrong_type_is_data_error(self, data_dir, tmp_path,
+                                                   capsys, edit, command):
+        obj = json.loads((data_dir / "fit_report_bert_trecdl.json").read_text())
+        *keys, value = edit
+        target = obj if len(keys) == 1 else obj[keys[0]]
+        target[keys[-1]] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(obj))
+        args = {"predict": ["--dim", "512", "--params", "1e8"],
+                "plan": ["--budget", "1e9", "--tokens", "32", "--corpus",
+                         "100000", "--output-dir", str(tmp_path / "out")]}
+        code, out, err = run([command, str(path), *args[command]], capsys)
+        assert (code, out) == (2, "")
+        assert f"{keys[-1]} must be " in err
         assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -401,6 +404,23 @@ class TestMatrixFiles:
         (tmp_path / "vecs.txt.json").write_text(
             json.dumps({"rows": 1, "dim": 2}))
         assert load_matrix(str(path)).dim == 2
+
+    @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+    def test_sidecar_must_be_a_regular_file(self, tmp_path, make):
+        # Nothing writes to the FIFO: opening it would block.
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1.0 2.0\n")
+        make(tmp_path / "vecs.txt.json")
+        script = ("import sys\n"
+                  "from embedscale import DataError, load_matrix\n"
+                  "try:\n"
+                  "    load_matrix(sys.argv[1])\n"
+                  "except DataError as exc:\n"
+                  "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{path}.json: not a regular file\n"
 
     @pytest.mark.parametrize("sidecar", [
         "[1, 2]", '"x"', "5", "null", "[" * 100_000, "{", b"\xff"],

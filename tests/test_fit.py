@@ -531,9 +531,19 @@ class TestEngine:
          "must be columns of real numbers"),
         (DIM_LAW, [[None, 2, 3, 4, 5]], [0.5, 0.4, 0.3, 0.2, 0.1],
          "must be columns of real numbers"),
+        # Targets follow the columns' rule.
+        (DIM_LAW, [[32, 64, 128, 256, 512]], ["1", "0.8", "0.7", "0.65", "0.6"],
+         "must be columns of real numbers"),
+        (DIM_LAW, [[32, 64, 128, 256, 512]], [None] * 5, "must be columns of real numbers"),
+        (DIM_LAW, [[32, 64, 128, 256, 512]], [1j] * 5, "must be columns of real numbers"),
+        (DIM_LAW, [[32, 64, 128, 256, 512]], ["x"] * 5, "must be columns of real numbers"),
+        (DIM_LAW, [[32, 64, 128, 256, 512]], 5, "must be columns of real numbers"),
+        (DIM_LAW, [[32, 64, 128, 256, 512]], iter([0.5, 0.4, 0.3, 0.2, 0.1]),
+         "must be columns of real numbers"),
     ], ids=["input-past-the-doubles", "joint-law-given-scalars", "dimension-below-1",
             "size-zero", "nan-target", "scalar-column", "text-in-column", "text-column",
-            "complex-in-column", "none-in-column"])
+            "complex-in-column", "none-in-column", "text-targets", "none-targets",
+            "complex-targets", "word-targets", "scalar-targets", "iterator-targets"])
     def test_input_checks(self, model, x, y, message):
         with pytest.raises(DataError, match=message):
             least_squares(model, x, y)
@@ -608,6 +618,19 @@ class TestReportRoundTrip:
             fit_from_report(negative_alpha)
         with pytest.raises(DataError, match="r2 must be <= 1"):
             fit_from_report(dict(report, r2=1.5))
+        # Every field holds its JSON type, and a bool is not a number.
+        with pytest.raises(DataError, match="alpha must be a finite number"):
+            fit_from_report(dict(report, parameters=dict(report["parameters"],
+                                                         alpha=True)))
+        for key, value in (("r2", math.nan), ("r2", "0.9"), ("r2", None),
+                           ("residual_norm", math.inf), ("residual_norm", False),
+                           ("n_points", "many"), ("n_points", 9.0),
+                           ("n_points", True), ("multistart_index", 0.0),
+                           ("converged", 1), ("converged", "true"),
+                           ("warnings", "abc"), ("warnings", [1]),
+                           ("warnings", {"a": "b"})):
+            with pytest.raises(DataError, match=f"{key} must be "):
+                fit_from_report(dict(report, **{key: value}))
 
     @settings(max_examples=40, deadline=None)
     @given(obj=st.one_of(JSON_VALUES, mutated_reports()))

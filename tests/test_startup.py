@@ -125,6 +125,56 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
     assert outside == []
 
 
+# Calls that open a file, keyed by the name they are called by.
+OPENERS = {"open", "fdopen", "read_text", "read_bytes", "loadtxt", "genfromtxt",
+           "fromfile"}
+
+
+def opens_for_reading(call):
+    """Whether call may open a file for reading: an open of a path with no
+    mode, or a mode that reads; os.open without O_WRONLY; any reader of a
+    whole file. open(fd, ..., closefd=False) wraps a descriptor the caller
+    already holds, so it opens no file."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name not in OPENERS:
+        return False
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    closefd = keywords.get("closefd")
+    if isinstance(closefd, ast.Constant) and closefd.value is False:
+        return False
+    if ast.unparse(func) == "os.open":
+        flags = call.args[1] if len(call.args) > 1 else keywords.get("flags")
+        return "O_WRONLY" not in ast.unparse(flags)
+    if name in ("open", "fdopen"):
+        mode = call.args[1] if len(call.args) > 1 else keywords.get("mode")
+        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+            return "r" in mode.value or "+" in mode.value
+    return True
+
+
+def test_files_are_read_only_through_read_lines_and_the_hash():
+    # Every input is read as core.read_lines reads it (a regular file, UTF-8
+    # checked line by line); the manifest's hash reads its bytes.
+    allowed = {("core", "read_lines"), ("cli", "_sha256")}
+    readers = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if (isinstance(child, ast.Call) and opens_for_reading(child)
+                    and (module, function) not in allowed):
+                readers.append(f"{module}.{function}:{child.lineno}: "
+                               f"{ast.unparse(child)}")
+            visit(child, module, function)
+
+    for path in sorted(Path(embedscale.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    assert readers == []
+
+
 # Runs the argv in argv[1:] through main in a fresh interpreter and prints
 # its exit code and the modules it left imported, as JSON. json itself is
 # imported only after those modules are listed.
