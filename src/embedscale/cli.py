@@ -1,21 +1,24 @@
 """Command-line surface: reproducible evaluation, fitting, and planning runs.
 
-Every run that writes files embeds a manifest (command, input paths with
-content hashes, echoed options, tool version) in its JSON report; curve
-files reference that report by name. A command writes all its files at
-once, each through a temp file and os.replace, so a failed run leaves
-nothing behind: no temp file, no new file, no directory it made, and the
-files of an earlier run in its output directory as they were. Each file
-gets the mode open(path, "w") gives a new file, 0o666 less the umask
-(0o644 under the usual umask 0o022), also when it replaces an earlier
-run's file. Reports are encoded straight into their temp files, so no
-report's text is ever held whole in memory. Identical inputs produce
-byte-identical outputs regardless of output directory, and eval-ce's,
-which it scores on every CPU (metrics.score_file), regardless of how many
-there are. Every input must be a regular file (core.read_lines checks),
-so that a manifest's hash reads the bytes the command read. Both laws go
-through the same commands: --law names one of law.LAWS, and predict and
-plan read either law's report through one reader.
+Commands compute and main publishes. Each cmd_* function returns its files
+({name: content}) and its stdout text, and neither writes nor prints. main
+adds a manifest (command, input path with its content hash, echoed options,
+tool version) to the command's one report, the dict among its files; it
+echoes every parsed option except the input path and --output-dir. Curve
+files reference that report by name. main writes all the files at once,
+each through a temp file and os.replace, and prints only after that, so a
+failed run prints nothing and leaves nothing behind: no temp file, no new
+file, no directory it made, and the files of an earlier run in its output
+directory as they were. Each file gets the mode open(path, "w") gives a new
+file, 0o666 less the umask (0o644 under the usual umask 0o022), also when
+it replaces an earlier run's file. Reports are encoded straight into their
+temp files, so no report's text is ever held whole in memory. Identical
+inputs produce byte-identical outputs regardless of output directory, and
+eval-ce's, which it scores on every CPU (metrics.score_file), regardless
+of how many there are. Every input must be a regular file (core.read_lines
+checks), so that a manifest's hash reads the bytes the command read. Both
+laws go through the same commands: --law names one of law.LAWS, and
+predict and plan read either law's report through one reader.
 
 Each command imports only what it runs. Every command loads core and law;
 eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
@@ -71,13 +74,14 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _manifest(command: str, input_paths: list[str], options: dict) -> dict:
-    # Input paths are recorded as given; output paths are deliberately not
+def _manifest(args) -> dict:
+    # The input path is recorded as given; output paths are deliberately not
     # recorded so the same run is byte-identical under any --output-dir.
     return {
-        "command": command,
-        "inputs": [{"path": p, "sha256": _sha256(p)} for p in input_paths],
-        "options": options,
+        "command": args.command,
+        "inputs": [{"path": args.input, "sha256": _sha256(args.input)}],
+        "options": {k: v for k, v in vars(args).items()
+                    if k not in ("command", "func", "input", "output_dir")},
         "tool": "embedscale",
         "version": __version__,
     }
@@ -164,14 +168,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def cmd_eval_ce(args) -> int:
+def cmd_eval_ce(args):
     from .metrics import mean_entropy, score_file
     # score_file checks the temperature before the first line is read, then
     # scores the records on every CPU; only each record's report row stays.
     per_query = [{"query_id": qid, "entropy": entropy}
-                 for qid, entropy in score_file(args.scores, args.tau)]
+                 for qid, entropy in score_file(args.input, args.tau)]
     if not per_query:
-        raise DataError(f"{args.scores}: no query records")
+        raise DataError(f"{args.input}: no query records")
     # The formula of contrastive_entropy_dataset, without scoring again.
     dataset_entropy = mean_entropy([row["entropy"] for row in per_query])
     report = {
@@ -179,11 +183,8 @@ def cmd_eval_ce(args) -> int:
         "n_queries": len(per_query),
         "per_query": per_query,
         "temperature": args.tau,
-        "manifest": _manifest("eval-ce", [args.scores], {"tau": args.tau}),
     }
-    _write_files(args.output_dir, {"eval_ce_report.json": report})
-    print(_fmt(dataset_entropy))
-    return 0
+    return {"eval_ce_report.json": report}, _fmt(dataset_entropy)
 
 
 def _resolve_table(path: str, model: str | None, dataset: str | None):
@@ -216,6 +217,12 @@ def _geomspace(lo: float, hi: float, num: int) -> list[float]:
     return grid
 
 
+def _curve_file(kind: str, report: str, notes: list[str], lines: list[str]) -> str:
+    """A curve file's text: the header, naming the report it belongs to, then lines."""
+    return "\n".join([f"# embedscale {kind} samples", f"# manifest: {report}",
+                      *notes, "# columns: dim predicted_entropy", *lines]) + "\n"
+
+
 def _curve_blocks(fit, table) -> list[str]:
     """Each model's fitted curve; a joint-law block names its model."""
     blocks = []
@@ -233,51 +240,42 @@ def _curve_blocks(fit, table) -> list[str]:
     return blocks
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     from .fit import DECREMENT_TOLERANCE, MAX_ITERS, fit_law
-    table = _resolve_table(args.observations, args.model, args.dataset)
+    table = _resolve_table(args.input, args.model, args.dataset)
     fit = fit_law(table, LAWS[args.law])
     report = fit_to_report(fit)
     report["options"] = {"max_iters": MAX_ITERS,
                          "decrement_tolerance": DECREMENT_TOLERANCE,
                          "n_starts": None}
-    report["manifest"] = _manifest("fit", [args.observations], {
-        "law": args.law, "model": args.model, "dataset": args.dataset})
-    header = [
-        "# embedscale fitted-curve samples",
-        "# manifest: fit_report.json",
-        "# columns: dim predicted_entropy",
-    ]
-    body = "\n\n".join(_curve_blocks(fit, table))
-    _write_files(args.output_dir, {
-        "fit_report.json": report,
-        "fit_curve.dat": "\n".join(header) + "\n" + body + "\n"})
-
-    params = report["parameters"]
-    summary = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items())
+    curves = _curve_file("fitted-curve", "fit_report.json", [],
+                         ["\n\n".join(_curve_blocks(fit, table))])
+    summary = " ".join(f"{k}={_fmt(v)}"
+                       for k, v in sorted(report["parameters"].items())
                        if isinstance(v, float))
-    print(f"{args.law} law fit: {summary} r2={_fmt(fit.r2)}")
-    return 0
+    return ({"fit_report.json": report, "fit_curve.dat": curves},
+            f"{args.law} law fit: {summary} r2={_fmt(fit.r2)}")
 
 
-def cmd_predict(args) -> int:
-    fit = _read_fit(args.fit_report)
+def cmd_predict(args):
+    fit = _read_fit(args.input)
     if args.dim < 1:
         raise UsageError("--dim must be >= 1")
     if fit.model is JOINT_LAW and args.params is None:
         raise UsageError("--params is required for a joint-law report")
-    print(_fmt(predict(fit, args.dim, args.params)))
-    return 0
+    return {}, _fmt(predict(fit, args.dim, args.params))
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args):
     from .plan import BudgetSpec, budget_curve, optimal_allocation
-    fit = _read_fit(args.fit_report)
+    fit = _read_fit(args.input)
     if fit.model is not JOINT_LAW:
         raise DataError("plan requires a joint-law fit report")
-    allocations = []
-    curves = []
-    for budget in args.budget:
+    allocations, summary = [], []
+    files = {"plan_report.json": {
+        "allocations": allocations,
+        "notes": "ann scoring cost uses the natural logarithm of corpus size"}}
+    for index, budget in enumerate(args.budget, start=1):
         spec = BudgetSpec(total_flops=budget, query_tokens=args.tokens,
                           corpus_size=args.corpus, regime=args.regime)
         alloc = optimal_allocation(fit, spec)
@@ -285,42 +283,22 @@ def cmd_plan(args) -> int:
                             "corpus_size": args.corpus,
                             "query_tokens": args.tokens,
                             **{name: getattr(alloc, name) for name in alloc._fields}})
+        summary.append(f"budget={_fmt(budget)} d_hat={alloc.d_hat_rounded} "
+                     f"n_hat={_fmt(alloc.n_hat_rounded)} gamma={_fmt(alloc.gamma)}")
         if args.curve:
-            curves.append((budget, budget_curve(fit, spec, args.curve)))
-    report = {
-        "allocations": allocations,
-        "notes": "ann scoring cost uses the natural logarithm of corpus size",
-        "manifest": _manifest("plan", [args.fit_report], {
-            "budget": args.budget, "tokens": args.tokens,
-            "corpus": args.corpus, "regime": args.regime,
-            "curve": args.curve or []}),
-    }
-    files = {"plan_report.json": report}
-    for index, (budget, curve) in enumerate(curves, start=1):
-        lines = [
-            "# embedscale budget-curve samples",
-            "# manifest: plan_report.json",
-            f"# budget {_fmt(budget)}",
-            "# columns: dim predicted_entropy",
-        ]
-        if curve.skipped:
-            lines.append("# infeasible dims skipped: "
-                         + " ".join(_fmt(d) for d in curve.skipped))
-        lines += [f"{_fmt(d)} {_fmt(v)}" for d, v in curve.points]
-        files[f"plan_curve_{index:02d}.dat"] = "\n".join(lines) + "\n"
-    _write_files(args.output_dir, files)
-
-    for alloc in allocations:
-        print(f"budget={_fmt(alloc['budget'])} "
-              f"d_hat={alloc['d_hat_rounded']} "
-              f"n_hat={_fmt(alloc['n_hat_rounded'])} "
-              f"gamma={_fmt(alloc['gamma'])}")
-    return 0
+            curve = budget_curve(fit, spec, args.curve)
+            samples = [f"{_fmt(d)} {_fmt(v)}" for d, v in curve.points]
+            if curve.skipped:
+                samples.insert(0, "# infeasible dims skipped: "
+                               + " ".join(map(_fmt, curve.skipped)))
+            files[f"plan_curve_{index:02d}.dat"] = _curve_file(
+                "budget-curve", "plan_report.json", [f"# budget {_fmt(budget)}"],
+                samples)
+    return files, "\n".join(summary)
 
 
-def cmd_sweep_dims(args) -> int:
-    print(" ".join(str(d) for d in expand_sweep(args.hidden, args.multipliers)))
-    return 0
+def cmd_sweep_dims(args):
+    return {}, " ".join(str(d) for d in expand_sweep(args.hidden, args.multipliers))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval-ce", help="contrastive entropy of a JSONL score file")
-    p.add_argument("scores", help="QueryScoreRecord JSONL file")
+    p.add_argument("input", metavar="scores", help="QueryScoreRecord JSONL file")
     p.add_argument("--tau", type=float, default=None,
                    help="temperature applied as score/tau")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_eval_ce)
 
     p = sub.add_parser("fit", help="fit a scaling law to an observation CSV")
-    p.add_argument("observations", help="observation CSV file")
+    p.add_argument("input", metavar="observations", help="observation CSV file")
     p.add_argument("--law", choices=tuple(LAWS), required=True)
     p.add_argument("--model", default=None,
                    help="restrict to one model name")
@@ -352,14 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="evaluate a fitted law at a point")
-    p.add_argument("fit_report", help="fit report JSON file")
+    p.add_argument("input", metavar="fit_report", help="fit report JSON file")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--params", type=float, default=None,
                    help="model size in raw parameters (joint law only)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("plan", help="optimal (N, D) under per-query FLOPs budgets")
-    p.add_argument("fit_report", help="joint-law fit report JSON file")
+    p.add_argument("input", metavar="fit_report",
+                   help="joint-law fit report JSON file")
     p.add_argument("--budget", type=float, nargs="+", required=True,
                    help="per-query FLOPs budget(s)")
     p.add_argument("--tokens", type=int, required=True,
@@ -368,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus size in documents")
     p.add_argument("--regime", choices=("exhaustive", "ann"),
                    default="exhaustive")
-    p.add_argument("--curve", type=int, nargs="+", default=None,
+    p.add_argument("--curve", type=int, nargs="+", default=[],
                    help="also write entropy-vs-dim curves at these dims")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_plan)
@@ -386,7 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        files, text = args.func(args)
+        if files:
+            report = next(c for c in files.values() if isinstance(c, dict))
+            report["manifest"] = _manifest(args)
+            _write_files(args.output_dir, files)
+        print(text)
+        return 0
     except UsageError as exc:
         print(f"embedscale: error: {exc}", file=sys.stderr)
         return 1

@@ -73,8 +73,8 @@ def _terms(e: float, xs) -> list[float]:
         return [_exp(-e * log(x)) for x in xs]
 
 
-def _prepare(model: PowerLaw, cols: Sequence, y) -> list[list[float]]:
-    """The K input columns, dimension first, as floats, each as long as y.
+def _prepare(model: PowerLaw, cols: Sequence, y):
+    """(cols, y): the K input columns, dimension first, and the targets, as floats.
 
     Each column, and y, is a sized sequence of real numbers; float() would
     also read a str or bytes of digits, so those are refused first.
@@ -100,7 +100,7 @@ def _prepare(model: PowerLaw, cols: Sequence, y) -> list[list[float]]:
             and all(v > 0 for col in cols[1:] for v in col)):
         raise DataError(f"{model.name} law inputs need dimension >= 1 "
                         "and every other input > 0")
-    return cols
+    return cols, y
 
 
 def _closed_form(a, b):
@@ -201,14 +201,15 @@ def _descend(model: PowerLaw, cols, y, s0):
     """One line-search Newton descent over the log-exponents s, from s0.
 
     Each trial s is the cell e = exp(s), solved by _cell; an infeasible
-    cell costs inf. The gradient g = 2 J^T r is exact, with Kaufman's J:
-    column k, the residuals' slope -c_k e_k log(x_k) u_k in s_k at fixed
-    (c, delta), less its _linear fit on the cell's columns. The Hessian is
-    g's forward difference over FD_STEP; where it is missing or singular or
-    its step does not descend, 2 J^T J (Gauss-Newton) steps instead. The
-    descent stops on a Newton decrement -g.step of at most
-    DECREMENT_TOLERANCE times the cost (0 where no step descends), or when
-    halving the step until Armijo's rule holds brings it back to s.
+    cell costs inf. point evaluates each s once, its cost, J and g together.
+    The gradient g = 2 J^T r is exact, with Kaufman's J: column k, the
+    residuals' slope -c_k e_k log(x_k) u_k in s_k at fixed (c, delta), less
+    its _linear fit on the cell's columns. The Hessian is g's forward
+    difference over FD_STEP; where it is missing or singular or its step
+    does not descend, 2 J^T J (Gauss-Newton) steps instead. The descent
+    stops on a Newton decrement -g.step of at most DECREMENT_TOLERANCE times
+    the cost (0 where no step descends), or when halving the step until
+    Armijo's rule holds brings it back to s.
 
     Returns:
         (params, cost, iterations, reason): the final cell's natural
@@ -219,47 +220,41 @@ def _descend(model: PowerLaw, cols, y, s0):
     n, y_sum, yy = len(y), sum(y), _dot(y, y)
     log_x = [[log(v) for v in xs] for xs in cols]
 
-    def solve(s):
-        """(cost, (params, us, sums, gram, free, residuals)) of the cell at s."""
+    def point(s):
+        """(cost, params, J, g) of the cell at s; cost inf and the rest None
+        where the cell is infeasible, J and g None where J is not finite."""
         e = [_exp(v) for v in s]
         us = [_terms(ek, xs) for ek, xs in zip(e, cols)]
         sums = [sum(u) for u in us]
         gram = [[_dot(a, b) for b in us] for a in us]
         solved = _cell(gram, sums, [_dot(u, y) for u in us], n, y_sum, yy)
         if solved is None:
-            return inf, None
+            return inf, None, None, None
         c, delta, _, free = solved
         r = [_dot(c, ui) + delta - target for *ui, target in zip(*us, y)]
         cost = _dot(r, r)
-        return (cost, ((*c, *e, delta), us, sums, gram, free, r)) if isfinite(cost) \
-            else (inf, None)
-
-    def slope(cell):
-        """(J, g) at a solved cell; None where J is not finite."""
-        params, us, sums, gram, free, r = cell
+        if not isfinite(cost):
+            return inf, None, None, None
         jac = []
-        for ck, ek, lxs, u in zip(params[:k], params[k:2 * k], log_x, us):
+        for ck, ek, lxs, u in zip(c, e, log_x, us):
             v = [-ck * ek * lx * uj for lx, uj in zip(lxs, u)]
             a, a0, _ = _linear(gram, sums, [_dot(w, v) for w in us], n, sum(v), free)
             jac.append([vj - _dot(a, wj) - a0 for vj, *wj in zip(v, *us)])
         if not all(isfinite(v) for col in jac for v in col):
-            return None
-        return jac, [2.0 * _dot(col, r) for col in jac]
+            return cost, (*c, *e, delta), None, None
+        return cost, (*c, *e, delta), jac, [2.0 * _dot(col, r) for col in jac]
 
     s = list(s0)
-    cost, cell = solve(s)
-    if cell is None:
+    cost, params, jac, g = point(s)
+    if params is None:
         return None, inf, 0, _NONFINITE_START
     for iteration in range(1, MAX_ITERS + 1):
-        params, here = cell[0], slope(cell)
-        if here is None:
+        if jac is None:
             return params, cost, iteration, _NONFINITE_JACOBIAN
-        jac, g = here
         # Row i: g's forward difference in s_i (the Hessian is symmetric).
-        nears = [solve([v + FD_STEP * (i == j) for j, v in enumerate(s)])[1]
+        nears = [point([v + FD_STEP * (i == j) for j, v in enumerate(s)])[3]
                  for i in range(k)]
-        nears = [near and slope(near) for near in nears]
-        hessian = all(nears) and [[(b - a) / FD_STEP for a, b in zip(g, near[1])]
+        hessian = all(nears) and [[(b - a) / FD_STEP for a, b in zip(g, near)]
                                   for near in nears]
         steps = (matrix and _closed_form(matrix, [-v for v in g])
                  for matrix in (hessian, [[2.0 * _dot(a, b) for b in jac] for a in jac]))
@@ -272,12 +267,12 @@ def _descend(model: PowerLaw, cols, y, s0):
             trial = [a + t * b for a, b in zip(s, step)]
             if trial == s:
                 return params, cost, iteration, _NO_STEP
-            cost_new, cell_new = solve(trial)
-            if cost_new < cost - 1e-4 * t * decrement:    # Armijo's sufficient decrease
+            new = point(trial)
+            if new[0] < cost - 1e-4 * t * decrement:    # Armijo's sufficient decrease
                 break
             t /= 2.0
-        s, cost, cell = trial, cost_new, cell_new
-    return cell[0], cost, MAX_ITERS, _MAX_ITERS
+        s, (cost, params, jac, g) = trial, new
+    return params, cost, MAX_ITERS, _MAX_ITERS
 
 
 def least_squares(model: PowerLaw, cols: Sequence, y: Sequence[float]):
@@ -304,8 +299,7 @@ def least_squares(model: PowerLaw, cols: Sequence, y: Sequence[float]):
             system, or every start failing to produce a finite cost.
         NumericError: no profile cell has all coefficients positive.
     """
-    cols = _prepare(model, cols, y)
-    y = [float(v) for v in y]       # _prepare has checked each
+    cols, y = _prepare(model, cols, y)
     n_params = len(model.param_names)
     if len(y) < n_params + 1:
         raise DataError(

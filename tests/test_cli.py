@@ -1151,6 +1151,44 @@ class TestDeterminism:
             monkeypatch.setattr("embedscale.cli.os.link", no_links)
 
 
+class TestManifest:
+    # The manifest echoes every parsed option except the input path and
+    # --output-dir, under the names the parser gives them.
+    @pytest.mark.parametrize("argv, name, options", [
+        (["eval-ce", "scores_small.jsonl"], "eval_ce_report.json", {"tau": None}),
+        (["eval-ce", "scores_small.jsonl", "--tau", "0.02"], "eval_ce_report.json",
+         {"tau": 0.02}),
+        (["fit", "obs_bert_msmarco.csv", "--law", "dim", "--model", "BERT-L8-H512-A8"],
+         "fit_report.json", {"law": "dim", "model": "BERT-L8-H512-A8", "dataset": None}),
+        (["fit", "obs_ettin_trecdl.csv", "--law", "joint", "--dataset", "trecdl"],
+         "fit_report.json", {"law": "joint", "model": None, "dataset": "trecdl"}),
+        (["plan", "fit_report_bert_trecdl.json", "--budget", "1e9", "--tokens", "32",
+          "--corpus", "100000"], "plan_report.json",
+         {"budget": [1e9], "tokens": 32, "corpus": 100000, "regime": "exhaustive",
+          "curve": []}),
+        (["plan", "fit_report_bert_trecdl.json", "--budget", "1e9", "3.162e10",
+          "--tokens", "32", "--corpus", "1000000000", "--regime", "ann",
+          "--curve", "64", "1024"], "plan_report.json",
+         {"budget": [1e9, 3.162e10], "tokens": 32, "corpus": 1000000000,
+          "regime": "ann", "curve": [64, 1024]}),
+    ], ids=["eval-ce", "eval-ce-tau", "fit-dim", "fit-joint", "plan", "plan-curve"])
+    def test_options_are_every_option_but_the_paths(self, data_dir, tmp_path, capsys,
+                                                    argv, name, options):
+        source = str(data_dir / argv[1])
+        code, _, err = run([argv[0], source, *argv[2:],
+                            "--output-dir", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        manifest = json.loads((tmp_path / name).read_text())["manifest"]
+        assert manifest == {
+            "command": argv[0],
+            "inputs": [{"path": source, "sha256": hashlib.sha256(
+                Path(source).read_bytes()).hexdigest()}],
+            "options": options,
+            "tool": "embedscale",
+            "version": __version__,
+        }
+
+
 class TestFileMode:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_outputs_get_the_mode_open_gives(self, data_dir, tmp_path, capsys,

@@ -241,7 +241,7 @@ def law_inputs(model, table):
     """Prepared input columns and targets of a table for a law."""
     cols = [[row.embed_dim for row in table], [row.n_params / 1e6 for row in table]]
     y = [row.entropy for row in table]
-    return _prepare(model, cols[:model.n_terms], y), y
+    return _prepare(model, cols[:model.n_terms], y)
 
 
 def dim_table(a, alpha, delta, dims=DIMS, noise=None):

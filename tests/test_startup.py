@@ -153,26 +153,41 @@ def opens_for_reading(call):
     return True
 
 
+def package_calls():
+    """(module, function, call) of every call in src/embedscale, by the
+    innermost function it is written in (None at module level)."""
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                yield module, function, child
+            yield from visit(child, module, function)
+
+    for path in sorted(Path(embedscale.__file__).parent.rglob("*.py")):
+        yield from visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+
+
 def test_files_are_read_only_through_read_lines_and_the_hash():
     # Every input is read as core.read_lines reads it (a regular file, UTF-8
     # checked line by line); the manifest's hash reads its bytes.
     allowed = {("core", "read_lines"), ("cli", "_sha256")}
-    readers = []
-
-    def visit(node, module, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, module, child.name)
-                continue
-            if (isinstance(child, ast.Call) and opens_for_reading(child)
-                    and (module, function) not in allowed):
-                readers.append(f"{module}.{function}:{child.lineno}: "
-                               f"{ast.unparse(child)}")
-            visit(child, module, function)
-
-    for path in sorted(Path(embedscale.__file__).parent.rglob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+    readers = [f"{module}.{function}:{call.lineno}: {ast.unparse(call)}"
+               for module, function, call in package_calls()
+               if opens_for_reading(call) and (module, function) not in allowed]
     assert readers == []
+
+
+def test_only_main_prints_writes_files_and_makes_manifests():
+    # Commands compute and cli.main publishes: no other function prints,
+    # writes a command's files or makes its manifest.
+    publishers = {"print", "_write_files", "_manifest"}
+    calls = [f"{module}.{function}:{call.lineno}: {ast.unparse(call.func)}"
+             for module, function, call in package_calls()
+             if ast.unparse(call.func).rpartition(".")[2] in publishers
+             and (module, function) != ("cli", "main")]
+    assert calls == []
 
 
 # Runs the argv in argv[1:] through main in a fresh interpreter and prints
