@@ -246,8 +246,7 @@ def cmd_fit(args):
     fit = fit_law(table, LAWS[args.law])
     report = fit_to_report(fit)
     report["options"] = {"max_iters": MAX_ITERS,
-                         "decrement_tolerance": DECREMENT_TOLERANCE,
-                         "n_starts": None}
+                         "decrement_tolerance": DECREMENT_TOLERANCE}
     curves = _curve_file("fitted-curve", "fit_report.json", [],
                          ["\n\n".join(_curve_blocks(fit, table))])
     summary = " ".join(f"{k}={_fmt(v)}"

@@ -363,5 +363,5 @@ def fit_law(table: ObservationTable, model: PowerLaw) -> LawFit:
                   residual_norm=residual_norm,
                   n_points=len(y),
                   converged=report.converged,
-                  start_index=report.start_index,
+                  multistart_index=report.start_index,
                   warnings=tuple(warnings))

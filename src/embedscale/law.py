@@ -4,8 +4,10 @@ Both laws are one model over K inputs, L(x) = sum_k c_k / x_k^e_k + delta:
 K = 1 for the dimension-only law, L(D) = A / D^alpha + delta, and K = 2
 for the joint law, L(D, N) = A / D^alpha + B / (N/1e6)^beta + delta. They
 share one record, LawFit, and one evaluator, _value, behind both predict
-and fit_law's r2; LAWS looks a law up by the name its reports carry. Only
-math is used here; embedscale.fit holds the engine that fits.
+and fit_law's r2; LAWS looks a law up by the name its reports carry.
+Every LawFit field after params is the fit-report key of that name, and
+_FIELDS lists them. Only math is used here; embedscale.fit holds the
+engine that fits.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ class LawFit:
     params follows model.param_names, and each parameter also reads by
     name (fit.alpha, fit.b_coeff). The joint law's b_coeff is calibrated
     against parameter counts in millions; predict does the division.
-    start_index (multistart_index in reports) names the start the fit
-    descended from: a flat profile-grid cell.
+    Every field after params is the report key of that name (_FIELDS);
+    multistart_index is the start the fit descended from, a flat
+    profile-grid cell.
     """
 
     model: PowerLaw
@@ -58,7 +61,7 @@ class LawFit:
     residual_norm: float
     n_points: int
     converged: bool = True
-    start_index: int = 0
+    multistart_index: int = 0
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -168,16 +171,9 @@ def fit_to_report(fit: LawFit) -> dict:
     parameters = dict(zip(fit.model.param_names, fit.params))
     if fit.model is JOINT_LAW:
         parameters["param_unit"] = "millions"
-    report = {
-        "law": fit.model.name,
-        "parameters": parameters,
-        "r2": fit.r2,
-        "residual_norm": fit.residual_norm,
-        "n_points": fit.n_points,
-        "converged": fit.converged,
-        "multistart_index": fit.start_index,
-        "warnings": list(fit.warnings),
-    }
+    report = {"law": fit.model.name, "parameters": parameters,
+              **{key: getattr(fit, key) for key in _FIELDS}}
+    report["warnings"] = list(fit.warnings)
     return report
 
 
@@ -218,10 +214,7 @@ def fit_from_report(obj) -> LawFit:
                           **_FIELDS}.items():
             if not _HOLDS[what](fields[key]):
                 raise DataError(f"malformed fit report: {key} must be {what}")
-        return LawFit(model, values, r2=fields["r2"],
-                      residual_norm=fields["residual_norm"],
-                      n_points=fields["n_points"], converged=fields["converged"],
-                      start_index=fields["multistart_index"],
-                      warnings=tuple(fields["warnings"]))
+        fields["warnings"] = tuple(fields["warnings"])
+        return LawFit(model, values, **{key: fields[key] for key in _FIELDS})
     except (KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed fit report: {exc}") from None

@@ -16,13 +16,12 @@ feasible interval where D >= 1.
 from __future__ import annotations
 
 from math import isfinite, log, log1p, nextafter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import DataError, _check_double, record
 from .law import JOINT_LAW, MILLION, LawFit, predict
 
 REGIMES = ("exhaustive", "ann")
-_MAX_BISECTIONS = 1100
 
 
 @record
@@ -169,13 +168,8 @@ def optimal_allocation(fit: LawFit, b: BudgetSpec) -> AllocationResult:
     # the largest double below 1 still gives D >= 1.
     lo, hi = 0.0, min(1.0 - per_dim / b.total_flops, nextafter(1.0, 0.0))
     if slope_nonnegative(hi):
-        # Each step halves the bracket and doubles in (0, 1) lie at least
-        # 2^-1074 apart, so the stopping rule ends the loop within about
-        # 1075 steps even for a root among the subnormals near 0.
-        for _ in range(_MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
+        # Doubles are at least 2^-1074 apart: the bracket closes in ~1075 steps.
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
             if slope_nonnegative(mid):
                 hi = mid
             else:

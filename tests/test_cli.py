@@ -492,7 +492,7 @@ class TestFit:
         assert report["converged"] is True
         assert report["manifest"]["options"]["law"] == "dim"
         assert report["options"] == {"decrement_tolerance": 1e-15,
-                                     "max_iters": 500, "n_starts": None}
+                                     "max_iters": 500}
         curve = (tmp_path / "fit_curve.dat").read_text().splitlines()
         assert curve[0] == "# embedscale fitted-curve samples"
         assert curve[1] == "# manifest: fit_report.json"

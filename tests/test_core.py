@@ -65,7 +65,7 @@ class TestParse:
 class TestRecord:
     def test_positional_keyword_and_default_construction(self):
         fit = LawFit(DIM_LAW, (1.0, 0.5, 0.1), 0.9, residual_norm=0.2, n_points=7)
-        assert (fit.converged, fit.start_index, fit.warnings) == (True, 0, ())
+        assert (fit.converged, fit.multistart_index, fit.warnings) == (True, 0, ())
         assert fit == LawFit(model=DIM_LAW, params=(1.0, 0.5, 0.1), r2=0.9,
                              residual_norm=0.2, n_points=7, converged=True)
         assert fit.alpha == 0.5

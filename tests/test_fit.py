@@ -13,6 +13,7 @@ from embedscale import (DIM_LAW, JOINT_LAW, DataError, LawFit,
                         filter_by, fit_from_report, fit_law, fit_to_report,
                         least_squares, parse_observations, predict,
                         r_squared)
+from embedscale import law
 from embedscale.fit import (DECREMENT_TOLERANCE, EXPONENT_RANGE, FD_STEP,
                             GRID_POINTS, MAX_ITERS, _descend, _prepare, _profile,
                             _terms)
@@ -606,6 +607,19 @@ class TestReportRoundTrip:
         assert (fit_to_report(bert_trec_joint_fit)["parameters"]["param_unit"]
                 == "millions")
         assert bert_trec_joint_fit.n_points == 58
+
+    def test_report_keys_are_the_fit_fields(self):
+        assert tuple(law._FIELDS) == LawFit._fields[2:]
+        for fit in (JOINT_FIT, DIM_FIT):
+            assert set(fit_to_report(fit)) == {"law", "parameters", *law._FIELDS}
+
+    def test_optional_fields_default(self, data_dir, bert_trec_joint_fit):
+        report = json.loads((data_dir / "fit_report_bert_trecdl.json").read_text())
+        for key in ("converged", "multistart_index", "warnings"):
+            del report[key]
+        fit = fit_from_report(report)
+        assert (fit.converged, fit.multistart_index, fit.warnings) == (True, 0, ())
+        assert fit == bert_trec_joint_fit
 
     def test_malformed_report(self):
         with pytest.raises(DataError):

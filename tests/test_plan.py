@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +142,19 @@ class TestOptimalAllocation:
         result = optimal_allocation(flat, b)
         assert result.gamma == math.nextafter(1.0, 0.0)
         assert result.d_hat >= 1.0
+
+    def test_root_among_the_subnormals_closes_its_bracket(self):
+        # b_coeff is the smallest subnormal, so the slope's root lies near
+        # gamma = 3.7e-319: the deepest bracket, about 1075 halvings.
+        tiny = LawFit(JOINT_LAW, (1.0, 5e-324, 1.0, 0.01, 0.1), r2=1.0,
+                      residual_norm=0.0, n_points=21)
+        b = BudgetSpec(total_flops=1e9, query_tokens=32, corpus_size=100_000)
+        result = optimal_allocation(tiny, b)
+        assert 0.0 < result.gamma < sys.float_info.min
+        for neighbour in (math.nextafter(result.gamma, 0.0),
+                          math.nextafter(result.gamma, 1.0)):
+            n, d = allocation_from_gamma(neighbour, b)
+            assert predict(tiny, d, n) >= result.predicted_entropy
 
     @pytest.mark.parametrize("budget", [1e11, 1e13])
     def test_no_worse_than_dense_scan_of_whole_interval(self, budget):
