@@ -3,13 +3,16 @@
 An observation is one measured point: a named model evaluated at one
 embedding dimension on one dataset, with its contrastive entropy.
 Parameter counts are stored in raw parameters; any unit scaling is the
-fitter's business, not the table's.
+fitter's business, not the table's. The module also holds what the
+readers share: read_lines, and _in_parts, which runs one task in parts on
+every CPU through os.fork, for eval-ce's scorer and the matrix files.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import sys
 from math import isfinite, log10
 from stat import S_ISREG
 from sys import float_info
@@ -30,8 +33,8 @@ def read_lines(path: str):
 
     A line ends at \\n, \\r\\n or \\r, and keeps its end, read as \\n.
     The path must name a regular file, so that its bytes can be read again
-    (for the manifest's hash, by each of eval-ce's parts); os.stat checks
-    this before the file is opened, so a FIFO never blocks.
+    (for the manifest's hash, by each part of eval-ce and load_matrix);
+    os.stat checks this before the file is opened, so a FIFO never blocks.
 
     Raises:
         DataError: a path that is not a regular file (a pipe, a device, a
@@ -51,6 +54,85 @@ def read_lines(path: str):
                     raise DataError(f"{path}: not UTF-8 text: "
                                     f"line {lineno}: {exc}") from None
             yield line
+
+
+def _in_parts(path: str, doing: str, here, send, receive) -> list:
+    """Run one task in P parts at once, on every CPU this process may use,
+    and return each part's result in part order.
+
+    P is the size of os.sched_getaffinity(0); it is 1 where os.fork or
+    os.sched_getaffinity is missing, or other threads run. Part k >= 1 runs
+    in a child of os.fork, which writes the bytes send(k, P) returns to an
+    os.pipe and leaves by os._exit; any exception ends it with code 1. This
+    process runs part 0 meanwhile, by here(P), then reads each child's pipe
+    in part order: part k's result is receive(part 0's result, pipe), or
+    None where the pipe ends early (receive raises EOFError), and the rest
+    of the pipe is read and dropped, so no child waits on a full pipe.
+    Every child is reaped before this returns or raises.
+
+    Raises:
+        DataError: a child that ended by a signal or with an exit code
+            other than 0, named with path and the part it was doing.
+    """
+    # A forked child holds only the calling thread, and any lock another
+    # thread held stays taken in it: a process with threads runs alone.
+    threading = sys.modules.get("threading")
+    alone = (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+             or threading is not None and threading.active_count() > 1)
+    parts = 1 if alone else len(os.sched_getaffinity(0))
+    children, done = [], False        # (pid, read end) of parts 1 .. P - 1
+    try:
+        for part in range(1, parts):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child(send, part, parts, write_end,
+                       [read_end, *(fd for _, fd in children)])
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [here(parts)]
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                try:
+                    results.append(receive(results[0], pipe))
+                except EOFError:     # a child that ended early: its code says why
+                    results.append(None)
+                pipe.read()
+        done = True
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if not done:
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _ in children]
+    for part, code in enumerate(codes, start=1):
+        if code:
+            how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
+            raise DataError(f"{path}: the process {doing} part {part + 1} of "
+                            f"{parts} ended {how} before sending its rows")
+    return results
+
+
+def _child(send, part: int, parts: int, write_end: int, read_ends: list[int]):
+    """Write send(part, parts) to write_end and leave by os._exit: never
+    returns. Any exception ends the child with code 1.
+    """
+    code = 1
+    try:
+        for fd in read_ends:    # so a write to a vanished parent fails
+            os.close(fd)
+        with open(write_end, "wb") as pipe:
+            pipe.write(send(part, parts))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def record(cls):

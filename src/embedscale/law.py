@@ -178,15 +178,18 @@ def fit_to_report(fit: LawFit) -> dict:
 
 
 # What each report field must hold (type() is exact, so a bool is not a
-# number), and the defaults of the fields a report may omit.
+# number; a count, a norm or an index is never negative), and the defaults
+# of the fields a report may omit.
 _HOLDS = {"a finite number": lambda v: type(v) in (int, float) and isfinite(v),
-          "an integer": lambda v: type(v) is int,
+          "a nonnegative finite number":
+          lambda v: type(v) in (int, float) and isfinite(v) and v >= 0,
+          "a nonnegative integer": lambda v: type(v) is int and v >= 0,
           "true or false": lambda v: type(v) is bool,
           "a list of strings": lambda v: type(v) is list
           and all(type(w) is str for w in v)}
-_FIELDS = {"r2": "a finite number", "residual_norm": "a finite number",
-           "n_points": "an integer", "converged": "true or false",
-           "multistart_index": "an integer", "warnings": "a list of strings"}
+_FIELDS = {"r2": "a finite number", "residual_norm": "a nonnegative finite number",
+           "n_points": "a nonnegative integer", "converged": "true or false",
+           "multistart_index": "a nonnegative integer", "warnings": "a list of strings"}
 _OPTIONAL = {"converged": True, "multistart_index": 0, "warnings": []}
 
 
@@ -196,7 +199,8 @@ def fit_from_report(obj) -> LawFit:
     Raises:
         DataError: anything but a JSON object of a known law with an object
             of finite, in-range parameters and every diagnostic field, each
-            of its JSON type (a bool is not a number).
+            of its JSON type (a bool is not a number) and range: a count,
+            norm or index below 0 is refused.
     """
     if not (isinstance(obj, dict) and isinstance(obj.get("parameters"), dict)):
         raise DataError("malformed fit report: the report and its parameters "

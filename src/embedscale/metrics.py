@@ -11,9 +11,11 @@ when it is called.
 score_file, which eval-ce runs, scores a JSONL score file on every CPU
 the process may use: each part of its lines but the first is scored in a
 child that os.fork starts, and the rows come back through pipes to be
-merged in file order. A part that meets a fault sends None instead; then
-one reader of the whole file, in this process, raises the first fault in
-file order. So the result and the fault are the same for any number of CPUs.
+merged in file order. The forks, pipes and reaping are core._in_parts,
+which embed's load_matrix and save_matrix run through too. A part that
+meets a fault sends None instead; then one reader of the whole file, in
+this process, raises the first fault in file order. So the result and the
+fault are the same for any number of CPUs.
 
 Determinism notes, relied on by the reproducibility contract:
   - Sums over scores and over queries use math.fsum (exactly rounded), so
@@ -26,13 +28,11 @@ from __future__ import annotations
 
 import json
 import marshal
-import os
-import sys
 from itertools import chain
 from math import exp, expm1, fsum, inf, isfinite, log, log1p
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import DataError, NumericError, read_lines, record
+from .core import DataError, NumericError, _in_parts, read_lines, record
 
 
 @record
@@ -384,85 +384,29 @@ def _score_part(path: str, tau: Optional[float], part: int, parts: int):
     return rows
 
 
-def _child(path: str, tau: Optional[float], part: int, parts: int,
-           write_end: int, read_ends: list[int]):
-    """Score one part in a forked child, send its rows, or None at a fault,
-    through write_end as marshal writes them, and leave by os._exit: never
-    returns. Any exception but a fault ends the child with code 1.
-    """
-    code = 1
-    try:
-        for fd in read_ends:    # so a write to a vanished parent fails
-            os.close(fd)
-        with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(_score_part(path, tau, part, parts)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def score_file(path: str, tau: Optional[float] = None) -> list[tuple[str, float]]:
     """(query_id, entropy) of each record of a JSONL score file, in file
     order, scored on every CPU this process may use.
 
-    tau is checked first. With P the size of os.sched_getaffinity(0), part
-    k holds the records on the lines whose number is k + 1 modulo P. This
-    process scores part 0; a child of os.fork scores each other part and
-    sends its rows through an os.pipe as marshal writes them (ids and
-    entropies exactly), or None at a fault. Every part reads every line
-    through core.read_lines, and the rows are merged by line. If a part
-    sent None, iter_score_records reads the file again in this process: it
-    raises the first fault in file order with one reader's text (or, if
-    the file changed meanwhile, gives its own rows). P is 1 where os.fork
-    or os.sched_getaffinity is missing, or other threads run. Every child
-    is reaped before this returns or raises.
+    tau is checked first. The parts run through core._in_parts: with P
+    parts, part k holds the records on the lines whose number is k + 1
+    modulo P, and a forked child sends each part's rows but part 0's as
+    marshal writes them (ids and entropies exactly), or None at a fault.
+    Every part reads every line through core.read_lines, and the rows are
+    merged by line. If a part sent None, iter_score_records reads the file
+    again in this process: it raises the first fault in file order with
+    one reader's text (or, if the file changed meanwhile, gives its own
+    rows).
 
     Raises:
         DataError, NumericError: the first fault in file order; or a child
             that ended without sending its rows.
     """
     _check_temperature(tau)
-    # A forked child holds only the calling thread, and any lock another
-    # thread held stays taken in it: a process with threads scores alone.
-    threading = sys.modules.get("threading")
-    alone = (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-             or threading is not None and threading.active_count() > 1)
-    parts = 1 if alone else len(os.sched_getaffinity(0))
-    children, done = [], False        # (pid, read end) of parts 1 .. P - 1
-    try:
-        for part in range(1, parts):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _child(path, tau, part, parts, write_end,
-                       [read_end, *(fd for _, fd in children)])
-            os.close(write_end)
-            children.append((pid, read_end))
-        results = [_score_part(path, tau, 0, parts)]
-        payloads = []
-        for _, fd in children:
-            with open(fd, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-        done = True
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            if not done:
-                from signal import SIGKILL
-                os.kill(pid, SIGKILL)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid, _ in children]
-    for part, (payload, code) in enumerate(zip(payloads, codes), start=1):
-        if code:
-            how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
-            raise DataError(f"{path}: the process scoring part {part + 1} of "
-                            f"{parts} ended {how} before sending its rows")
-        results.append(marshal.loads(payload))
+    results = _in_parts(
+        path, "scoring", lambda parts: _score_part(path, tau, 0, parts),
+        lambda part, parts: marshal.dumps(_score_part(path, tau, part, parts)),
+        lambda _, pipe: marshal.loads(pipe.read()))
     if None in results:
         return [(rec.query_id, contrastive_entropy_query(rec, tau))
                 for rec in iter_score_records(read_lines(path))]

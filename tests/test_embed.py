@@ -382,6 +382,24 @@ class TestMatrixFiles:
         # and a float object per value first held about 3.1 times it.
         assert peak < 0.75 * size
 
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_save_streams(self, tmp_path, monkeypatch, parts):
+        import tracemalloc
+        matrix = EmbeddingMatrix(
+            np.random.default_rng(3).standard_normal((400, 384)))
+        path = tmp_path / "vecs.txt"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        tracemalloc.start()
+        try:
+            save_matrix(matrix, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Measured: 0.026 of the text at P = 1 and 0.056 at P = 2 and 3, the
+        # copy's 64 KiB chunks; holding one child's text would pass 0.3.
+        assert peak < 0.1 * path.stat().st_size
+        assert no_child_left()
+
     def test_lines_end_as_in_a_text_file(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_bytes(b"# header\r\na 1.5 -2\r\n\rb 1e-3 4\rc 0.1 7_0\n")
@@ -435,3 +453,214 @@ class TestMatrixFiles:
             meta.write_text(sidecar)
         with pytest.raises(DataError, match="vecs.txt.json"):
             load_matrix(str(path))
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def force_parts(monkeypatch, parts):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+
+
+def read_reference(path):
+    """(ids, doubles) of a matrix file as one plain reader parses it."""
+    ids, rows = [], []
+    with open(path, encoding="utf-8", newline=None) as fh:
+        for line in fh:
+            fields = line.split()
+            if fields and not fields[0].startswith("#"):
+                ids.append(fields[0])
+                rows.append([float(v) for v in fields[1:]])
+    return tuple(ids), np.array(rows, dtype=float).tobytes()
+
+
+class TestMatrixFilesInParts:
+    """load_matrix and save_matrix run part k of P in a forked child for
+    k >= 1; every P gives the same bytes, the same matrix and the same
+    first fault."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 50])
+    def test_save_writes_the_same_bytes_for_every_part_count(
+            self, tmp_path, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        for ids in (None, [f"r-{i}é" for i in range(rows)]):
+            matrix = EmbeddingMatrix(rng.standard_normal((rows, 5)) * 1e3, ids=ids)
+            saved = []
+            for parts in (1, 2, 3):
+                force_parts(monkeypatch, parts)
+                path = tmp_path / f"p{parts}.txt"
+                save_matrix(matrix, str(path))
+                saved.append((path.read_bytes(),
+                              Path(f"{path}.json").read_bytes()))
+            assert saved[1] == saved[0] and saved[2] == saved[0]
+            expected = "".join(
+                rid + " " + " ".join(repr(float(v)) for v in row) + "\n"
+                for rid, row in zip(ids or map(str, range(rows)), matrix.data))
+            assert saved[0][0] == expected.encode("utf-8")
+        assert no_child_left()
+
+    def test_load_gives_the_same_matrix_for_every_part_count(self, tmp_path,
+                                                             monkeypatch):
+        # Comments, blank lines, CRLF and lone \r ends, and a non-ASCII id,
+        # between two comments whose lengths trade off, so that each part
+        # boundary falls on every byte of them in turn.
+        body = (b"a 1.5 -2\r\n\r\n# note\rb 1e-3 4\r\r"
+                b"c\t0.1 7_0\n   \nd\xc3\xa9 5e-324 -0.0\r\ne 1 2\r")
+        path = tmp_path / "vecs.txt"
+        width = 2 * len(body) + 10
+        for pad in range(width + 1):
+            path.write_bytes(b"#" + b"x" * pad + b"\n" + body
+                             + b"#" + b"y" * (width - pad) + b"\n")
+            expected = read_reference(path)
+            for parts in (1, 2, 3):
+                force_parts(monkeypatch, parts)
+                loaded = load_matrix(str(path))
+                assert (loaded.ids, loaded.data.tobytes()) == expected, (pad, parts)
+        assert expected[0] == ("a", "b", "c", "dé", "e")
+        assert no_child_left()
+
+    def test_load_of_a_large_file_for_every_part_count(self, tmp_path,
+                                                       monkeypatch):
+        # Each child's doubles fill more than a pipe holds, and at P = 2
+        # more than one of the chunks they are read in.
+        matrix = EmbeddingMatrix(np.random.default_rng(8).standard_normal((300, 256)),
+                                 ids=[f"d{i}" for i in range(300)])
+        path = tmp_path / "vecs.txt"
+        save_matrix(matrix, str(path))
+        for parts in (1, 2, 3):
+            force_parts(monkeypatch, parts)
+            loaded = load_matrix(str(path))
+            assert loaded.ids == matrix.ids
+            assert loaded.data.tobytes() == matrix.data.tobytes()
+        assert no_child_left()
+
+    @pytest.mark.parametrize("lines, message", [
+        ([b"a 1 2", b"b x 2"] + [b"c 1 2"] * 20 + [b"d 1 y"] * 20,
+         ":2: could not convert string to float: 'x'"),
+        # The later parts' doubles fill more than a pipe holds.
+        ([b"a 1 2", b"b x 2"] + [b"c 1 2"] * 9000,
+         ":2: could not convert string to float: 'x'"),
+        ([b"a 1 2"] * 20 + [b"b 1"] + [b"c 1 2"] * 20 + [b"d"],
+         ":21: row has 1 values, expected 2"),
+        # At P = 2 part 1 begins on line 21: each part is whole, but they
+        # differ in width.
+        ([b"a 1 2"] * 20 + [b"b 1 2 3"] * 15,
+         ":21: row has 3 values, expected 2"),
+        ([b"a 1 2"] * 30 + [b"b 1 \xff"] + [b"c 1"] * 10,
+         "vecs.txt: not UTF-8 text: line 31"),
+        ([b"a 1 2"] * 20 + [b"b"] + [b"c 1 2 \xff"] * 20,
+         ":21: expected `id v1 ... vd`"),
+        ([b"# only"] * 20 + [b""] * 20, "vecs.txt: no matrix rows"),
+    ], ids=["bad-value-then-bad-value", "bad-value-then-rows", "ragged-then-short",
+            "wider-in-a-later-part", "utf8-in-a-later-part", "no-values-then-utf8",
+            "no-rows"])
+    def test_first_fault_in_file_order_for_every_part_count(
+            self, tmp_path, monkeypatch, lines, message):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        errors = []
+        for parts in (1, 2, 3):
+            force_parts(monkeypatch, parts)
+            with pytest.raises(DataError) as info:
+                load_matrix(str(path))
+            errors.append(str(info.value))
+        assert message in errors[0]
+        assert errors[1] == errors[0] and errors[2] == errors[0]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("how", ["raise", "kill"])
+    def test_a_child_that_dies_is_a_data_error(self, tmp_path, monkeypatch, how):
+        import signal
+
+        import embedscale.embed as embed
+        matrix = EmbeddingMatrix(np.random.default_rng(2).standard_normal((30, 4)))
+        path = tmp_path / "vecs.txt"
+        save_matrix(matrix, str(path))
+        expected = path.read_bytes()
+        send_part, lines = embed._send_part, embed._lines
+
+        def die():
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("boom")
+
+        def dying_send(path, size, part, parts):
+            die()
+            return send_part(path, size, part, parts)
+
+        def dying_lines(ids, data, part, parts):
+            if part:
+                die()
+            return lines(ids, data, part, parts)
+
+        ended = (f"by signal {int(signal.SIGKILL)}" if how == "kill"
+                 else "with exit code 1")
+        monkeypatch.setattr(embed, "_send_part", dying_send)
+        force_parts(monkeypatch, 3)
+        with pytest.raises(DataError, match=f"vecs.txt: the process reading part 2 "
+                                            f"of 3 ended {ended} before sending"):
+            load_matrix(str(path))
+        assert no_child_left()
+
+        monkeypatch.setattr(embed, "_lines", dying_lines)
+        out = tmp_path / "out.txt"
+        with pytest.raises(DataError, match=f"out.txt: the process formatting part 2 "
+                                            f"of 3 ended {ended} before sending"):
+            save_matrix(matrix, str(out))
+        # Part 0 was written; the file stops there and has no sidecar.
+        written = out.read_bytes()
+        assert expected.startswith(written) and written.count(b"\n") == 10
+        assert not Path(f"{out}.json").exists()
+        assert no_child_left()
+
+    def test_a_pipe_that_ends_early_reads_the_file_again(self, tmp_path,
+                                                         monkeypatch):
+        # A child that exits 0 after sending only part of its payload: the
+        # part counts as a fault, and one reader reads the file again.
+        import embedscale.embed as embed
+        send_part = embed._send_part
+        matrix = EmbeddingMatrix(np.random.default_rng(5).standard_normal((40, 3)))
+        path = tmp_path / "vecs.txt"
+        save_matrix(matrix, str(path))
+        force_parts(monkeypatch, 2)
+        full = len(send_part(str(path), path.stat().st_size, 1, 2))
+        for cut in (0, 5, 8, 19, 8 + 20 * 24 + 3, full - 40, full - 1):
+            monkeypatch.setattr(embed, "_send_part",
+                                lambda *args: send_part(*args)[:cut])
+            loaded = load_matrix(str(path))
+            assert loaded.data.tobytes() == matrix.data.tobytes(), cut
+        assert no_child_left()
+
+    def test_a_process_with_threads_runs_alone(self, tmp_path, monkeypatch):
+        import threading
+
+        import embedscale.embed as embed
+        read_part, lines = embed._read_part, embed._lines
+
+        def alone_read(path, size, part, parts):
+            assert (part, parts) == (0, 1)
+            return read_part(path, size, part, parts)
+
+        def alone_lines(ids, data, part, parts):
+            assert (part, parts) == (0, 1)
+            return lines(ids, data, part, parts)
+        monkeypatch.setattr(embed, "_read_part", alone_read)
+        monkeypatch.setattr(embed, "_lines", alone_lines)
+        force_parts(monkeypatch, 3)
+        matrix = EmbeddingMatrix(np.random.default_rng(4).standard_normal((9, 3)))
+        path = tmp_path / "vecs.txt"
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            save_matrix(matrix, str(path))
+            loaded = load_matrix(str(path))
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert loaded.data.tobytes() == matrix.data.tobytes()
+        assert no_child_left()

@@ -646,6 +646,23 @@ class TestReportRoundTrip:
             with pytest.raises(DataError, match=f"{key} must be "):
                 fit_from_report(dict(report, **{key: value}))
 
+    @pytest.mark.parametrize("key, value, refused", [
+        ("n_points", -3, True), ("residual_norm", -1.0, True),
+        ("residual_norm", -5e-324, True), ("multistart_index", -7, True),
+        ("n_points", 0, False), ("residual_norm", 0.0, False),
+        ("residual_norm", -0.0, False), ("multistart_index", 0, False),
+        # r2 falls below 0 for any fit worse than the targets' mean, and
+        # has no lower bound.
+        ("r2", -1e300, False)])
+    def test_diagnostic_fields_in_range(self, data_dir, key, value, refused):
+        report = json.loads((data_dir / "fit_report_bert_trecdl.json").read_text())
+        report[key] = value
+        if refused:
+            with pytest.raises(DataError, match=f"{key} must be a nonnegative"):
+                fit_from_report(report)
+        else:
+            assert getattr(fit_from_report(report), key) == value
+
     @settings(max_examples=40, deadline=None)
     @given(obj=st.one_of(JSON_VALUES, mutated_reports()))
     @example(obj=dict(fit_to_report(JOINT_FIT), parameters=[1, 2]))
