@@ -4,16 +4,18 @@ An observation is one measured point: a named model evaluated at one
 embedding dimension on one dataset, with its contrastive entropy.
 Parameter counts are stored in raw parameters; any unit scaling is the
 fitter's business, not the table's. The module also holds what the
-readers share: read_lines, and _in_parts, which runs one task in parts on
-every CPU through os.fork, for eval-ce's scorer and the matrix files.
+readers share: read_lines; _in_parts, which runs a task in parts on every
+CPU through os.fork; and _read_in_parts, which eval-ce's scorer and
+load_matrix read through: it splits the file and decides every fault.
 """
 
 from __future__ import annotations
 
 import io
+import marshal
 import os
 import sys
-from math import isfinite, log10
+from math import inf, isfinite, log10
 from stat import S_ISREG
 from sys import float_info
 
@@ -26,6 +28,11 @@ class DataError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numeric routine produced no usable result."""
+
+
+# The errors the CLI reports with a documented exit code: DataError is a
+# ValueError, and NumericError an ArithmeticError.
+_FAULTS = (NumericError, OSError, ValueError)
 
 
 def read_lines(path: str):
@@ -56,9 +63,54 @@ def read_lines(path: str):
             yield line
 
 
+def _part_lines(path: str, part: int, parts: int, size: int):
+    """Yield (line number, line) for the lines of read_lines(path) that
+    begin in the part-th P-th of size, counted in UTF-8 bytes of the text
+    read_lines gives; the last part runs to the end. Every part reads the
+    lines before its own, so line numbers count from the top of the file.
+    """
+    start = part * size // parts
+    stop = (part + 1) * size // parts if part + 1 < parts else inf
+    at = 0
+    for lineno, line in enumerate(read_lines(path), start=1):
+        begin, at = at, at + (len(line) if line.isascii() else len(line.encode()))
+        if begin >= stop:
+            break
+        if begin >= start:
+            yield lineno, line
+
+
+def _read_in_parts(path: str, doing: str, parse,
+                   receive=lambda _, pipe: marshal.loads(pipe.read())) -> list:
+    """parse(lines) of each part's _part_lines of a text file, in part
+    order, parsed through _in_parts on every CPU this process may use.
+
+    Part 0 covers the top of the file, so a fault its parse raises is the
+    first in file order and is raised directly. A child sends its parse as
+    marshal writes it, or None where the parse raised one of _FAULTS;
+    receive(part 0's result, pipe) reads it, None for a fault. If any part
+    gave None, the whole file is parsed again here as one part: this one
+    reader raises the first fault in file order.
+    """
+    size = os.stat(path).st_size
+
+    def send(part, parts):
+        try:
+            return marshal.dumps(parse(_part_lines(path, part, parts, size)))
+        except _FAULTS:
+            return marshal.dumps(None)
+    results = _in_parts(path, doing,
+                        lambda parts: parse(_part_lines(path, 0, parts, size)),
+                        send, receive)
+    if None in results:
+        return [parse(_part_lines(path, 0, 1, size))]
+    return results
+
+
 def _in_parts(path: str, doing: str, here, send, receive) -> list:
     """Run one task in P parts at once, on every CPU this process may use,
-    and return each part's result in part order.
+    and return each part's result in part order: save_matrix's formatting,
+    and each read through _read_in_parts.
 
     P is the size of os.sched_getaffinity(0); it is 1 where os.fork or
     os.sched_getaffinity is missing, or other threads run. Part k >= 1 runs

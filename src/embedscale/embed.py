@@ -2,11 +2,11 @@
 
 Encoders live upstream; this module only does the math that turns token
 hidden states into final embeddings and scores. Matrices travel as files
-(see load_matrix) or as in-memory EmbeddingMatrix values. load_matrix and
-save_matrix run on every CPU the process may use, through the one fork
-helper that eval-ce's scorer uses too (core._in_parts): each part of the
-file but the first is parsed or formatted in a forked child, and the
-result and the bytes are the same for any number of CPUs.
+(see load_matrix) or as in-memory EmbeddingMatrix values. load_matrix
+reads through core._read_in_parts, as eval-ce's scorer does, and
+save_matrix formats through core._in_parts: each part but the first runs
+in a forked child, and the matrix and the bytes are the same for any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import json
 import marshal
 import os
 from array import array
-from math import inf
 from shutil import copyfileobj
 from typing import Optional
 
 import numpy as np
 
-from .core import DataError, NumericError, _in_parts, read_lines, record
+from .core import (DataError, NumericError, _in_parts, _read_in_parts,
+                   read_lines, record)
 
 ZERO_NORM_EPS = 1e-12
 
@@ -150,23 +150,14 @@ def score_pairs(queries: EmbeddingMatrix, docs: EmbeddingMatrix,
     return q @ d.T
 
 
-def _rows(path: str, start=0, stop=inf):
-    """The ids, the dim (None without rows) and the flat doubles of the rows
-    on the lines of a matrix file that begin at offsets start to stop, in
-    characters of the text core.read_lines gives.
-
-    Raises:
-        DataError: as load_matrix, at the first bad line of the range.
-    """
+def _rows(path: str, lines) -> list:
+    """[ids, dim (None without rows), flat doubles] of the rows on the
+    (line number, line) pairs of lines of a matrix file; raises DataError
+    as load_matrix does, at the first bad line."""
     ids = []
     values = array("d")     # every row's values, one flat buffer of doubles
-    dim, at = None, 0
-    for lineno, line in enumerate(read_lines(path), start=1):
-        begin, at = at, at + len(line)
-        if begin < start:
-            continue
-        if begin >= stop:
-            break
+    dim = None
+    for lineno, line in lines:
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -184,45 +175,22 @@ def _rows(path: str, start=0, stop=inf):
             )
         ids.append(parts[0])
         values.fromlist(row)
-    return ids, dim, values
+    return [ids, dim, values]
 
 
-def _read_part(path: str, size: int, part: int, parts: int):
-    """_rows of part k of P: the lines that begin in the k-th P-th of size,
-    the last part running to the end; or None at a DataError or OSError."""
-    stop = (part + 1) * size // parts if part + 1 < parts else inf
-    try:
-        return _rows(path, part * size // parts, stop)
-    except (OSError, ValueError):
+def _merge(first: list, pipe):
+    """Append the rows a child sent through pipe to the first part's _rows,
+    and return first; or None where the child met a fault or its rows
+    differ in width from the rows before, so that the file is read again.
+    """
+    rows = marshal.loads(pipe.read())
+    if rows is None or None not in (first[1], rows[1]) and rows[1] != first[1]:
         return None
-
-
-def _send_part(path: str, size: int, part: int, parts: int) -> bytes:
-    """Part k of P for a pipe: the number of its doubles in 8 bytes, the
-    doubles, then its ids and dim as marshal writes them; or no doubles and
-    marshal's None at a fault."""
-    rows = _read_part(path, size, part, parts)
-    ids, dim, values = rows or (None, None, array("d"))
-    return b"".join((len(values).to_bytes(8, "little"), values,
-                     marshal.dumps(None if rows is None else (ids, dim))))
-
-
-def _receive_part(first, pipe):
-    """The ids and dim of the part _send_part wrote to pipe, whose doubles
-    are appended to those of the first part, in chunks; or None where
-    either part sent None."""
-    if first is None:
-        return None
-    values = first[2]
-    left = int.from_bytes(pipe.read(8), "little") * values.itemsize
-    while left:
-        size = min(left, 1 << 18)
-        chunk = pipe.read(size)
-        if len(chunk) < size:
-            raise EOFError("the pipe ended before the doubles did")
-        values.frombytes(chunk)
-        left -= size
-    return marshal.loads(pipe.read())
+    ids, dim, doubles = rows
+    first[0] += ids
+    first[1] = first[1] or dim
+    first[2].frombytes(doubles)
+    return first
 
 
 def load_matrix(path: str) -> EmbeddingMatrix:
@@ -233,14 +201,10 @@ def load_matrix(path: str) -> EmbeddingMatrix:
     content.
 
     The file is read on every CPU this process may use, through
-    core._in_parts: with P parts, part k parses the lines that begin in the
-    k-th P-th of the file's size, counted in the characters read_lines
-    gives, so every part reads the lines before its own too and sees the
-    lines one reader sees. A forked child sends each part but part 0,
-    whose doubles are appended in part order to part 0's one flat buffer;
-    a part that meets a fault sends None. If one did, or the parts' rows
-    differ in width, the file is read again in this process, which raises
-    the first fault in file order with its line number.
+    core._read_in_parts, each part by _rows; _merge appends each child's
+    doubles to part 0's flat buffer as they arrive. A later part whose
+    rows differ in width from those before counts as a fault, so one
+    reader raises the first fault in file order with its line number.
 
     Raises:
         DataError: a file that is not UTF-8, malformed line (with line
@@ -248,17 +212,8 @@ def load_matrix(path: str) -> EmbeddingMatrix:
             that is not a JSON object or does not match; or a child that
             ended before sending its rows.
     """
-    size = os.stat(path).st_size
-    blocks = _in_parts(path, "reading",
-                       lambda parts: _read_part(path, size, 0, parts),
-                       lambda part, parts: _send_part(path, size, part, parts),
-                       _receive_part)
-    if None in blocks or len({block[1] for block in blocks} - {None}) > 1:
-        blocks = [_rows(path)]
-    ids, dim, values = blocks[0]
-    for more_ids, more_dim in blocks[1:]:
-        ids += more_ids
-        dim = dim or more_dim
+    ids, dim, values = _read_in_parts(path, "reading",
+                                      lambda lines: _rows(path, lines), _merge)[0]
     if dim is None:
         raise DataError(f"{path}: no matrix rows")
     matrix = EmbeddingMatrix(np.frombuffer(values).reshape(len(ids), dim), tuple(ids))
@@ -309,10 +264,10 @@ def save_matrix(matrix: EmbeddingMatrix, path: str):
 
     Raises:
         DataError: an id that breaks that rule, named by its row index,
-            before path is opened, so an earlier file there stays as it was;
-            or a child that ended before sending its rows, after part 0 was
-            written: the file is left incomplete and no sidecar is written,
-            as when an OSError stops the write.
+            before any file is opened, so earlier files there stay as they
+            were; or a child that ended before sending its rows, after part
+            0 was written. The sidecar is written first, so a save cut
+            short, as by an OSError, leaves a file that load_matrix refuses.
     """
     ids = matrix.ids or [str(i) for i in range(matrix.rows)]
     for index, rid in enumerate(ids):
@@ -324,6 +279,9 @@ def save_matrix(matrix: EmbeddingMatrix, path: str):
         if not readable:
             raise DataError(f"row {index}: id {rid!r} is not one UTF-8 token "
                             f"without a leading '#'")
+    with open(path + ".json", "w", encoding="utf-8") as fh:
+        json.dump({"rows": matrix.rows, "dim": matrix.dim}, fh)
+        fh.write("\n")
     data = matrix.data
     with open(path, "wb") as fh:
         _in_parts(path, "formatting",
@@ -331,6 +289,3 @@ def save_matrix(matrix: EmbeddingMatrix, path: str):
                       line.encode() for line in _lines(ids, data, 0, parts)),
                   lambda part, parts: "".join(_lines(ids, data, part, parts)).encode(),
                   lambda _, pipe: copyfileobj(pipe, fh))
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump({"rows": matrix.rows, "dim": matrix.dim}, fh)
-        fh.write("\n")

@@ -9,13 +9,10 @@ holds one softmax, with math only. Only sample_negatives loads numpy,
 when it is called.
 
 score_file, which eval-ce runs, scores a JSONL score file on every CPU
-the process may use: each part of its lines but the first is scored in a
-child that os.fork starts, and the rows come back through pipes to be
-merged in file order. The forks, pipes and reaping are core._in_parts,
-which embed's load_matrix and save_matrix run through too. A part that
-meets a fault sends None instead; then one reader of the whole file, in
-this process, raises the first fault in file order. So the result and the
-fault are the same for any number of CPUs.
+the process may use, through core._read_in_parts, as load_matrix reads
+matrix files: each contiguous part of the lines but the first is scored in
+a forked child, and core decides every fault, so the result and the fault
+are the same for any number of CPUs.
 
 Determinism notes, relied on by the reproducibility contract:
   - Sums over scores and over queries use math.fsum (exactly rounded), so
@@ -27,12 +24,11 @@ Determinism notes, relied on by the reproducibility contract:
 from __future__ import annotations
 
 import json
-import marshal
 from itertools import chain
 from math import exp, expm1, fsum, inf, isfinite, log, log1p
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import DataError, NumericError, _in_parts, read_lines, record
+from .core import DataError, NumericError, _read_in_parts, record
 
 
 @record
@@ -362,53 +358,25 @@ def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
             yield rec
 
 
-# The errors the CLI reports with a documented exit code: DataError is a
-# ValueError, and NumericError an ArithmeticError.
-_FAULTS = (NumericError, OSError, ValueError)
-
-
-def _score_part(path: str, tau: Optional[float], part: int, parts: int):
-    """Rows (line number, query id, entropy) of the records on the lines
-    whose number is part + 1 modulo parts, or None at the first fault the
-    CLI reports with an exit code (_FAULTS). Every line is read through
-    core.read_lines, so line numbers are those of one reader.
-    """
-    rows, mine = [], (part + 1) % parts
-    try:
-        for lineno, line in enumerate(read_lines(path), start=1):
-            if lineno % parts == mine and (rec := _parse_line(lineno, line)):
-                rows.append((lineno, rec.query_id,
-                             contrastive_entropy_query(rec, tau)))
-    except _FAULTS:
-        return None
-    return rows
+def _score_lines(lines, tau: Optional[float]) -> list[tuple[str, float]]:
+    """(query id, entropy) of each record on the (line number, line) pairs
+    of lines; raises at the first bad line, with its number."""
+    return [(rec.query_id, contrastive_entropy_query(rec, tau))
+            for lineno, line in lines if (rec := _parse_line(lineno, line))]
 
 
 def score_file(path: str, tau: Optional[float] = None) -> list[tuple[str, float]]:
     """(query_id, entropy) of each record of a JSONL score file, in file
     order, scored on every CPU this process may use.
 
-    tau is checked first. The parts run through core._in_parts: with P
-    parts, part k holds the records on the lines whose number is k + 1
-    modulo P, and a forked child sends each part's rows but part 0's as
-    marshal writes them (ids and entropies exactly), or None at a fault.
-    Every part reads every line through core.read_lines, and the rows are
-    merged by line. If a part sent None, iter_score_records reads the file
-    again in this process: it raises the first fault in file order with
-    one reader's text (or, if the file changed meanwhile, gives its own
-    rows).
+    tau is checked first. Each part of core._read_in_parts is scored by
+    _score_lines; a child's rows come back as marshal writes them (ids and
+    entropies exactly), and are joined in part order.
 
     Raises:
         DataError, NumericError: the first fault in file order; or a child
             that ended without sending its rows.
     """
     _check_temperature(tau)
-    results = _in_parts(
-        path, "scoring", lambda parts: _score_part(path, tau, 0, parts),
-        lambda part, parts: marshal.dumps(_score_part(path, tau, part, parts)),
-        lambda _, pipe: marshal.loads(pipe.read()))
-    if None in results:
-        return [(rec.query_id, contrastive_entropy_query(rec, tau))
-                for rec in iter_score_records(read_lines(path))]
-    rows = sorted(chain.from_iterable(results))
-    return [(qid, entropy) for _, qid, entropy in rows]
+    return list(chain(*_read_in_parts(path, "scoring",
+                                      lambda lines: _score_lines(lines, tau))))

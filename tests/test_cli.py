@@ -247,8 +247,9 @@ def no_child_left():
 
 
 class TestEvalCeParts:
-    """eval-ce scores part k of P on lines = k + 1 (mod P), P - 1 of them in
-    forked children; every P gives the same bytes and the same first fault."""
+    """eval-ce scores part k of P, the lines that begin in the k-th P-th of
+    the file (core._part_lines), P - 1 of them in forked children; every P
+    gives the same bytes and the same first fault."""
 
     @pytest.mark.parametrize("source", [
         "scores_small.jsonl", "odd-lines", "q2000-n256", "q250-n2048", "q8000-n32"])
@@ -313,41 +314,58 @@ class TestEvalCeParts:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert no_child_left()
 
+    def test_same_bytes_with_more_parts_than_lines(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # At P = 5 three parts of a 2-line file hold no line.
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b'{"query_id": "a", "positives": [1], "negatives": [0, 2]}\n'
+                         b'{"query_id": "b", "positives": [0.5], "negatives": [1]}\n')
+        runs = [run_in_parts(monkeypatch, parts,
+                             ["eval-ce", str(path), "--output-dir",
+                              str(tmp_path / f"out{parts}")], capsys)
+                for parts in (1, 5)]
+        assert runs[0][0] == 0 and runs[0][2] == ""
+        assert runs[1] == runs[0]
+        assert no_child_left()
+
     def test_one_reader_reads_again_only_after_a_fault(self, tmp_path, capsys,
                                                       monkeypatch):
-        import embedscale.metrics as metrics
-        reader, calls = metrics.iter_score_records, []
+        import embedscale.core as core
+        part_lines, calls = core._part_lines, []
 
-        def counted(lines):
-            calls.append(lines)
-            return reader(lines)
-        monkeypatch.setattr(metrics, "iter_score_records", counted)
+        def counted(path, part, parts, size):
+            calls.append((part, parts))
+            return part_lines(path, part, parts, size)
+        monkeypatch.setattr(core, "_part_lines", counted)
         path = tmp_path / "scores.jsonl"
         eval_scores_shape(path, 11, 30, 8, (1, 2))
         for parts in (1, 2, 3):
+            calls.clear()
             code, _, err, files = run_in_parts(
                 monkeypatch, parts, ["eval-ce", str(path), "--output-dir",
                                      str(tmp_path / f"ok{parts}")], capsys)
-            assert (code, err, len(calls)) == (0, "", 0) and files
-        # Line 2 is in part 1, which a child scores at P = 2 and 3.
+            assert (code, err, calls) == (0, "", [(0, parts)]) and files
+        # The last line is in the last part, which a child scores at P = 2
+        # and 3; this process reads the file again, as one part.
         lines = path.read_bytes().splitlines(keepends=True)
-        lines[1] = b'{"query_id": "x"}\n'
+        lines[-1] = b'{"query_id": "x"}\n'
         path.write_bytes(b"".join(lines))
         for parts in (2, 3):
             calls.clear()
             code, out, err, files = run_in_parts(
                 monkeypatch, parts, ["eval-ce", str(path), "--output-dir",
                                      str(tmp_path / "bad")], capsys)
-            assert (code, out, files, len(calls)) == (2, "", None, 1)
-            assert "line 2: missing keys" in err
+            assert (code, out, files) == (2, "", None)
+            assert calls == [(0, parts), (0, 1)]
+            assert f"line {len(lines)}: missing keys" in err
         assert no_child_left()
 
     def test_no_process_is_left_behind(self, data_dir, tmp_path, capsys,
                                        monkeypatch):
         import signal
 
-        import embedscale.metrics as metrics
-        score_part = metrics._score_part
+        import embedscale.core as core
+        part_lines = core._part_lines
         path = tmp_path / "scores.jsonl"
         eval_scores_shape(path, 5, 60, 8, (1, 2))
 
@@ -355,11 +373,11 @@ class TestEvalCeParts:
             return ["eval-ce", str(path), "--output-dir", str(tmp_path / out)]
 
         def in_children(action):
-            def wrapped(path, tau, part, parts):
+            def wrapped(path, part, parts, size):
                 if part:
                     action()
-                return score_part(path, tau, part, parts)
-            monkeypatch.setattr(metrics, "_score_part", wrapped)
+                return part_lines(path, part, parts, size)
+            monkeypatch.setattr(core, "_part_lines", wrapped)
 
         # Success, then a fault on line 1, which part 0 scores in this process.
         code, _, _, files = run_in_parts(monkeypatch, 3, argv("ok"), capsys)
@@ -374,11 +392,11 @@ class TestEvalCeParts:
 
         # This process stopped while its children still score: they are
         # killed, not waited for.
-        def interrupt(path, tau, part, parts):
+        def interrupt(path, part, parts, size):
             if not part:
                 raise KeyboardInterrupt
             time.sleep(60)
-        monkeypatch.setattr(metrics, "_score_part", interrupt)
+        monkeypatch.setattr(core, "_part_lines", interrupt)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_in_parts(monkeypatch, 3, argv("interrupted"), capsys)
@@ -397,18 +415,17 @@ class TestEvalCeParts:
             assert f"the process scoring part 2 of 3 ended {how}" in err
             assert no_child_left()
 
-
     def test_a_process_with_threads_scores_alone(self, data_dir, tmp_path,
                                                  capsys, monkeypatch):
         import threading
 
-        import embedscale.metrics as metrics
-        score_part = metrics._score_part
+        import embedscale.core as core
+        part_lines = core._part_lines
 
-        def no_children(path, tau, part, parts):
+        def no_children(path, part, parts, size):
             assert part == 0 and parts == 1
-            return score_part(path, tau, part, parts)
-        monkeypatch.setattr(metrics, "_score_part", no_children)
+            return part_lines(path, part, parts, size)
+        monkeypatch.setattr(core, "_part_lines", no_children)
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(60,))
         thread.start()

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from embedscale import (DIM_LAW, DataError, LawFit, Observation, ObservationTable,
                         expand_sweep, filter_by, parse_observations)
-from embedscale.core import record
+from embedscale.core import _part_lines, read_lines, record
 
 HEADER = "model_name,n_params,embed_dim,dataset,entropy"
 
@@ -278,3 +280,46 @@ class TestParseProperties:
         except DataError:
             return
         assert isinstance(table, ObservationTable)
+
+
+SPLIT_TEXTS = st.lists(st.sampled_from(
+    ["a", "b c", "é", "中", "\U0001f600", " ", " ", "\n", "\r\n", "\r"]),
+    max_size=40).map("".join)
+
+
+class TestPartLines:
+    """core._part_lines splits a file into P contiguous parts of its lines."""
+
+    @staticmethod
+    def split(text):
+        """Each P's parts, joined, and the numbered lines of one reader."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lines.txt")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            size = os.stat(path).st_size
+            parts = {p: [list(_part_lines(path, k, p, size)) for k in range(p)]
+                     for p in range(1, 6)}
+            return parts, list(enumerate(read_lines(path), start=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=SPLIT_TEXTS)
+    @example(text="")
+    @example(text="\r\r\n\n\r")
+    def test_parts_join_to_one_reader(self, text):
+        parts, lines = self.split(text)
+        for p, split in parts.items():
+            assert [line for part in split for line in part] == lines, p
+
+    def test_non_ascii_text_splits_as_evenly_as_ascii(self):
+        # Offsets count bytes, as the file's size does: counted in
+        # characters, a part of this text fell 918 / 82 lines at P = 2.
+        parts, _ = self.split("".join(f"{'查询' * 20}{i}\n" for i in range(1000)))
+        for p in (2, 3):
+            assert all(abs(len(part) - 1000 / p) < 5 for part in parts[p]), p
+
+    def test_more_parts_than_lines(self):
+        # 10 bytes; line 2 begins at byte 4 of the text, in the third fifth.
+        parts, lines = self.split("a 1\r\nb é\n")
+        assert lines == [(1, "a 1\n"), (2, "b é\n")]
+        assert parts[5] == [[(1, "a 1\n")], [], [(2, "b é\n")], [], []]
