@@ -38,7 +38,7 @@ import sys
 from math import log10
 
 from . import __version__
-from .core import (DataError, NumericError, expand_sweep, filter_by,
+from .core import (_FAULTS, DataError, NumericError, expand_sweep, filter_by,
                    parse_observations, read_lines)
 from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
 
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"embedscale: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, OSError, ValueError) as exc:
+    except _FAULTS as exc:      # NumericError is caught above
         print(f"embedscale: {exc}", file=sys.stderr)
         return 2
 

@@ -116,11 +116,13 @@ def _in_parts(path: str, doing: str, here, send, receive) -> list:
     os.sched_getaffinity is missing, or other threads run. Part k >= 1 runs
     in a child of os.fork, which writes the bytes send(k, P) returns to an
     os.pipe and leaves by os._exit; any exception ends it with code 1. This
-    process runs part 0 meanwhile, by here(P), then reads each child's pipe
-    in part order: part k's result is receive(part 0's result, pipe), or
-    None where the pipe ends early (receive raises EOFError), and the rest
-    of the pipe is read and dropped, so no child waits on a full pipe.
-    Every child is reaped before this returns or raises.
+    process runs part 0 meanwhile, by here(P), then handles each child in
+    part order: part k's result is receive(part 0's result, pipe), or None
+    where the pipe ends early (receive raises EOFError); the rest of the
+    pipe is read and dropped, and the child is reaped. The first child that
+    failed stops the run, so no later part is received: a save it cuts
+    short holds only the rows before that part. Every child is reaped
+    before this returns or raises; the ones not yet reaped are killed.
 
     Raises:
         DataError: a child that ended by a signal or with an exit code
@@ -132,7 +134,7 @@ def _in_parts(path: str, doing: str, here, send, receive) -> list:
     alone = (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
              or threading is not None and threading.active_count() > 1)
     parts = 1 if alone else len(os.sched_getaffinity(0))
-    children, done = [], False        # (pid, read end) of parts 1 .. P - 1
+    children = []       # (pid, read end) of the parts not yet reaped, in order
     try:
         for part in range(1, parts):
             read_end, write_end = os.pipe()
@@ -142,49 +144,41 @@ def _in_parts(path: str, doing: str, here, send, receive) -> list:
                 os.close(read_end)
                 os.close(write_end)
                 raise
-            if pid == 0:
-                _child(send, part, parts, write_end,
-                       [read_end, *(fd for _, fd in children)])
+            if pid == 0:        # the child: never returns
+                code = 1
+                try:
+                    for fd in [read_end, *(fd for _, fd in children)]:
+                        os.close(fd)    # so a write to a vanished parent fails
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(send(part, parts))
+                    code = 0
+                finally:
+                    os._exit(code)
             os.close(write_end)
             children.append((pid, read_end))
         results = [here(parts)]
-        for _, fd in children:
+        while children:
+            pid, fd = children[0]
             with open(fd, "rb", closefd=False) as pipe:
                 try:
                     results.append(receive(results[0], pipe))
                 except EOFError:     # a child that ended early: its code says why
                     results.append(None)
                 pipe.read()
-        done = True
+            del children[0]
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
+                raise DataError(f"{path}: the process {doing} part {len(results)} "
+                                f"of {parts} ended {how} before sending its rows")
     finally:
         for pid, fd in children:
+            from signal import SIGKILL
             os.close(fd)
-            if not done:
-                from signal import SIGKILL
-                os.kill(pid, SIGKILL)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid, _ in children]
-    for part, code in enumerate(codes, start=1):
-        if code:
-            how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
-            raise DataError(f"{path}: the process {doing} part {part + 1} of "
-                            f"{parts} ended {how} before sending its rows")
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
     return results
-
-
-def _child(send, part: int, parts: int, write_end: int, read_ends: list[int]):
-    """Write send(part, parts) to write_end and leave by os._exit: never
-    returns. Any exception ends the child with code 1.
-    """
-    code = 1
-    try:
-        for fd in read_ends:    # so a write to a vanished parent fails
-            os.close(fd)
-        with open(write_end, "wb") as pipe:
-            pipe.write(send(part, parts))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def record(cls):

@@ -90,10 +90,6 @@ class Projection:
         object.__setattr__(self, "bias", b)
 
     @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
     def in_dim(self) -> int:
         return self.weight.shape[1]
 
@@ -265,9 +261,10 @@ def save_matrix(matrix: EmbeddingMatrix, path: str):
     Raises:
         DataError: an id that breaks that rule, named by its row index,
             before any file is opened, so earlier files there stay as they
-            were; or a child that ended before sending its rows, after part
-            0 was written. The sidecar is written first, so a save cut
-            short, as by an OSError, leaves a file that load_matrix refuses.
+            were; or the first child, in part order, that ended before
+            sending its rows, once the parts before it were written. The
+            sidecar is written first, so a save cut short, as by an OSError,
+            leaves a file that load_matrix refuses.
     """
     ids = matrix.ids or [str(i) for i in range(matrix.rows)]
     for index, rid in enumerate(ids):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import force_parts, no_child_left
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
                         contrastive_entropy_query, fit_from_report,
                         iter_score_records, predict)
@@ -232,18 +233,12 @@ def eval_scores_shape(path, seed, queries, negatives, positives):
 
 def run_in_parts(monkeypatch, parts, argv, capsys):
     """eval-ce's exit code, stdout, stderr and files with P forced to parts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    force_parts(monkeypatch, parts)
     code, out, err = run(argv, capsys)
     out_dir = Path(argv[argv.index("--output-dir") + 1])
     files = ({p.name: p.read_bytes() for p in out_dir.iterdir()}
              if out_dir.exists() else None)
     return code, out, err, files
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 class TestEvalCeParts:
@@ -280,7 +275,6 @@ class TestEvalCeParts:
                         for rec in iter_score_records(fh)]
         assert [(row["query_id"], row["entropy"])
                 for row in report["per_query"]] == expected
-        assert no_child_left()
 
     @pytest.mark.parametrize("lines, code, message", [
         ([b'{"query_id": "a", "positives": [1], "negatives": []}',
@@ -312,7 +306,6 @@ class TestEvalCeParts:
         assert runs[0][:2] == (code, "") and runs[0][3] is None
         assert message in runs[0][2]
         assert runs[1] == runs[0] and runs[2] == runs[0]
-        assert no_child_left()
 
     def test_same_bytes_with_more_parts_than_lines(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -326,7 +319,6 @@ class TestEvalCeParts:
                 for parts in (1, 5)]
         assert runs[0][0] == 0 and runs[0][2] == ""
         assert runs[1] == runs[0]
-        assert no_child_left()
 
     def test_one_reader_reads_again_only_after_a_fault(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -358,7 +350,6 @@ class TestEvalCeParts:
             assert (code, out, files) == (2, "", None)
             assert calls == [(0, parts), (0, 1)]
             assert f"line {len(lines)}: missing keys" in err
-        assert no_child_left()
 
     def test_no_process_is_left_behind(self, data_dir, tmp_path, capsys,
                                        monkeypatch):

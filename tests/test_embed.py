@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import force_parts, no_child_left
 from embedscale import (DataError, EmbeddingMatrix, NumericError, Observation,
                         Projection, l2_normalize, load_matrix, project,
                         save_matrix, score_pairs)
@@ -372,7 +373,7 @@ class TestMatrixFiles:
         path = tmp_path / "vecs.txt"
         save_matrix(matrix, str(path))
         size = path.stat().st_size
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        force_parts(monkeypatch, parts)
         tracemalloc.start()
         try:
             loaded = load_matrix(str(path))
@@ -386,7 +387,6 @@ class TestMatrixFiles:
         # child's part appended as it arrives; collecting every child's part
         # before appending any read 0.77 at P = 3.
         assert peak < 0.75 * size
-        assert no_child_left()
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_save_streams(self, tmp_path, monkeypatch, parts):
@@ -394,7 +394,7 @@ class TestMatrixFiles:
         matrix = EmbeddingMatrix(
             np.random.default_rng(3).standard_normal((400, 384)))
         path = tmp_path / "vecs.txt"
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        force_parts(monkeypatch, parts)
         tracemalloc.start()
         try:
             save_matrix(matrix, str(path))
@@ -404,7 +404,6 @@ class TestMatrixFiles:
         # Measured: 0.026 of the text at P = 1 and 0.056 at P = 2 and 3, the
         # copy's 64 KiB chunks; holding one child's text would pass 0.3.
         assert peak < 0.1 * path.stat().st_size
-        assert no_child_left()
 
     def test_lines_end_as_in_a_text_file(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -461,16 +460,6 @@ class TestMatrixFiles:
             load_matrix(str(path))
 
 
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
-def force_parts(monkeypatch, parts):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
-
-
 def read_reference(path):
     """(ids, doubles) of a matrix file as one plain reader parses it."""
     ids, rows = [], []
@@ -506,7 +495,6 @@ class TestMatrixFilesInParts:
                 rid + " " + " ".join(repr(float(v)) for v in row) + "\n"
                 for rid, row in zip(ids or map(str, range(rows)), matrix.data))
             assert saved[0][0] == expected.encode("utf-8")
-        assert no_child_left()
 
     def test_load_gives_the_same_matrix_for_every_part_count(self, tmp_path,
                                                              monkeypatch):
@@ -526,7 +514,6 @@ class TestMatrixFilesInParts:
                 loaded = load_matrix(str(path))
                 assert (loaded.ids, loaded.data.tobytes()) == expected, (pad, parts)
         assert expected[0] == ("a", "b", "c", "dé", "e")
-        assert no_child_left()
 
     def test_load_of_a_large_file_for_every_part_count(self, tmp_path,
                                                        monkeypatch):
@@ -540,7 +527,6 @@ class TestMatrixFilesInParts:
             loaded = load_matrix(str(path))
             assert loaded.ids == matrix.ids
             assert loaded.data.tobytes() == matrix.data.tobytes()
-        assert no_child_left()
 
     @pytest.mark.parametrize("lines, message", [
         ([b"a 1 2", b"b x 2"] + [b"c 1 2"] * 20 + [b"d 1 y"] * 20,
@@ -574,58 +560,60 @@ class TestMatrixFilesInParts:
             errors.append(str(info.value))
         assert message in errors[0]
         assert errors[1] == errors[0] and errors[2] == errors[0]
-        assert no_child_left()
 
-    @pytest.mark.parametrize("how", ["raise", "kill"])
-    def test_a_child_that_dies_is_a_data_error(self, tmp_path, monkeypatch, how):
+    # Every child dies, or only the child of part 2 of 3.
+    @pytest.mark.parametrize("how, dying", [
+        ("raise", (1, 2)), ("kill", (1, 2)), ("raise", (1,)), ("kill", (1,))],
+        ids=["raise", "kill", "raise-part-2-of-3", "kill-part-2-of-3"])
+    def test_a_child_that_dies_is_a_data_error(self, tmp_path, monkeypatch, how,
+                                               dying):
         import signal
 
+        import embedscale.core as core
         import embedscale.embed as embed
         matrix = EmbeddingMatrix(np.random.default_rng(2).standard_normal((30, 4)))
         path = tmp_path / "vecs.txt"
         save_matrix(matrix, str(path))
         expected = path.read_bytes()
-        rows, lines, here = embed._rows, embed._lines, os.getpid()
+        part_lines, lines = core._part_lines, embed._lines
 
-        def die():
-            if how == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("boom")
+        def die(part):
+            if part in dying:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("boom")
 
-        def dying_rows(path, numbered):
-            if os.getpid() != here:
-                die()
-            return rows(path, numbered)
+        def dying_part_lines(path, part, parts, size):
+            die(part)
+            return part_lines(path, part, parts, size)
 
         def dying_lines(ids, data, part, parts):
-            if part:
-                die()
+            die(part)
             return lines(ids, data, part, parts)
 
         ended = (f"by signal {int(signal.SIGKILL)}" if how == "kill"
                  else "with exit code 1")
-        monkeypatch.setattr(embed, "_rows", dying_rows)
+        monkeypatch.setattr(core, "_part_lines", dying_part_lines)
         force_parts(monkeypatch, 3)
         with pytest.raises(DataError, match=f"vecs.txt: the process reading part 2 "
                                             f"of 3 ended {ended} before sending"):
             load_matrix(str(path))
         assert no_child_left()
 
-        monkeypatch.setattr(embed, "_rows", rows)
+        monkeypatch.setattr(core, "_part_lines", part_lines)
         monkeypatch.setattr(embed, "_lines", dying_lines)
         out = tmp_path / "out.txt"
         with pytest.raises(DataError, match=f"out.txt: the process formatting part 2 "
                                             f"of 3 ended {ended} before sending"):
             save_matrix(matrix, str(out))
-        # Part 0 was written; the file stops there, and the sidecar written
-        # before it declares every row, so the file does not load.
-        written = out.read_bytes()
-        assert expected.startswith(written) and written.count(b"\n") == 10
+        # Part 0 was written and the save stopped at part 1's child, so the
+        # file holds the first 10 rows, whatever part 2's child did; the
+        # sidecar written before it declares every row, so it does not load.
+        assert out.read_bytes() == b"".join(expected.splitlines(keepends=True)[:10])
         assert Path(f"{out}.json").read_text() == '{"rows": 30, "dim": 4}\n'
         with pytest.raises(DataError, match="out.txt.json: declares rows=30 dim=4, "
                                             "file has rows=10 dim=4"):
             load_matrix(str(out))
-        assert no_child_left()
 
     def test_a_pipe_that_ends_early_reads_the_file_again(self, tmp_path,
                                                          monkeypatch):
@@ -647,7 +635,6 @@ class TestMatrixFilesInParts:
                 dumps=lambda rows: marshal.dumps(rows)[:cut], load=marshal.load))
             loaded = load_matrix(str(path))
             assert loaded.data.tobytes() == matrix.data.tobytes(), cut
-        assert no_child_left()
 
     def test_a_process_with_threads_runs_alone(self, tmp_path, monkeypatch):
         import threading
@@ -679,4 +666,3 @@ class TestMatrixFilesInParts:
             thread.join(60)
         assert not thread.is_alive()
         assert loaded.data.tobytes() == matrix.data.tobytes()
-        assert no_child_left()
