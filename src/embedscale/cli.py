@@ -22,9 +22,10 @@ predict and plan read either law's report through one reader.
 
 Each command imports only what it runs. Every command loads core and law;
 eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
-plan, each from inside its command function. hashlib loads only to hash a
-manifest's inputs, json only to write a report or read a fit report, csv
-only for fit and fractions only for sweep-dims. No command loads numpy.
+plan, each from inside its command function. hashlib (and OpenSSL) loads
+only to hash an input of 1 MiB or more, json only to write a report or read
+a fit report, csv only for fit, fractions only for sweep-dims and shutil
+only to copy a file where hard links fail. No command loads numpy.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 from math import log10
 
@@ -43,6 +43,9 @@ from .core import (_FAULTS, DataError, NumericError, expand_sweep, filter_by,
 from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
 
 CURVE_SAMPLES = 100
+# CPython's own SHA-256 hashes about 5x slower than OpenSSL, whose libcrypto
+# takes 4-6 ms and 3.7 MB of RSS to load: they break even near 1 MiB.
+_OPENSSL_MIN_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -66,9 +69,18 @@ def _fraction(text: str):
 
 
 def _sha256(path: str) -> str:
-    import hashlib
-    digest = hashlib.sha256()
+    import importlib
     with open(path, "rb") as fh:
+        small = os.fstat(fh.fileno()).st_size < _OPENSSL_MIN_BYTES
+        for name in ("_sha2", "_sha256") if small else ():  # 3.12+, 3.10-3.11
+            try:
+                digest = importlib.import_module(name).sha256()
+                break
+            except ImportError:
+                pass
+        else:
+            import hashlib
+            digest = hashlib.sha256()
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -143,6 +155,7 @@ def _write_files(directory: str, files: dict[str, str | dict]):
                 try:
                     os.link(target, saved[target], follow_symlinks=False)
                 except OSError:
+                    import shutil
                     shutil.copy2(target, saved[target], follow_symlinks=False)
         for tmp, target in zip(temps, targets):
             os.replace(tmp, target)

@@ -104,7 +104,8 @@ def project(tokens: EmbeddingMatrix, p: Projection) -> EmbeddingMatrix:
         raise DataError(
             f"token dim {tokens.dim} does not match projection input dim {p.in_dim}"
         )
-    out = tokens.data @ p.weight.T + p.bias
+    out = tokens.data @ p.weight.T
+    out += p.bias
     return EmbeddingMatrix(out, tokens.ids)
 
 

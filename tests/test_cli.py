@@ -22,7 +22,7 @@ from conftest import force_parts, no_child_left
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
                         contrastive_entropy_query, fit_from_report,
                         iter_score_records, predict)
-from embedscale.cli import _manifest, _write_files, main
+from embedscale.cli import _manifest, _sha256, _write_files, main
 
 
 def run(args, capsys):
@@ -1195,6 +1195,19 @@ class TestManifest:
             "tool": "embedscale",
             "version": __version__,
         }
+
+    # Inputs under 1 MiB go through CPython's own SHA-256 module, larger ones
+    # and every input where that module is missing through hashlib.
+    @pytest.mark.parametrize("size", [0, 1, 65536, (1 << 20) - 1, 1 << 20,
+                                      (1 << 20) + 1])
+    @pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "no-builtin"])
+    def test_hash_is_sha256_of_the_bytes(self, tmp_path, monkeypatch, size, builtin):
+        if not builtin:
+            monkeypatch.setitem(sys.modules, "_sha2", None)
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+        data = random.Random(size).randbytes(size)
+        (tmp_path / "input").write_bytes(data)
+        assert _sha256(str(tmp_path / "input")) == hashlib.sha256(data).hexdigest()
 
 
 class TestFileMode:

@@ -63,6 +63,18 @@ class TestProject:
                                     bias.tolist()),
             rtol=1e-12)
 
+    @pytest.mark.parametrize("rows, d, m", [(0, 4, 3), (1, 1, 1), (7, 5, 3),
+                                            (40, 384, 64)])
+    def test_same_bits_as_product_plus_bias(self, rows, d, m):
+        rng = np.random.default_rng(rows)
+        tokens = EmbeddingMatrix(rng.normal(size=(rows, d)))
+        p = Projection(rng.normal(size=(m, d)), rng.normal(size=m))
+        before = [a.copy() for a in (tokens.data, p.weight, p.bias)]
+        out = project(tokens, p)
+        assert out.data.tobytes() == (before[0] @ before[1].T + before[2]).tobytes()
+        for array, copy in zip((tokens.data, p.weight, p.bias), before):
+            assert array.tobytes() == copy.tobytes()
+
     def test_shape_mismatch(self):
         tokens = EmbeddingMatrix([[1.0, 2.0]])
         p = Projection(np.zeros((2, 3)), np.zeros(2))

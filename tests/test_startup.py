@@ -209,9 +209,10 @@ print(json.dumps({"code": code, "modules": modules}))
 # Modules a command loads only when it needs them: dataclasses and inspect
 # (importing them costs more than most commands' work; none needs them),
 # numpy (only embed, which no command runs), json (every command that
-# writes a report or reads a fit report), csv (fit) and fractions
-# (sweep-dims).
-ON_DEMAND = {"dataclasses", "inspect", "numpy", "json", "csv", "fractions"}
+# writes a report or reads a fit report), csv (fit), fractions (sweep-dims),
+# and hashlib and _hashlib (OpenSSL), only to hash an input of 1 MiB or more.
+ON_DEMAND = {"dataclasses", "inspect", "numpy", "json", "csv", "fractions",
+             "hashlib", "_hashlib"}
 EVERY_COMMAND = {"embedscale", "embedscale.cli", "embedscale.core", "embedscale.law"}
 
 # Each command's own modules: those of ON_DEMAND and those beyond EVERY_COMMAND.
@@ -223,6 +224,7 @@ OWN_MODULES = {
     "predict": {"json"},
     "sweep-dims": {"fractions"},
     "eval-ce": {"embedscale.metrics", "json"},
+    "eval-ce-1mib": {"embedscale.metrics", "json", "hashlib", "_hashlib"},
 }
 
 
@@ -242,7 +244,15 @@ def test_each_command_imports_only_what_it_runs(data_dir, tmp_path, command):
         "sweep-dims": ["sweep-dims", "--hidden", "512", "--multipliers", "1/4", "16"],
         "eval-ce": ["eval-ce", str(data_dir / "scores_small.jsonl"), "--tau", "0.05",
                     "--output-dir", out],
+        "eval-ce-1mib": ["eval-ce", str(tmp_path / "scores_1mib.jsonl"),
+                         "--output-dir", out],
     }[command]
+    if command == "eval-ce-1mib":
+        # Exactly 1 MiB, the smallest input hashed through hashlib.
+        line = '{{"query_id": "q{:06d}", "positives": [1.0], "negatives": [0.5]}}\n'
+        text = "".join(map(line.format, range((1 << 20) // len(line.format(0)))))
+        (tmp_path / "scores_1mib.jsonl").write_text(
+            text[:-1].ljust((1 << 20) - 1) + "\n")
     proc = subprocess.run([sys.executable, "-c", MODULES_RUNNER, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
