@@ -11,21 +11,25 @@ failed run prints nothing and leaves nothing behind: no temp file, no new
 file, no directory it made, and the files of an earlier run in its output
 directory as they were. Each file gets the mode open(path, "w") gives a new
 file, 0o666 less the umask (0o644 under the usual umask 0o022), also when
-it replaces an earlier run's file. Reports are encoded straight into their
-temp files, so no report's text is ever held whole in memory. Identical
-inputs produce byte-identical outputs regardless of output directory, and
-eval-ce's, which it scores on every CPU (metrics.score_file), regardless
-of how many there are. Every input must be a regular file (core.read_lines
-checks), so that a manifest's hash reads the bytes the command read. Both
-laws go through the same commands: --law names one of law.LAWS, and
-predict and plan read either law's report through one reader.
+it replaces an earlier run's file. Reports are encoded by _dump, as
+json.dump(indent=2, sort_keys=True) would encode them, straight into their
+temp files, so no report's text is ever held whole in memory; eval-ce's
+rows are made one at a time from its two columns (query ids, entropies)
+as they are written. Identical inputs produce byte-identical outputs
+regardless of output directory, and eval-ce's, which it scores on every
+CPU (metrics.score_file), regardless of how many there are. Every input
+must be a regular file (core.read_lines checks), so that a manifest's hash
+reads the bytes the command read. Both laws go through the same commands:
+--law names one of law.LAWS, and predict and plan read either law's report
+through one reader.
 
 Each command imports only what it runs. Every command loads core and law;
 eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
 plan, each from inside its command function. hashlib (and OpenSSL) loads
-only to hash an input of 1 MiB or more, json only to write a report or read
-a fit report, csv only for fit, fractions only for sweep-dims and shutil
-only to copy a file where hard links fail. No command loads numpy.
+only to hash an input of 1 MiB or more, json only to write a report (for
+its string quoting) or read a fit report, csv only for fit, fractions only
+for sweep-dims and shutil only to copy a file where hard links fail. No
+command loads numpy.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -35,7 +39,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import log10
+from math import isfinite, log10
 
 from . import __version__
 from .core import (_FAULTS, DataError, NumericError, expand_sweep, filter_by,
@@ -114,11 +118,66 @@ def _new_file(directory: str) -> tuple[int, str]:
             pass
 
 
+def _dump(value, fh):
+    """Write value to fh as json.dump(value, fh, indent=2, sort_keys=True,
+    allow_nan=False) writes it, then a newline, in pieces of at most 512
+    chunks, so its text is never held whole.
+
+    Dict keys must be str. Any iterable that is not a str or a dict is an
+    array, a generator included, so a caller can hand over rows one at a
+    time. A NaN or infinity raises json's ValueError where it is met.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+    chunks = []
+    append = chunks.append
+
+    def flush():
+        fh.write("".join(chunks))
+        chunks.clear()
+
+    def put(value, indent):
+        if isinstance(value, float):
+            if not isfinite(value):
+                raise ValueError("Out of range float values are not JSON "
+                                 f"compliant: {value!r}")
+            append(float.__repr__(value))
+        elif isinstance(value, str):
+            append(quote(value))
+        elif value is None:
+            append("null")
+        elif value is True or value is False:
+            append("true" if value else "false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, dict):
+            inner, sep = indent + "  ", "{"
+            for key, item in sorted(value.items()):
+                append(f"{sep}{inner}{quote(key)}: ")
+                put(item, inner)
+                sep = ","
+                if len(chunks) >= 512:
+                    flush()
+            append("{}" if sep == "{" else indent + "}")
+        else:
+            inner, sep = indent + "  ", "["
+            for item in value:
+                append(sep + inner)
+                put(item, inner)
+                sep = ","
+                if len(chunks) >= 512:
+                    flush()
+            append("[]" if sep == "[" else indent + "]")
+
+    put(value, "\n")
+    append("\n")
+    flush()
+
+
 def _write_files(directory: str, files: dict[str, str | dict]):
     """Write a command's {file name: content} set into directory, all or nothing.
 
-    A str is written as it is. A dict is a report: json.dump encodes it
-    (indent 2, sorted keys, then a newline) chunk by chunk into the temp
+    A str is written as it is. A dict is a report: _dump encodes it
+    (indent 2, sorted keys, then a newline) piece by piece into the temp
     file, so its text is never held whole. A NaN or infinity in a report
     raises ValueError (exit 2) instead of landing in a file that strict
     JSON readers reject.
@@ -130,7 +189,6 @@ def _write_files(directory: str, files: dict[str, str | dict]):
     temp files and second names are removed, and so are the directories this
     call made.
     """
-    import json
     directory = path = os.path.abspath(directory)
     made = []      # the directories makedirs will create, innermost first
     while not os.path.exists(path):
@@ -147,9 +205,7 @@ def _write_files(directory: str, files: dict[str, str | dict]):
                 if isinstance(content, str):
                     fh.write(content)
                 else:
-                    json.dump(content, fh, indent=2, sort_keys=True,
-                              allow_nan=False)
-                    fh.write("\n")
+                    _dump(content, fh)
             if os.path.lexists(target):
                 saved[target] = tmp + ".old"
                 try:
@@ -184,17 +240,18 @@ def _fmt(value: float) -> str:
 def cmd_eval_ce(args):
     from .metrics import mean_entropy, score_file
     # score_file checks the temperature before the first line is read, then
-    # scores the records on every CPU; only each record's report row stays.
-    per_query = [{"query_id": qid, "entropy": entropy}
-                 for qid, entropy in score_file(args.input, args.tau)]
-    if not per_query:
+    # scores the records on every CPU into two columns, ids and entropies.
+    ids, entropies = score_file(args.input, args.tau)
+    if not ids:
         raise DataError(f"{args.input}: no query records")
     # The formula of contrastive_entropy_dataset, without scoring again.
-    dataset_entropy = mean_entropy([row["entropy"] for row in per_query])
+    dataset_entropy = mean_entropy(entropies)
     report = {
         "dataset_entropy": dataset_entropy,
-        "n_queries": len(per_query),
-        "per_query": per_query,
+        "n_queries": len(ids),
+        # Rows made one at a time as _dump writes them: only one is held.
+        "per_query": ({"query_id": qid, "entropy": entropy}
+                      for qid, entropy in zip(ids, entropies)),
         "temperature": args.tau,
     }
     return {"eval_ce_report.json": report}, _fmt(dataset_entropy)

@@ -6,7 +6,8 @@ Parameter counts are stored in raw parameters; any unit scaling is the
 fitter's business, not the table's. The module also holds what the
 readers share: read_lines; _in_parts, which runs a task in parts on every
 CPU through os.fork; and _read_in_parts, which eval-ce's scorer and
-load_matrix read through: it splits the file and decides every fault.
+load_matrix read through: it splits the file and decides every fault,
+and _append joins the columns each part sends.
 """
 
 from __future__ import annotations
@@ -80,17 +81,32 @@ def _part_lines(path: str, part: int, parts: int, size: int):
             yield lineno, line
 
 
-def _read_in_parts(path: str, doing: str, parse,
-                   receive=lambda _, pipe: marshal.loads(pipe.read())) -> list:
+def _append(first: list, pipe):
+    """Append the columns a child sent through pipe, as marshal wrote
+    them, to part 0's columns first, in place, and return first; or None
+    where the child met a fault. A list takes the child's items, and an
+    array the bytes marshal wrote for the child's array."""
+    columns = marshal.loads(pipe.read())
+    if columns is None:
+        return None
+    for column, more in zip(first, columns):
+        if isinstance(column, list):
+            column += more
+        else:
+            column.frombytes(more)
+    return first
+
+
+def _read_in_parts(path: str, doing: str, parse, receive) -> list:
     """parse(lines) of each part's _part_lines of a text file, in part
     order, parsed through _in_parts on every CPU this process may use.
 
     Part 0 covers the top of the file, so a fault its parse raises is the
     first in file order and is raised directly. A child sends its parse as
     marshal writes it, or None where the parse raised one of _FAULTS;
-    receive(part 0's result, pipe) reads it, None for a fault. If any part
-    gave None, the whole file is parsed again here as one part: this one
-    reader raises the first fault in file order.
+    receive(part 0's result, pipe) reads it (_append, for columns), None
+    for a fault. If any part gave None, the whole file is parsed again here
+    as one part: this one reader raises the first fault in file order.
     """
     size = os.stat(path).st_size
 

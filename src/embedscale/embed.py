@@ -12,7 +12,6 @@ number of CPUs.
 from __future__ import annotations
 
 import json
-import marshal
 import os
 from array import array
 from shutil import copyfileobj
@@ -20,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DataError, NumericError, _in_parts, _read_in_parts,
-                   read_lines, record)
+from .core import (DataError, NumericError, _append, _in_parts,
+                   _read_in_parts, read_lines, record)
 
 ZERO_NORM_EPS = 1e-12
 
@@ -148,7 +147,7 @@ def score_pairs(queries: EmbeddingMatrix, docs: EmbeddingMatrix,
 
 
 def _rows(path: str, lines) -> list:
-    """[ids, dim (None without rows), flat doubles] of the rows on the
+    """[ids, flat doubles, [dim] ([] without rows)] of the rows on the
     (line number, line) pairs of lines of a matrix file; raises DataError
     as load_matrix does, at the first bad line."""
     ids = []
@@ -172,21 +171,17 @@ def _rows(path: str, lines) -> list:
             )
         ids.append(parts[0])
         values.fromlist(row)
-    return [ids, dim, values]
+    return [ids, values, [] if dim is None else [dim]]
 
 
 def _merge(first: list, pipe):
-    """Append the rows a child sent through pipe to the first part's _rows,
-    and return first; or None where the child met a fault or its rows
-    differ in width from the rows before, so that the file is read again.
+    """Append the rows a child sent through pipe to the first part's _rows
+    by core._append, and return first; or None where the child met a fault
+    or its rows differ in width from the rows before, so that the file is
+    read again.
     """
-    rows = marshal.loads(pipe.read())
-    if rows is None or None not in (first[1], rows[1]) and rows[1] != first[1]:
+    if _append(first, pipe) is None or len(set(first[2])) > 1:
         return None
-    ids, dim, doubles = rows
-    first[0] += ids
-    first[1] = first[1] or dim
-    first[2].frombytes(doubles)
     return first
 
 
@@ -209,11 +204,12 @@ def load_matrix(path: str) -> EmbeddingMatrix:
             that is not a JSON object or does not match; or a child that
             ended before sending its rows.
     """
-    ids, dim, values = _read_in_parts(path, "reading",
-                                      lambda lines: _rows(path, lines), _merge)[0]
-    if dim is None:
+    ids, values, dims = _read_in_parts(path, "reading",
+                                       lambda lines: _rows(path, lines), _merge)[0]
+    if not dims:
         raise DataError(f"{path}: no matrix rows")
-    matrix = EmbeddingMatrix(np.frombuffer(values).reshape(len(ids), dim), tuple(ids))
+    matrix = EmbeddingMatrix(np.frombuffer(values).reshape(len(ids), dims[0]),
+                             tuple(ids))
 
     sidecar = path + ".json"
     if os.path.exists(sidecar):

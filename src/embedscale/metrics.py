@@ -24,11 +24,12 @@ Determinism notes, relied on by the reproducibility contract:
 from __future__ import annotations
 
 import json
+from array import array
 from itertools import chain
 from math import exp, expm1, fsum, inf, isfinite, log, log1p
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import DataError, NumericError, _read_in_parts, record
+from .core import DataError, NumericError, _append, _read_in_parts, record
 
 
 @record
@@ -358,25 +359,34 @@ def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
             yield rec
 
 
-def _score_lines(lines, tau: Optional[float]) -> list[tuple[str, float]]:
-    """(query id, entropy) of each record on the (line number, line) pairs
-    of lines; raises at the first bad line, with its number."""
-    return [(rec.query_id, contrastive_entropy_query(rec, tau))
-            for lineno, line in lines if (rec := _parse_line(lineno, line))]
+def _score_lines(lines, tau: Optional[float]) -> list:
+    """[query ids, entropies as an array('d')] of the records on the (line
+    number, line) pairs of lines; raises at the first bad line, with its
+    number."""
+    ids, entropies = [], array("d")
+    for lineno, line in lines:
+        if rec := _parse_line(lineno, line):
+            ids.append(rec.query_id)
+            entropies.append(contrastive_entropy_query(rec, tau))
+    return [ids, entropies]
 
 
-def score_file(path: str, tau: Optional[float] = None) -> list[tuple[str, float]]:
-    """(query_id, entropy) of each record of a JSONL score file, in file
-    order, scored on every CPU this process may use.
+def score_file(path: str, tau: Optional[float] = None) -> tuple[list, array]:
+    """The records of a JSONL score file as two columns, in file order:
+    (query ids, a list of str; entropies, an array('d')), scored on every
+    CPU this process may use.
 
     tau is checked first. Each part of core._read_in_parts is scored by
-    _score_lines; a child's rows come back as marshal writes them (ids and
-    entropies exactly), and are joined in part order.
+    _score_lines; a child sends its two columns through marshal (ids and
+    entropies exactly), and core._append appends them to part 0's as they
+    arrive, so no per-query tuple or float object is kept.
 
     Raises:
         DataError, NumericError: the first fault in file order; or a child
             that ended without sending its rows.
     """
     _check_temperature(tau)
-    return list(chain(*_read_in_parts(path, "scoring",
-                                      lambda lines: _score_lines(lines, tau))))
+    ids, entropies = _read_in_parts(path, "scoring",
+                                    lambda lines: _score_lines(lines, tau),
+                                    _append)[0]
+    return ids, entropies

@@ -22,7 +22,7 @@ from conftest import force_parts, no_child_left
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
                         contrastive_entropy_query, fit_from_report,
                         iter_score_records, predict)
-from embedscale.cli import _manifest, _sha256, _write_files, main
+from embedscale.cli import _dump, _manifest, _sha256, _write_files, main
 
 
 def run(args, capsys):
@@ -219,6 +219,36 @@ class TestEvalCe:
         assert code == 0
         # Reading the whole file held about 3.6 times its size.
         assert peak < size / 2
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_memory_per_query_is_two_column_entries(self, tmp_path, monkeypatch,
+                                                    parts):
+        import tracemalloc
+
+        # Loaded before tracing starts: the manifest's hash of an input of
+        # 1 MiB or more, the encoder's string quoting and the scorer.
+        import hashlib  # noqa: F401
+        import json.encoder  # noqa: F401
+
+        import embedscale.metrics  # noqa: F401
+        queries = 20_000
+        rng = random.Random(30)
+        path = tmp_path / "scores.jsonl"
+        write_jsonl(path, ({"query_id": f"q{i:05d}", "positives": [rng.gauss(0.5, 0.1)],
+                            "negatives": [rng.gauss(0.3, 0.1) for _ in range(4)]}
+                           for i in range(queries)))
+        force_parts(monkeypatch, parts)
+        tracemalloc.start()
+        try:
+            code = main(["eval-ce", str(path), "--output-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # Two column entries per query, an id and an entropy, traced at
+        # about 81 B a query with the id's str; a (query id, entropy) tuple,
+        # a float and a report dict per query traced at about 335 B.
+        assert peak < 150 * queries
 
 
 def eval_scores_shape(path, seed, queries, negatives, positives):
@@ -1248,7 +1278,65 @@ def per_query_report(n, last):
     return {"dataset_entropy": 0.5, "n_queries": n, "per_query": entries}
 
 
+# Text with non-ASCII and control characters, and lone surrogates.
+JSON_TEXT = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), JSON_TEXT,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 2**63, -(2**63) - 1, 2**64, 10**30]))
+# The ways a report may hand over an array.
+ARRAY_KINDS = [list, tuple, lambda items: (item for item in items)]
+
+
+def json_containers(children):
+    """Arrays and objects of (given, plain) pairs: given is what the encoder
+    gets, an array as a list, a tuple or a generator; plain is the same
+    value with lists, for json.dumps."""
+    arrays = st.tuples(st.lists(children, max_size=4), st.sampled_from(ARRAY_KINDS)).map(
+        lambda t: (t[1]([g for g, _ in t[0]]), [p for _, p in t[0]]))
+    objects = st.dictionaries(JSON_TEXT, children, max_size=4).map(
+        lambda d: ({k: g for k, (g, _) in d.items()}, {k: p for k, (_, p) in d.items()}))
+    return st.one_of(arrays, objects)
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS.map(lambda v: (v, v)), json_containers,
+                           max_leaves=24)
+
+
+@st.composite
+def with_non_finite(draw):
+    """A value holding NaN or an infinity at some depth, among other values."""
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = [g for g, _ in draw(st.lists(JSON_VALUES, max_size=3))]
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(siblings)))
+            value = draw(st.sampled_from(ARRAY_KINDS))(
+                siblings[:at] + [value] + siblings[at:])
+        else:
+            keys = draw(st.lists(JSON_TEXT, min_size=len(siblings) + 1,
+                                 max_size=len(siblings) + 1, unique=True))
+            value = dict(zip(keys, siblings + [value]))
+    return value
+
+
 class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=JSON_VALUES)
+    @example(pair=((True, 1, False, 0, 1.0), [True, 1, False, 0, 1.0]))
+    @example(pair=((x for x in ()), []))
+    def test_encoder_gives_the_text_of_dumps(self, pair):
+        given_value, plain = pair
+        out = io.StringIO()
+        _dump(given_value, out)
+        assert out.getvalue() == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=with_non_finite())
+    def test_encoder_refuses_non_finite_at_any_depth(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _dump(value, io.StringIO())
+
     @pytest.mark.parametrize("args, name", [
         (["eval-ce", "scores_small.jsonl", "--tau", "0.02"], "eval_ce_report.json"),
         (["fit", "obs_bert_msmarco.csv", "--law", "dim",
@@ -1267,7 +1355,9 @@ class TestReportWriter:
         expected = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         assert text == expected
 
-    @pytest.mark.parametrize("last", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("last", [math.nan, math.inf, -math.inf,
+                                      {"spread": [0.5, {"upper": math.nan}]}],
+                             ids=["nan", "inf", "-inf", "nested-nan"])
     def test_late_non_finite_value_leaves_nothing(self, tmp_path, last):
         report = per_query_report(8000, last)
         new_dir = tmp_path / "new" / "dir"

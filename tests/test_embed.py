@@ -644,7 +644,7 @@ class TestMatrixFilesInParts:
         full = len(marshal.dumps(embed._rows(str(path), part)))
         for cut in (0, 1, 5, 19, full // 2, full - 40, full - 1):
             monkeypatch.setattr(core, "marshal", SimpleNamespace(
-                dumps=lambda rows: marshal.dumps(rows)[:cut], load=marshal.load))
+                dumps=lambda rows: marshal.dumps(rows)[:cut], loads=marshal.loads))
             loaded = load_matrix(str(path))
             assert loaded.data.tobytes() == matrix.data.tobytes(), cut
 
