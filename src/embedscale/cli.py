@@ -26,10 +26,11 @@ through one reader.
 Each command imports only what it runs. Every command loads core and law;
 eval-ce alone loads metrics, fit alone loads fit, and plan alone loads
 plan, each from inside its command function. hashlib (and OpenSSL) loads
-only to hash an input of 1 MiB or more, json only to write a report (for
-its string quoting) or read a fit report, csv only for fit, fractions only
-for sweep-dims and shutil only to copy a file where hard links fail. No
-command loads numpy.
+only to hash an input of 1 MiB or more, json only to read JSON (eval-ce's
+records, through metrics, and a fit report; reports quote their strings
+with _json, json's C accelerator, where CPython has it), csv only for fit,
+fractions only for sweep-dims and shutil only to copy a file where hard
+links fail. No command loads numpy.
 
 Exit codes: 0 success, 1 usage, 2 data or I/O failure, 3 numeric failure.
 """
@@ -127,7 +128,10 @@ def _dump(value, fh):
     array, a generator included, so a caller can hand over rows one at a
     time. A NaN or infinity raises json's ValueError where it is met.
     """
-    from json.encoder import encode_basestring_ascii as quote
+    try:    # json's own C quoter, without the rest of json
+        from _json import encode_basestring_ascii as quote
+    except ImportError:
+        from json.encoder import encode_basestring_ascii as quote
     chunks = []
     append = chunks.append
 
@@ -440,17 +444,16 @@ def main(argv=None) -> int:
             report["manifest"] = _manifest(args)
             _write_files(args.output_dir, files)
         print(text)
+        sys.stdout.flush()      # a stdout that refuses the text fails the run
         return 0
     except UsageError as exc:
-        print(f"embedscale: error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {exc}"
     except NumericError as exc:
-        print(f"embedscale: numeric failure: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"numeric failure: {exc}"
     except _FAULTS as exc:      # NumericError is caught above
-        print(f"embedscale: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        code, message = 2, str(exc)
+    try:
+        print(f"embedscale: {message}", file=sys.stderr)
+    except OSError:             # a stderr that refuses it leaves the code as it is
+        pass
+    return code

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -1332,6 +1334,16 @@ class TestReportWriter:
         assert out.getvalue() == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=150, deadline=None)
+    @given(pair=JSON_VALUES)
+    def test_fallback_quoter_gives_the_text_of_dumps(self, pair):
+        # Where CPython has no _json, _dump quotes through json.encoder, whose
+        # quoter is then the pure-Python one.
+        with mock.patch.dict(sys.modules, {"_json": None}), mock.patch.object(
+                json.encoder, "encode_basestring_ascii",
+                json.encoder.py_encode_basestring_ascii):
+            self.test_encoder_gives_the_text_of_dumps.hypothesis.inner_test(self, pair)
+
+    @settings(max_examples=150, deadline=None)
     @given(value=with_non_finite())
     def test_encoder_refuses_non_finite_at_any_depth(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -1411,3 +1423,96 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"embedscale {__version__}"
+
+
+# Runs each argv of the JSON list in argv[1] as `python -m embedscale` runs
+# it, through runpy, and prints each run's exit code and whether the run
+# left objects frozen, as JSON.
+ENTRY_RUNNER = """
+import contextlib, gc, io, json, runpy, sys
+runs = []
+for argv in json.loads(sys.argv[1]):
+    gc.unfreeze()
+    sys.argv = ["embedscale", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("embedscale", run_name="__main__")
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, gc.get_freeze_count() > 0])
+print(json.dumps(runs))
+"""
+
+
+def full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return open("/dev/full", "w")
+
+
+class TestExitPath:
+    def test_every_exit_freezes_the_collector(self, data_dir, tmp_path):
+        fit = ["fit", str(data_dir / "obs_bert_msmarco.csv"), "--law", "joint"]
+        argvs = [fit + ["--output-dir", str(tmp_path)],
+                 ["fit", str(tmp_path / "missing.csv"), "--law", "joint"],
+                 fit + ["--no-such-flag"],
+                 ["--version"]]
+        proc = subprocess.run([sys.executable, "-c", ENTRY_RUNNER, json.dumps(argvs)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == [[0, True], [2, True], [1, True], [0, True]]
+        assert (tmp_path / "fit_report.json").exists()
+
+    def test_in_process_main_leaves_the_collector_as_it_was(self, data_dir,
+                                                            tmp_path, capsys):
+        before = gc.get_freeze_count()
+        code, _, err = run(["fit", str(data_dir / "obs_bert_msmarco.csv"), "--law",
+                            "dim", "--model", "BERT-L8-H512-A8",
+                            "--output-dir", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert gc.get_freeze_count() == before
+
+    def test_the_installed_script_is_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")     # Python 3.11+
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"embedscale": "embedscale.__main__:run"}
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("full, argv, code", [
+        ("stdout", ["fit", "DATA/obs_bert_msmarco.csv", "--law", "joint",
+                    "--output-dir", "TMP/out"], 2),
+        ("stdout", ["sweep-dims", "--hidden", "512", "--multipliers", "1", "2"], 2),
+        ("stderr", ["fit", "TMP/missing.csv", "--law", "joint"], 2),
+        ("stderr", ["fit", "DATA/obs_bert_msmarco.csv", "--no-such-flag"], 1),
+        ("stderr", ["predict", "DATA/fit_report_bert_trecdl.json", "--dim", "0"], 1),
+        ("stderr", ["eval-ce", "TMP/tiny.jsonl", "--tau", "1e-310",
+                    "--output-dir", "TMP/out"], 3),
+    ], ids=["fit", "sweep-dims", "missing-input", "unknown-flag", "usage", "numeric"])
+    def test_a_full_stream_keeps_the_exit_code(self, data_dir, tmp_path, buffered,
+                                               full, argv, code):
+        # stdout's text that cannot be written is a failed run (exit 2) with
+        # one message; a message that stderr cannot take is dropped, and the
+        # run keeps its code. Neither fails again at the interpreter's exit.
+        write_jsonl(tmp_path / "tiny.jsonl", [
+            {"query_id": "q", "positives": [0.5], "negatives": [0.1]}])
+        argv = [a.replace("DATA", str(data_dir)).replace("TMP", str(tmp_path))
+                for a in argv]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with full_device() as device:
+            streams[full] = device
+            proc = subprocess.run([sys.executable, "-m", "embedscale", *argv],
+                                  env=env, text=True, **streams)
+        assert proc.returncode == code
+        if full == "stdout":
+            assert proc.stderr.startswith("embedscale: ")
+            assert proc.stderr.count("\n") == 1
+        else:
+            assert proc.stdout == ""

@@ -209,7 +209,8 @@ print(json.dumps({"code": code, "modules": modules}))
 # Modules a command loads only when it needs them: dataclasses and inspect
 # (importing them costs more than most commands' work; none needs them),
 # numpy (only embed, which no command runs), json (every command that
-# writes a report or reads a fit report), csv (fit), fractions (sweep-dims),
+# reads JSON: eval-ce, predict and plan; reports are quoted through _json,
+# json's C accelerator), csv (fit), fractions (sweep-dims),
 # and hashlib and _hashlib (OpenSSL), only to hash an input of 1 MiB or more.
 ON_DEMAND = {"dataclasses", "inspect", "numpy", "json", "csv", "fractions",
              "hashlib", "_hashlib"}
@@ -218,8 +219,8 @@ EVERY_COMMAND = {"embedscale", "embedscale.cli", "embedscale.core", "embedscale.
 # Each command's own modules: those of ON_DEMAND and those beyond EVERY_COMMAND.
 OWN_MODULES = {
     "--version": set(),
-    "fit-dim": {"embedscale.fit", "json", "csv"},
-    "fit-joint": {"embedscale.fit", "json", "csv"},
+    "fit-dim": {"embedscale.fit", "csv"},
+    "fit-joint": {"embedscale.fit", "csv"},
     "plan": {"embedscale.plan", "json"},
     "predict": {"json"},
     "sweep-dims": {"fractions"},
