@@ -23,8 +23,8 @@ _LAZY = {
     "metrics": ("EvalConfig", "QueryScoreRecord", "TeacherMargin",
                 "contrastive_entropy_dataset", "contrastive_entropy_query",
                 "contrastive_entropy_single", "contrastive_loss_grad",
-                "iter_score_records", "margin_mse", "margin_mse_grad",
-                "recall_at_k", "rr_at_k", "sample_negatives"),
+                "margin_mse", "margin_mse_grad", "recall_at_k", "rr_at_k",
+                "sample_negatives"),
     "embed": ("EmbeddingMatrix", "Projection", "l2_normalize", "load_matrix",
               "project", "save_matrix", "score_pairs"),
 }

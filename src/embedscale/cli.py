@@ -64,6 +64,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # argparse drops an OSError from any stream; help or the version that
+    # stdout refuses fails the run (exit 2), as a command's text does.
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout or not message:
+            return super()._print_message(message, file)
+        file.write(message)
+        file.flush()
+
 
 def _fraction(text: str):
     from fractions import Fraction
@@ -177,8 +185,9 @@ def _dump(value, fh):
     flush()
 
 
-def _write_files(directory: str, files: dict[str, str | dict]):
-    """Write a command's {file name: content} set into directory, all or nothing.
+def _write_files(directory: str, files: dict[str, str | dict], publish):
+    """Write a command's {file name: content} set into directory, then call
+    publish(): all or nothing.
 
     A str is written as it is. A dict is a report: _dump encodes it
     (indent 2, sorted keys, then a newline) piece by piece into the temp
@@ -188,10 +197,10 @@ def _write_files(directory: str, files: dict[str, str | dict]):
 
     Every file goes to a temp file first, and every file it will replace
     gets a second name (a hard link, or a copy where links are not
-    supported), before the first os.replace. On a failure the files already
-    moved in are put back as they were (or removed, if they are new), the
-    temp files and second names are removed, and so are the directories this
-    call made.
+    supported), before the first os.replace; publish() runs after the
+    last. On a failure, in publish() too, the files already moved in are
+    put back as they were (or removed, if they are new), the temp files and
+    second names are removed, and so are the directories this call made.
     """
     directory = path = os.path.abspath(directory)
     made = []      # the directories makedirs will create, innermost first
@@ -220,6 +229,7 @@ def _write_files(directory: str, files: dict[str, str | dict]):
         for tmp, target in zip(temps, targets):
             os.replace(tmp, target)
             placed.append(target)
+        publish()
     except BaseException:
         for target in placed:
             if target in saved:
@@ -436,15 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         files, text = args.func(args)
         if files:
             report = next(c for c in files.values() if isinstance(c, dict))
             report["manifest"] = _manifest(args)
-            _write_files(args.output_dir, files)
-        print(text)
-        sys.stdout.flush()      # a stdout that refuses the text fails the run
+            # A stdout that refuses the text fails the run, and so puts
+            # the files back.
+            _write_files(args.output_dir, files, lambda: print(text, flush=True))
+        else:
+            print(text, flush=True)     # a stdout that refuses it fails the run
         return 0
     except UsageError as exc:
         code, message = 1, f"error: {exc}"

@@ -6,8 +6,8 @@ Parameter counts are stored in raw parameters; any unit scaling is the
 fitter's business, not the table's. The module also holds what the
 readers share: read_lines; _in_parts, which runs a task in parts on every
 CPU through os.fork; and _read_in_parts, which eval-ce's scorer and
-load_matrix read through: it splits the file and decides every fault,
-and _append joins the columns each part sends.
+load_matrix read through: it splits the file, joins the columns each
+part sends by _append, and decides every fault.
 """
 
 from __future__ import annotations
@@ -97,16 +97,16 @@ def _append(first: list, pipe):
     return first
 
 
-def _read_in_parts(path: str, doing: str, parse, receive) -> list:
-    """parse(lines) of each part's _part_lines of a text file, in part
-    order, parsed through _in_parts on every CPU this process may use.
+def _read_in_parts(path: str, doing: str, parse) -> list:
+    """The columns parse(lines) gives for the whole of a text file: each
+    part's _part_lines parsed through _in_parts on every CPU this process
+    may use, and joined in part order by _append.
 
     Part 0 covers the top of the file, so a fault its parse raises is the
-    first in file order and is raised directly. A child sends its parse as
-    marshal writes it, or None where the parse raised one of _FAULTS;
-    receive(part 0's result, pipe) reads it (_append, for columns), None
-    for a fault. If any part gave None, the whole file is parsed again here
-    as one part: this one reader raises the first fault in file order.
+    first in file order and is raised directly. A child sends its columns
+    as marshal writes them, or None where the parse raised one of _FAULTS.
+    If any part gave None, the whole file is parsed again here as one
+    part: this one reader raises the first fault in file order.
     """
     size = os.stat(path).st_size
 
@@ -117,16 +117,16 @@ def _read_in_parts(path: str, doing: str, parse, receive) -> list:
             return marshal.dumps(None)
     results = _in_parts(path, doing,
                         lambda parts: parse(_part_lines(path, 0, parts, size)),
-                        send, receive)
+                        send, _append)
     if None in results:
-        return [parse(_part_lines(path, 0, 1, size))]
-    return results
+        return parse(_part_lines(path, 0, 1, size))
+    return results[0]
 
 
 def _in_parts(path: str, doing: str, here, send, receive) -> list:
     """Run one task in P parts at once, on every CPU this process may use,
     and return each part's result in part order: save_matrix's formatting,
-    and each read through _read_in_parts.
+    and each read through _read_in_parts, whose receive is _append.
 
     P is the size of os.sched_getaffinity(0); it is 1 where os.fork or
     os.sched_getaffinity is missing, or other threads run. Part k >= 1 runs

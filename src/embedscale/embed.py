@@ -3,10 +3,10 @@
 Encoders live upstream; this module only does the math that turns token
 hidden states into final embeddings and scores. Matrices travel as files
 (see load_matrix) or as in-memory EmbeddingMatrix values. load_matrix
-reads through core._read_in_parts, as eval-ce's scorer does, and
-save_matrix formats through core._in_parts: each part but the first runs
-in a forked child, and the matrix and the bytes are the same for any
-number of CPUs.
+reads through core._read_in_parts, as eval-ce's scorer does, checking
+every row against the width of the file's first row, and save_matrix
+formats through core._in_parts: each part but the first runs in a forked
+child, and the matrix and the bytes are the same for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DataError, NumericError, _append, _in_parts,
-                   _read_in_parts, read_lines, record)
+from .core import (DataError, NumericError, _in_parts, _read_in_parts,
+                   read_lines, record)
 
 ZERO_NORM_EPS = 1e-12
 
@@ -146,13 +146,12 @@ def score_pairs(queries: EmbeddingMatrix, docs: EmbeddingMatrix,
     return q @ d.T
 
 
-def _rows(path: str, lines) -> list:
-    """[ids, flat doubles, [dim] ([] without rows)] of the rows on the
-    (line number, line) pairs of lines of a matrix file; raises DataError
-    as load_matrix does, at the first bad line."""
+def _rows(path: str, lines, dim: int) -> list:
+    """[ids, flat doubles] of the rows on the (line number, line) pairs of
+    lines of a matrix file, each row dim values wide; raises DataError as
+    load_matrix does, at the first bad line."""
     ids = []
     values = array("d")     # every row's values, one flat buffer of doubles
-    dim = None
     for lineno, line in lines:
         parts = line.split()
         if not parts or parts[0].startswith("#"):
@@ -163,26 +162,13 @@ def _rows(path: str, lines) -> list:
             row = list(map(float, parts[1:]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
+        if len(row) != dim:
             raise DataError(
                 f"{path}:{lineno}: row has {len(row)} values, expected {dim}"
             )
         ids.append(parts[0])
         values.fromlist(row)
-    return [ids, values, [] if dim is None else [dim]]
-
-
-def _merge(first: list, pipe):
-    """Append the rows a child sent through pipe to the first part's _rows
-    by core._append, and return first; or None where the child met a fault
-    or its rows differ in width from the rows before, so that the file is
-    read again.
-    """
-    if _append(first, pipe) is None or len(set(first[2])) > 1:
-        return None
-    return first
+    return [ids, values]
 
 
 def load_matrix(path: str) -> EmbeddingMatrix:
@@ -192,11 +178,11 @@ def load_matrix(path: str) -> EmbeddingMatrix:
     must contain {"rows": n, "dim": d}, JSON integers matching the parsed
     content.
 
-    The file is read on every CPU this process may use, through
-    core._read_in_parts, each part by _rows; _merge appends each child's
-    doubles to part 0's flat buffer as they arrive. A later part whose
-    rows differ in width from those before counts as a fault, so one
-    reader raises the first fault in file order with its line number.
+    The width d is counted on the file's first row before the parts start:
+    each part of core._read_in_parts, on every CPU this process may use, is
+    read by _rows, which checks every row against d, and each child's
+    doubles join part 0's flat buffer. A row of another width is a fault
+    like any other, raised by one reader first in file order.
 
     Raises:
         DataError: a file that is not UTF-8, malformed line (with line
@@ -204,12 +190,12 @@ def load_matrix(path: str) -> EmbeddingMatrix:
             that is not a JSON object or does not match; or a child that
             ended before sending its rows.
     """
-    ids, values, dims = _read_in_parts(path, "reading",
-                                       lambda lines: _rows(path, lines), _merge)[0]
-    if not dims:
+    dim = next((len(fields) - 1 for fields in map(str.split, read_lines(path))
+                if fields and not fields[0].startswith("#")), None)
+    if dim is None:
         raise DataError(f"{path}: no matrix rows")
-    matrix = EmbeddingMatrix(np.frombuffer(values).reshape(len(ids), dims[0]),
-                             tuple(ids))
+    ids, values = _read_in_parts(path, "reading", lambda lines: _rows(path, lines, dim))
+    matrix = EmbeddingMatrix(np.frombuffer(values).reshape(len(ids), dim), tuple(ids))
 
     sidecar = path + ".json"
     if os.path.exists(sidecar):

@@ -8,11 +8,11 @@ contrastive_loss_grad derives from the entropy it returns, so the module
 holds one softmax, with math only. Only sample_negatives loads numpy,
 when it is called.
 
-score_file, which eval-ce runs, scores a JSONL score file on every CPU
-the process may use, through core._read_in_parts, as load_matrix reads
-matrix files: each contiguous part of the lines but the first is scored in
-a forked child, and core decides every fault, so the result and the fault
-are the same for any number of CPUs.
+score_file, which eval-ce runs, is the one score-file reader: it scores a
+file on every CPU the process may use, through core._read_in_parts, as
+load_matrix reads matrix files. Each part of the lines but the first is
+scored in a forked child, and core joins the parts and decides every
+fault, so the result and the fault are the same for any number of CPUs.
 
 Determinism notes, relied on by the reproducibility contract:
   - Sums over scores and over queries use math.fsum (exactly rounded), so
@@ -27,9 +27,9 @@ import json
 from array import array
 from itertools import chain
 from math import exp, expm1, fsum, inf, isfinite, log, log1p
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .core import DataError, NumericError, _append, _read_in_parts, record
+from .core import DataError, NumericError, _read_in_parts, record
 
 
 @record
@@ -298,12 +298,11 @@ def _parse_line(lineno: int, line: str) -> Optional[QueryScoreRecord]:
             line number.
     """
     # A line holding one JSON value and at most its \n is decoded once;
-    # any other, bytes included, goes to json.loads, whose result or
-    # error it gets.
+    # any other goes to json.loads, whose result or error it gets.
     try:
         obj, end = _decode(line)
         decoded = line[end:] in ("", "\n")
-    except (ValueError, RecursionError, TypeError):
+    except (ValueError, RecursionError):
         decoded = False
     if not decoded:
         if not line.strip():
@@ -342,23 +341,6 @@ def _parse_line(lineno: int, line: str) -> Optional[QueryScoreRecord]:
         raise DataError(f"line {lineno}: {exc}") from None
 
 
-def iter_score_records(lines: Iterable[str]) -> Iterator[QueryScoreRecord]:
-    """Parse QueryScoreRecord JSONL one line at a time; blank lines skipped.
-
-    Each object needs "query_id" (string), "positives" (nonempty list of
-    finite numbers), "negatives" (list of finite numbers, possibly empty
-    for ranking-only records). Line numbers count the items of lines from 1.
-
-    Raises:
-        DataError: malformed JSON or invalid record, reported with its
-            line number, when the generator reaches that line.
-    """
-    for lineno, line in enumerate(lines, start=1):
-        rec = _parse_line(lineno, line)
-        if rec is not None:
-            yield rec
-
-
 def _score_lines(lines, tau: Optional[float]) -> list:
     """[query ids, entropies as an array('d')] of the records on the (line
     number, line) pairs of lines; raises at the first bad line, with its
@@ -387,6 +369,5 @@ def score_file(path: str, tau: Optional[float] = None) -> tuple[list, array]:
     """
     _check_temperature(tau)
     ids, entropies = _read_in_parts(path, "scoring",
-                                    lambda lines: _score_lines(lines, tau),
-                                    _append)[0]
+                                    lambda lines: _score_lines(lines, tau))
     return ids, entropies

@@ -22,15 +22,22 @@ from hypothesis import strategies as st
 
 from conftest import force_parts, no_child_left
 from embedscale import (EvalConfig, __version__, contrastive_entropy_dataset,
-                        contrastive_entropy_query, fit_from_report,
-                        iter_score_records, predict)
+                        contrastive_entropy_query, fit_from_report, predict)
 from embedscale.cli import _dump, _manifest, _sha256, _write_files, main
+from embedscale.metrics import _parse_line
 
 
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def read_jsonl(path):
+    """Every record of a JSONL score file, each line parsed as eval-ce parses it."""
+    with open(path, encoding="utf-8", newline=None) as fh:
+        lines = enumerate(fh, start=1)
+        return [rec for lineno, line in lines if (rec := _parse_line(lineno, line))]
 
 
 def write_jsonl(path, records):
@@ -88,9 +95,7 @@ class TestEvalCe:
         code, out, _ = run(["eval-ce", str(fixture),
                             "--output-dir", str(tmp_path)], capsys)
         assert code == 0
-        with fixture.open() as fh:
-            expected = contrastive_entropy_dataset(iter_score_records(fh),
-                                                   EvalConfig())
+        expected = contrastive_entropy_dataset(read_jsonl(fixture), EvalConfig())
         assert float(out) == expected
 
     def test_missing_file(self, tmp_path, capsys):
@@ -302,9 +307,8 @@ class TestEvalCeParts:
         assert runs[0][0] == 0 and runs[0][2] == ""
         assert runs[1] == runs[0] and runs[2] == runs[0]
         report = json.loads(runs[0][3]["eval_ce_report.json"])
-        with path.open(encoding="utf-8", newline=None) as fh:
-            expected = [(rec.query_id, contrastive_entropy_query(rec, 0.02))
-                        for rec in iter_score_records(fh)]
+        expected = [(rec.query_id, contrastive_entropy_query(rec, 0.02))
+                    for rec in read_jsonl(path)]
         assert [(row["query_id"], row["entropy"])
                 for row in report["per_query"]] == expected
 
@@ -1136,7 +1140,8 @@ class TestDeterminism:
     def test_non_finite_value_never_written(self, tmp_path):
         path = tmp_path / "report.json"
         with pytest.raises(ValueError):
-            _write_files(str(tmp_path), {path.name: {"entropy": float("nan")}})
+            _write_files(str(tmp_path), {path.name: {"entropy": float("nan")}},
+                         lambda: None)
         assert list(tmp_path.iterdir()) == []
 
     def test_no_temp_droppings(self, data_dir, tmp_path, capsys):
@@ -1189,6 +1194,25 @@ class TestDeterminism:
             assert "cannot replace" in err
             assert {p.name: p.read_text() for p in tmp_path.iterdir()} == earlier
             monkeypatch.setattr("embedscale.cli.os.link", no_links)
+
+
+    def test_a_refused_stdout_leaves_nothing_behind(self, data_dir, tmp_path,
+                                                  capsys, monkeypatch):
+        class Refusing(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        earlier = {"fit_report.json": b"earlier report\n",
+                   "fit_curve.dat": b"earlier curve\n"}
+        for name, data in earlier.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.setattr(sys, "stdout", Refusing())
+        fit = ["fit", str(data_dir / "obs_bert_msmarco.csv"), "--law", "joint",
+               "--output-dir"]
+        for output_dir in (tmp_path, tmp_path / "new" / "dir"):
+            assert main(fit + [str(output_dir)]) == 2
+            assert "No space left on device" in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
 
 
 class TestManifest:
@@ -1374,7 +1398,7 @@ class TestReportWriter:
         report = per_query_report(8000, last)
         new_dir = tmp_path / "new" / "dir"
         with pytest.raises(ValueError, match="JSON compliant"):
-            _write_files(str(new_dir), {"eval_ce_report.json": report})
+            _write_files(str(new_dir), {"eval_ce_report.json": report}, lambda: None)
         assert list(tmp_path.iterdir()) == []
 
         earlier = {"eval_ce_report.json": "earlier report\n",
@@ -1383,7 +1407,7 @@ class TestReportWriter:
             (tmp_path / name).write_text(text)
         with pytest.raises(ValueError, match="JSON compliant"):
             _write_files(str(tmp_path), {"eval_ce_report.json": report,
-                                         "curve.dat": "1 2\n"})
+                                         "curve.dat": "1 2\n"}, lambda: None)
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == earlier
 
     @pytest.mark.parametrize("command", ["eval-ce", "fit", "plan"])
@@ -1408,7 +1432,7 @@ class TestReportWriter:
         assert size > 500_000
         tracemalloc.start()
         try:
-            _write_files(str(tmp_path), {"eval_ce_report.json": report})
+            _write_files(str(tmp_path), {"eval_ce_report.json": report}, lambda: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1492,12 +1516,17 @@ class TestExitPath:
         ("stderr", ["predict", "DATA/fit_report_bert_trecdl.json", "--dim", "0"], 1),
         ("stderr", ["eval-ce", "TMP/tiny.jsonl", "--tau", "1e-310",
                     "--output-dir", "TMP/out"], 3),
-    ], ids=["fit", "sweep-dims", "missing-input", "unknown-flag", "usage", "numeric"])
+        ("stdout", ["--version"], 2),
+        ("stdout", ["--help"], 2),
+        ("stdout", ["fit", "--help"], 2),
+    ], ids=["fit", "sweep-dims", "missing-input", "unknown-flag", "usage", "numeric",
+            "version", "help", "command-help"])
     def test_a_full_stream_keeps_the_exit_code(self, data_dir, tmp_path, buffered,
                                                full, argv, code):
-        # stdout's text that cannot be written is a failed run (exit 2) with
-        # one message; a message that stderr cannot take is dropped, and the
-        # run keeps its code. Neither fails again at the interpreter's exit.
+        # stdout's text that cannot be written, help and the version
+        # included, is a failed run (exit 2) with one message and no file; a
+        # message that stderr cannot take is dropped, and the run keeps its
+        # code. Neither fails again at the interpreter's exit.
         write_jsonl(tmp_path / "tiny.jsonl", [
             {"query_id": "q", "positives": [0.5], "negatives": [0.1]}])
         argv = [a.replace("DATA", str(data_dir)).replace("TMP", str(tmp_path))
@@ -1511,6 +1540,7 @@ class TestExitPath:
             proc = subprocess.run([sys.executable, "-m", "embedscale", *argv],
                                   env=env, text=True, **streams)
         assert proc.returncode == code
+        assert not (tmp_path / "out").exists()
         if full == "stdout":
             assert proc.stderr.startswith("embedscale: ")
             assert proc.stderr.count("\n") == 1

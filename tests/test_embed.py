@@ -484,6 +484,11 @@ def read_reference(path):
     return tuple(ids), np.array(rows, dtype=float).tobytes()
 
 
+# A comment fills part 0 at P = 2 and 3, so the first row, which sets the
+# width, lies in a later part; at P = 3 the wider row 17 lies in part 2.
+HEADER_FIRST = [b"#" + b"h" * 199] + [b"a 1 2"] * 15 + [b"b 1 2 3"] + [b"c 1 2"] * 10
+
+
 class TestMatrixFilesInParts:
     """load_matrix and save_matrix run part k of P in a forked child for
     k >= 1; every P gives the same bytes, the same matrix and the same
@@ -557,9 +562,10 @@ class TestMatrixFilesInParts:
         ([b"a 1 2"] * 20 + [b"b"] + [b"c 1 2 \xff"] * 20,
          ":21: expected `id v1 ... vd`"),
         ([b"# only"] * 20 + [b""] * 20, "vecs.txt: no matrix rows"),
+        (HEADER_FIRST, ":17: row has 3 values, expected 2"),
     ], ids=["bad-value-then-bad-value", "bad-value-then-rows", "ragged-then-short",
             "wider-in-a-later-part", "utf8-in-a-later-part", "no-values-then-utf8",
-            "no-rows"])
+            "no-rows", "first-row-in-a-later-part"])
     def test_first_fault_in_file_order_for_every_part_count(
             self, tmp_path, monkeypatch, lines, message):
         path = tmp_path / "vecs.txt"
@@ -572,6 +578,17 @@ class TestMatrixFilesInParts:
             errors.append(str(info.value))
         assert message in errors[0]
         assert errors[1] == errors[0] and errors[2] == errors[0]
+
+    def test_width_from_a_first_row_in_a_later_part(self, tmp_path, monkeypatch):
+        # HEADER_FIRST's uniform twin: every row two values wide.
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"\n".join(HEADER_FIRST).replace(b"b 1 2 3", b"b 1 2") + b"\n")
+        expected = read_reference(path)
+        for parts in (1, 2, 3, 5):
+            force_parts(monkeypatch, parts)
+            loaded = load_matrix(str(path))
+            assert (loaded.ids, loaded.data.tobytes()) == expected, parts
+        assert expected[0] == ("a",) * 15 + ("b",) + ("c",) * 10
 
     # Every child dies, or only the child of part 2 of 3.
     @pytest.mark.parametrize("how, dying", [
@@ -641,7 +658,7 @@ class TestMatrixFilesInParts:
         save_matrix(matrix, str(path))
         force_parts(monkeypatch, 2)
         part = core._part_lines(str(path), 1, 2, path.stat().st_size)
-        full = len(marshal.dumps(embed._rows(str(path), part)))
+        full = len(marshal.dumps(embed._rows(str(path), part, 3)))
         for cut in (0, 1, 5, 19, full // 2, full - 40, full - 1):
             monkeypatch.setattr(core, "marshal", SimpleNamespace(
                 dumps=lambda rows: marshal.dumps(rows)[:cut], loads=marshal.loads))
