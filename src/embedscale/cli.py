@@ -43,7 +43,7 @@ import sys
 from math import isfinite, log10
 
 from . import __version__
-from .core import (_FAULTS, DataError, NumericError, expand_sweep, filter_by,
+from .core import (DataError, NumericError, expand_sweep, filter_by,
                    parse_observations, read_lines)
 from .law import JOINT_LAW, LAWS, fit_from_report, fit_to_report, predict
 
@@ -462,7 +462,7 @@ def main(argv=None) -> int:
         code, message = 1, f"error: {exc}"
     except NumericError as exc:
         code, message = 3, f"numeric failure: {exc}"
-    except _FAULTS as exc:      # NumericError is caught above
+    except (OSError, ValueError) as exc:    # DataError is a ValueError
         code, message = 2, str(exc)
     try:
         print(f"embedscale: {message}", file=sys.stderr)

@@ -31,11 +31,6 @@ class NumericError(ArithmeticError):
     """A numeric routine produced no usable result."""
 
 
-# The errors the CLI reports with a documented exit code: DataError is a
-# ValueError, and NumericError an ArithmeticError.
-_FAULTS = (NumericError, OSError, ValueError)
-
-
 def read_lines(path: str):
     """Yield the lines of a UTF-8 text file one at a time, as open() splits them.
 
@@ -83,18 +78,19 @@ def _part_lines(path: str, part: int, parts: int, size: int):
 
 def _append(first: list, pipe):
     """Append the columns a child sent through pipe, as marshal wrote
-    them, to part 0's columns first, in place, and return first; or None
-    where the child met a fault. A list takes the child's items, and an
+    them, to part 0's columns first, in place, and return first; EOFError
+    where the pipe ended early. A list takes the child's items, and an
     array the bytes marshal wrote for the child's array."""
-    columns = marshal.loads(pipe.read())
-    if columns is None:
-        return None
-    for column, more in zip(first, columns):
+    for column, more in zip(first, marshal.loads(pipe.read())):
         if isinstance(column, list):
             column += more
         else:
             column.frombytes(more)
     return first
+
+
+class _PartFault(DataError):
+    """A child of _in_parts that did not deliver its part."""
 
 
 def _read_in_parts(path: str, doing: str, parse) -> list:
@@ -104,23 +100,20 @@ def _read_in_parts(path: str, doing: str, parse) -> list:
 
     Part 0 covers the top of the file, so a fault its parse raises is the
     first in file order and is raised directly. A child sends its columns
-    as marshal writes them, or None where the parse raised one of _FAULTS.
-    If any part gave None, the whole file is parsed again here as one
-    part: this one reader raises the first fault in file order.
+    as marshal writes them. One that does not (its parse raised, it was
+    killed) stops the parts, and the whole file is parsed again here as
+    one part: this one reader returns the columns or raises the first
+    fault in file order.
     """
     size = os.stat(path).st_size
 
-    def send(part, parts):
-        try:
-            return marshal.dumps(parse(_part_lines(path, part, parts, size)))
-        except _FAULTS:
-            return marshal.dumps(None)
-    results = _in_parts(path, doing,
-                        lambda parts: parse(_part_lines(path, 0, parts, size)),
-                        send, _append)
-    if None in results:
-        return parse(_part_lines(path, 0, 1, size))
-    return results[0]
+    def read(part, parts):
+        return parse(_part_lines(path, part, parts, size))
+    try:
+        return _in_parts(path, doing, lambda parts: read(0, parts),
+                         lambda part, parts: marshal.dumps(read(part, parts)), _append)[0]
+    except _PartFault:
+        return read(0, 1)
 
 
 def _in_parts(path: str, doing: str, here, send, receive) -> list:
@@ -133,16 +126,16 @@ def _in_parts(path: str, doing: str, here, send, receive) -> list:
     in a child of os.fork, which writes the bytes send(k, P) returns to an
     os.pipe and leaves by os._exit; any exception ends it with code 1. This
     process runs part 0 meanwhile, by here(P), then handles each child in
-    part order: part k's result is receive(part 0's result, pipe), or None
-    where the pipe ends early (receive raises EOFError); the rest of the
-    pipe is read and dropped, and the child is reaped. The first child that
-    failed stops the run, so no later part is received: a save it cuts
-    short holds only the rows before that part. Every child is reaped
-    before this returns or raises; the ones not yet reaped are killed.
+    part order: part k's result is receive(part 0's result, pipe), and the
+    child is reaped. The first child that did not deliver its part (it
+    ended by a signal or exit code, or receive met EOFError) stops the run,
+    so no later part is received: a save it cuts short holds only the rows
+    before that part. Every child is reaped before this returns or raises;
+    the ones not yet reaped are killed.
 
     Raises:
-        DataError: a child that ended by a signal or with an exit code
-            other than 0, named with path and the part it was doing.
+        DataError: a child that did not deliver its part, named with path
+            and the part it was doing.
     """
     # A forked child holds only the calling thread, and any lock another
     # thread held stays taken in it: a process with threads runs alone.
@@ -173,21 +166,20 @@ def _in_parts(path: str, doing: str, here, send, receive) -> list:
             os.close(write_end)
             children.append((pid, read_end))
         results = [here(parts)]
-        while children:
+        for part in range(1, parts):
             pid, fd = children[0]
             with open(fd, "rb", closefd=False) as pipe:
                 try:
                     results.append(receive(results[0], pipe))
-                except EOFError:     # a child that ended early: its code says why
-                    results.append(None)
-                pipe.read()
+                except EOFError:     # not delivered: the check below says why
+                    pass
             del children[0]
             os.close(fd)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
+            if code or len(results) == part:
                 how = f"by signal {-code}" if code < 0 else f"with exit code {code}"
-                raise DataError(f"{path}: the process {doing} part {len(results)} "
-                                f"of {parts} ended {how} before sending its rows")
+                raise _PartFault(f"{path}: the process {doing} part {part + 1} "
+                                 f"of {parts} ended {how} before sending its rows")
     finally:
         for pid, fd in children:
             from signal import SIGKILL

@@ -7,6 +7,7 @@ reads through core._read_in_parts, as eval-ce's scorer does, checking
 every row against the width of the file's first row, and save_matrix
 formats through core._in_parts: each part but the first runs in a forked
 child, and the matrix and the bytes are the same for any number of CPUs.
+A reading child that dies is read again here; a formatting one fails.
 """
 
 from __future__ import annotations
@@ -187,8 +188,7 @@ def load_matrix(path: str) -> EmbeddingMatrix:
     Raises:
         DataError: a file that is not UTF-8, malformed line (with line
             number), inconsistent row widths, empty file, or a sidecar
-            that is not a JSON object or does not match; or a child that
-            ended before sending its rows.
+            that is not a JSON object or does not match.
     """
     dim = next((len(fields) - 1 for fields in map(str.split, read_lines(path))
                 if fields and not fields[0].startswith("#")), None)

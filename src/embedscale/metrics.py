@@ -12,7 +12,8 @@ score_file, which eval-ce runs, is the one score-file reader: it scores a
 file on every CPU the process may use, through core._read_in_parts, as
 load_matrix reads matrix files. Each part of the lines but the first is
 scored in a forked child, and core joins the parts and decides every
-fault, so the result and the fault are the same for any number of CPUs.
+fault (a child that dies is scored again here), so the result and the
+fault are the same for any number of CPUs.
 
 Determinism notes, relied on by the reproducibility contract:
   - Sums over scores and over queries use math.fsum (exactly rounded), so
@@ -364,8 +365,7 @@ def score_file(path: str, tau: Optional[float] = None) -> tuple[list, array]:
     arrive, so no per-query tuple or float object is kept.
 
     Raises:
-        DataError, NumericError: the first fault in file order; or a child
-            that ended without sending its rows.
+        DataError, NumericError: the first fault in file order.
     """
     _check_temperature(tau)
     ids, entropies = _read_in_parts(path, "scoring",

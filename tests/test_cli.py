@@ -430,16 +430,18 @@ class TestEvalCeParts:
         assert time.monotonic() - start < 30
         assert no_child_left() and not (tmp_path / "interrupted").exists()
 
-        # A child that raises, or is killed, before sending its rows.
+        # A child that raises, or is killed, before sending its rows: this
+        # process scores the file again, as at P = 1.
+        monkeypatch.setattr(core, "_part_lines", part_lines)
+        expected = run_in_parts(monkeypatch, 1, argv("one"), capsys)
+        assert expected[0] == 0 and expected[3]
+
         def boom():
             raise RuntimeError("boom")
-        for action, how in ((boom, "with exit code 1"),
-                            (lambda: os.kill(os.getpid(), signal.SIGKILL),
-                             f"by signal {int(signal.SIGKILL)}")):
+        for action, how in ((boom, "raise"),
+                            (lambda: os.kill(os.getpid(), signal.SIGKILL), "kill")):
             in_children(action)
-            code, out, err, files = run_in_parts(monkeypatch, 3, argv(how), capsys)
-            assert (code, out, files) == (2, "", None)
-            assert f"the process scoring part 2 of 3 ended {how}" in err
+            assert run_in_parts(monkeypatch, 3, argv(how), capsys) == expected
             assert no_child_left()
 
     def test_a_process_with_threads_scores_alone(self, data_dir, tmp_path,

@@ -591,50 +591,65 @@ class TestMatrixFilesInParts:
         assert expected[0] == ("a",) * 15 + ("b",) + ("c",) * 10
 
     # Every child dies, or only the child of part 2 of 3.
-    @pytest.mark.parametrize("how, dying", [
+    DYING = pytest.mark.parametrize("how, dying", [
         ("raise", (1, 2)), ("kill", (1, 2)), ("raise", (1,)), ("kill", (1,))],
         ids=["raise", "kill", "raise-part-2-of-3", "kill-part-2-of-3"])
+
+    @staticmethod
+    def die(how, dying, part):
+        import signal
+        if part in dying:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("boom")
+
+    @DYING
+    def test_a_reading_child_that_dies_is_read_again(self, tmp_path, monkeypatch,
+                                                     how, dying):
+        import embedscale.core as core
+        matrix = EmbeddingMatrix(np.random.default_rng(2).standard_normal((30, 4)),
+                                 ids=[f"r{i}" for i in range(30)])
+        path = tmp_path / "vecs.txt"
+        save_matrix(matrix, str(path))
+        part_lines = core._part_lines
+
+        def dying_part_lines(path, part, parts, size):
+            self.die(how, dying, part)
+            return part_lines(path, part, parts, size)
+        monkeypatch.setattr(core, "_part_lines", dying_part_lines)
+        for parts in (2, 3):
+            force_parts(monkeypatch, parts)
+            loaded = load_matrix(str(path))
+            assert loaded.ids == matrix.ids, parts
+            assert loaded.data.tobytes() == matrix.data.tobytes(), parts
+            assert no_child_left()
+
+    @DYING
     def test_a_child_that_dies_is_a_data_error(self, tmp_path, monkeypatch, how,
                                                dying):
+        # A formatting child that dies fails the save.
         import signal
 
-        import embedscale.core as core
         import embedscale.embed as embed
         matrix = EmbeddingMatrix(np.random.default_rng(2).standard_normal((30, 4)))
         path = tmp_path / "vecs.txt"
         save_matrix(matrix, str(path))
         expected = path.read_bytes()
-        part_lines, lines = core._part_lines, embed._lines
-
-        def die(part):
-            if part in dying:
-                if how == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("boom")
-
-        def dying_part_lines(path, part, parts, size):
-            die(part)
-            return part_lines(path, part, parts, size)
+        lines = embed._lines
 
         def dying_lines(ids, data, part, parts):
-            die(part)
+            self.die(how, dying, part)
             return lines(ids, data, part, parts)
 
         ended = (f"by signal {int(signal.SIGKILL)}" if how == "kill"
                  else "with exit code 1")
-        monkeypatch.setattr(core, "_part_lines", dying_part_lines)
-        force_parts(monkeypatch, 3)
-        with pytest.raises(DataError, match=f"vecs.txt: the process reading part 2 "
-                                            f"of 3 ended {ended} before sending"):
-            load_matrix(str(path))
-        assert no_child_left()
-
-        monkeypatch.setattr(core, "_part_lines", part_lines)
         monkeypatch.setattr(embed, "_lines", dying_lines)
+        force_parts(monkeypatch, 3)
         out = tmp_path / "out.txt"
         with pytest.raises(DataError, match=f"out.txt: the process formatting part 2 "
                                             f"of 3 ended {ended} before sending"):
             save_matrix(matrix, str(out))
+        assert no_child_left()
         # Part 0 was written and the save stopped at part 1's child, so the
         # file holds the first 10 rows, whatever part 2's child did; the
         # sidecar written before it declares every row, so it does not load.
@@ -643,6 +658,27 @@ class TestMatrixFilesInParts:
         with pytest.raises(DataError, match="out.txt.json: declares rows=30 dim=4, "
                                             "file has rows=10 dim=4"):
             load_matrix(str(out))
+
+    def test_nothing_is_joined_after_a_part_fails(self, tmp_path, monkeypatch):
+        # Line 16 of 36 equal lines lies in part 1 of 3: once its child
+        # fails, no later part is received, and one reader raises the fault.
+        import embedscale.core as core
+        append, appended = core._append, []
+
+        def logged(first, pipe):
+            columns = append(first, pipe)
+            appended.append(len(first[0]))      # the rows joined so far
+            return columns
+        monkeypatch.setattr(core, "_append", logged)
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(b"".join(b"r%02d x 2\n" % i if i == 16 else b"r%02d 1 2\n" % i
+                                  for i in range(1, 37)))
+        for parts in (1, 2, 3):
+            force_parts(monkeypatch, parts)
+            with pytest.raises(DataError) as info:
+                load_matrix(str(path))
+            assert str(info.value) == f"{path}:16: could not convert string to float: 'x'"
+            assert appended == [], parts
 
     def test_a_pipe_that_ends_early_reads_the_file_again(self, tmp_path,
                                                          monkeypatch):
